@@ -19,8 +19,11 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   byte-exact.
 * **entropy** — symbols/sec of each backend on a long Laplacian
   stream, round-trip verified.
-* **kernels** — conv2d / conv_transpose2d / bilinear warp /
-  block-match / 8x8 DCT timings of the NumPy substrate.
+* **kernels** — conv2d / conv_transpose2d / deformable conv /
+  block-match / 8x8 DCT timings of the NumPy substrate.  The
+  deformable conv runs twice: with dense random weights (every tap
+  sampled) and with the codec's identity-centre weights at CIF's
+  144x176 feature grid (one tap of nine sampled).
 * **container** — the integrity tax: write/read wall time of the same
   packet list through the version-3 (CRC-free) and version-4
   (header + per-packet CRC32) stream containers, with the byte
@@ -269,6 +272,7 @@ def bench_entropy(num_symbols: int, repeats: int, backends) -> dict:
 def bench_kernels(repeats: int) -> dict:
     from scipy.fft import dctn
 
+    from repro.codec.modules import DeformableCompensation
     from repro.nn import functional as F
     from repro.nn.deform import deform_conv2d
 
@@ -280,6 +284,14 @@ def bench_kernels(repeats: int) -> dict:
     dfw = rng.standard_normal((24, 24, 3, 3)) * 0.1
     luma = rng.standard_normal((64, 96)) * 40 + 128
     blocks = rng.standard_normal((96, 8, 8))
+    # The codec's DfConv as built (N=12, identity centre tap) on CIF's
+    # 144x176 feature grid, with offsets from its own offset head.
+    compensation = DeformableCompensation(channels=12, groups=2)
+    cif_feature = rng.standard_normal((12, 144, 176))
+    cif_offsets = compensation.offset_conv(
+        rng.standard_normal((12, 144, 176)) * 2.0
+    )
+    dfconv = compensation.dfconv
 
     cases = {
         "conv2d_3x3_s1": lambda: F.conv2d(x, w33, padding=1),
@@ -288,6 +300,10 @@ def bench_kernels(repeats: int) -> dict:
         ),
         "deform_conv2d_3x3_g2": lambda: deform_conv2d(
             x, offsets, dfw, groups=2
+        ),
+        "deform_conv2d_cif_codec_weights": lambda: deform_conv2d(
+            cif_feature, cif_offsets, dfconv.weight.data, dfconv.bias.data,
+            groups=dfconv.groups,
         ),
         "block_match_8x8_r4": lambda: __import__(
             "repro.codec.modules", fromlist=["block_match"]
@@ -795,7 +811,7 @@ def main(argv=None) -> int:
         print("== kernels ==")
         kernels = bench_kernels(repeats)
         for name, row in kernels.items():
-            print(f"  {name:24s} {row['ms']:8.3f} ms")
+            print(f"  {name:31s} {row['ms']:8.3f} ms")
 
         print("== container integrity (v4 CRC32 vs v3) ==")
         container = bench_container(frames, repeats)

@@ -40,6 +40,7 @@ from repro.video.yuv import rgb_to_ycbcr
 from .bitstream import (
     FramePacket,
     SequenceBitstream,
+    StreamCorruptionError,
     f16_bits,
     f16_from_bits,
 )
@@ -254,6 +255,8 @@ class CTVCNet:
         payload: bytes, meta: dict, entropy: EntropyBackend
     ) -> np.ndarray:
         qstep = f16_from_bits(meta["q"])
+        if not np.isfinite(qstep):
+            raise StreamCorruptionError(f"latent quantizer step is {qstep}")
         support = meta["u"]
         c, h, w = meta["hw"]
         specs = [

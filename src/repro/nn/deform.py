@@ -10,6 +10,16 @@ transform algorithms.
 
 Offset layout follows the torchvision convention: a ``(2*G*kH*kW, H, W)``
 tensor ordered ``(group, tap_row, tap_col, [dy, dx])``.
+
+Like the accelerator's sparse datapath, the kernel spends no work on
+zero weights: per offset group it bilinear-samples only the taps whose
+weight slice ``weight[:, group, i, j]`` has a nonzero entry.  A skipped
+tap only ever contributed ``0 * sample`` terms, and adding a zero term
+does not change a sum of finite values, so for finite inputs the
+output is bit-for-bit that of sampling and contracting every tap.  The
+codec's DfConv weight (the identity centre tap) samples one tap of
+nine.  Offsets of skipped taps are never read, so even non-finite ones
+cannot reach the output.
 """
 
 from __future__ import annotations
@@ -55,18 +65,34 @@ def deform_conv2d(
     base_x = (np.arange(wo) * stride - padding)[None, :]
     group_size = c_in // groups
 
-    tap_y = np.arange(kh)[:, None, None, None]
-    tap_x = np.arange(kw)[None, :, None, None]
     out = np.zeros((c_out, ho, wo))
     for g in range(groups):
         x_group = x[g * group_size : (g + 1) * group_size]
         w_group = weight[:, g * group_size : (g + 1) * group_size]
-        # Gather all kh*kw displaced taps for this group in one
-        # batched bilinear lookup (coordinates shaped (kh, kw, ho, wo)).
-        ys = base_y[None, None] + tap_y + off[g, :, :, 0]
-        xs = base_x[None, None] + tap_x + off[g, :, :, 1]
+        nonzero = w_group != 0
+        tap_i, tap_j = np.nonzero(nonzero.any(axis=(0, 1)))
+        if not tap_i.size:
+            continue
+        # Gather only the live taps, in one batched bilinear lookup
+        # (coordinates shaped (taps, ho, wo)).
+        ys = base_y + tap_i[:, None, None] + off[g, tap_i, tap_j, 0]
+        xs = base_x + tap_j[:, None, None] + off[g, tap_i, tap_j, 1]
         sampled = F.bilinear_sample(x_group, ys, xs)
-        out += np.einsum("ocij,cijhw->ohw", w_group, sampled)
+        if nonzero.sum(axis=(1, 2, 3)).max() == 1:
+            # Each output row is a single product w * s: exact in any
+            # order.  This is the codec's case.
+            rows, chans, ri, rj = np.nonzero(nonzero)
+            slot = np.empty((kh, kw), dtype=int)
+            slot[tap_i, tap_j] = np.arange(tap_i.size)
+            weights = w_group[rows, chans, ri, rj][:, None, None]
+            out[rows] += weights * sampled[chans, slot[ri, rj]]
+        else:
+            # Zero-fill the skipped taps and contract every tap, in the
+            # channel-innermost layout a (C, H*W)[:, index] gather
+            # returns, so einsum sums in the order it always has.
+            full = np.zeros((kh, kw, ho, wo, group_size)).transpose(4, 0, 1, 2, 3)
+            full[:, tap_i, tap_j] = sampled
+            out += np.einsum("ocij,cijhw->ohw", w_group, full)
     if bias is not None:
         out += bias[:, None, None]
     return out

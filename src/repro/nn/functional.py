@@ -213,9 +213,14 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def bilinear_sample(x: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample (C, H, W) at fractional coordinates with border clamping.
 
-    ``ys``/``xs`` share an arbitrary shape S; the result is (C, *S).
+    ``ys``/``xs`` share an arbitrary shape S; the result is a fresh
+    C-contiguous (C, *S) array, channel axis first and outermost.
     This is the sampling kernel of the deformable convolution (DfConv)
     in the paper's deformable compensation module.
+
+    Each output is ``tl*(1-fy)*(1-fx) + tr*(1-fy)*fx + bl*fy*(1-fx) +
+    br*fy*fx``, evaluated left to right with one rounding per operation,
+    so the value does not depend on how the four corners are gathered.
     """
     c, h, w = x.shape
     ys = np.clip(ys, 0.0, h - 1.0)
@@ -226,18 +231,21 @@ def bilinear_sample(x: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray
     x1 = np.minimum(x0 + 1, w - 1)
     fy = ys - y0
     fx = xs - x0
-    # Gather through flat indices on a (C, H*W) view: one stride of
-    # advanced indexing instead of four broadcasted 2-axis lookups.
-    flat = np.ascontiguousarray(x).reshape(c, h * w)
+    gy = 1 - fy
+    gx = 1 - fx
+    # Gather the four corners through flat indices on a (C, H*W) view,
+    # then accumulate in place in the formula's left-to-right order.
+    # The dtype is the one the mixed-type expression would produce.
+    flat = np.ascontiguousarray(x, dtype=np.result_type(x, fy)).reshape(c, h * w)
     row0 = y0 * w
     row1 = y1 * w
-    tl = flat[:, row0 + x0]
-    tr = flat[:, row0 + x1]
-    bl = flat[:, row1 + x0]
-    br = flat[:, row1 + x1]
-    return (
-        tl * (1 - fy) * (1 - fx)
-        + tr * (1 - fy) * fx
-        + bl * fy * (1 - fx)
-        + br * fy * fx
-    )
+    out = np.take(flat, row0 + x0, axis=1)
+    out *= gy
+    out *= gx
+    corners = ((row0 + x1, gy, fx), (row1 + x0, fy, gx), (row1 + x1, fy, fx))
+    for index, wy, wx in corners:
+        corner = np.take(flat, index, axis=1)
+        corner *= wy
+        corner *= wx
+        out += corner
+    return out

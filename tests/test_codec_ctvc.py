@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.codec import CTVCConfig, CTVCNet, SequenceBitstream
+from repro.codec import (
+    CTVCConfig,
+    CTVCNet,
+    SequenceBitstream,
+    StreamCorruptionError,
+)
 from repro.metrics import psnr
 from repro.video import SceneConfig, generate_sequence
 
@@ -174,3 +179,29 @@ class TestModuleInventory:
     def test_all_modules_adds_encoder_side(self):
         net = small_net()
         assert "motion_estimation" in net.all_modules()
+
+
+class TestHostileLatentMeta:
+    """A crafted P packet whose latent quantizer step (half-float bits in
+    the ``mm``/``rm`` meta) decodes to NaN or +-inf is rejected with a
+    typed error, not a crash or a NaN frame."""
+
+    @pytest.fixture(scope="class")
+    def stream_blob(self):
+        clip = generate_sequence(SceneConfig(height=32, width=48, frames=2, seed=3))
+        net = CTVCNet(CTVCConfig(channels=8, qstep=8.0, gop=8, seed=1))
+        return net, net.encode_sequence(clip).serialize()
+
+    @pytest.mark.parametrize("bits", [0x7E00, 0x7C00, 0xFC00])  # NaN, +inf, -inf
+    @pytest.mark.parametrize("key", ["mm", "rm"])
+    def test_non_finite_qstep_raises_stream_corruption(self, stream_blob, key, bits):
+        net, blob = stream_blob
+        stream = SequenceBitstream.parse(blob)
+        assert stream.packets[1].frame_type == "P"
+        stream.packets[1].meta[key]["q"] = bits
+        # re-serialize so the v4 CRCs cover the crafted meta
+        crafted = SequenceBitstream(
+            header=stream.header, packets=stream.packets, version=4
+        ).serialize()
+        with pytest.raises(StreamCorruptionError, match="quantizer step"):
+            net.decode_sequence(SequenceBitstream.parse(crafted))
