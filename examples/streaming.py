@@ -4,7 +4,7 @@ The batch API buffers the whole clip; real services cannot.  This
 example drives the streaming redesign end to end:
 
 1. raw session API — ``open_encoder()``, ``push``/``flush`` packets out
-   as frames arrive, into an incremental version-3 container file;
+   as frames arrive, into an incremental version-4 container file;
 2. ``open_decoder()`` + ``StreamReader`` — packets in, frames pulled
    out, never holding more than one frame;
 3. the ``Pipeline`` facade's streaming mode with per-frame progress

@@ -32,11 +32,11 @@ Quick start
 >>> report.bpp, report.mean_psnr        # typed EncodeReport
 >>> report.to_dict()                    # JSON-ready
 
-Sweeps fan out the same job spec, optionally over a process pool:
+Sweeps fan out the same job spec, optionally over a work queue:
 
 >>> from repro.pipeline import run_many
 >>> reports = run_many(codecs=["ctvc", "classical"],
-...                    scenes=[{"frames": 4}], processes=4)
+...                    scenes=[{"frames": 4}], backend="queue", workers=4)
 
 Codecs are plugins — ``create_codec("ctvc", channels=12)`` builds one
 directly, and ``register_codec`` adds new variants without touching

@@ -6,7 +6,7 @@ Subcommands:
 * ``encode``     — run one codec through the ``repro.pipeline`` facade
                    and report rate/quality.  ``--stream`` switches to
                    the frame-at-a-time session API, writing the
-                   incremental version-3 container to ``--output`` as
+                   incremental version-4 container to ``--output`` as
                    packets are produced (O(1) frame memory); ``--input
                    clip.yuv`` feeds raw YUV 4:2:0 frames from disk
                    instead of the synthetic scene.
@@ -112,6 +112,25 @@ def _progress_printer(enabled: bool):
     return progress
 
 
+def _config_overrides(config_cls, knobs, config_json=None) -> dict:
+    """Map CLI ``(name, value)`` knobs onto the fields ``config_cls``
+    defines, over the JSON ``--config`` document ``config_json``.
+
+    Unset (``None``) knobs and fields the config class lacks are
+    skipped, so one knob set serves every registered config.  The
+    generic ``qp`` knob drives whatever the config calls its
+    quantization field: CTVC's latent ``qstep``, classical's ``qp``.
+    """
+    fields = {f.name for f in dataclasses.fields(config_cls)}
+    config = dict(json.loads(config_json)) if config_json else {}
+    for name, value in knobs:
+        if name == "qp" and "qstep" in fields:
+            name = "qstep"
+        if value is not None and name in fields:
+            config[name] = value
+    return config
+
+
 def _cmd_encode(args) -> int:
     from repro.pipeline import CodecRegistryError, Pipeline, codec_spec
 
@@ -120,27 +139,19 @@ def _cmd_encode(args) -> int:
     except CodecRegistryError as exc:
         print(f"repro encode: {exc}", file=sys.stderr)
         return 2
-    # Map the generic CLI knobs onto whatever the codec's config calls
-    # them (``--qp`` drives CTVC's latent qstep and classical's QP).
-    fields = {f.name for f in dataclasses.fields(config_cls)}
     # --target-kbps alone implies a controller; "abr" needs no
     # calibration, so it is the sensible default.
     rate_control = args.rate_control
     if rate_control is None and args.target_kbps is not None:
         rate_control = "abr"
-    overrides = {}
-    for name, value in (
-        ("qstep", args.qp),
-        ("qp", None if "qstep" in fields else args.qp),
+    config = config_cls.from_dict(_config_overrides(config_cls, (
+        ("qp", args.qp),
         ("channels", args.channels),
         ("entropy_backend", args.entropy_backend),
         ("rate_control", rate_control),
         ("target_kbps", args.target_kbps),
         ("fps", args.fps),
-    ):
-        if value is not None and name in fields:
-            overrides[name] = value
-    config = config_cls.from_dict(overrides)
+    )))
     if args.input is not None and not args.stream:
         print("repro encode: --input needs --stream", file=sys.stderr)
         return 2
@@ -185,7 +196,7 @@ def _cmd_encode(args) -> int:
 
 
 def _encode_stream_yuv(args, config) -> int:
-    """File-to-file transcode: raw YUV in, v3 container out, one frame
+    """File-to-file transcode: raw YUV in, v4 container out, one frame
     in memory at a time (the zero-copy path long sequences use)."""
     import time
 
@@ -374,7 +385,7 @@ def _csv_rows(result) -> list[list]:
 def _obs_start(args) -> None:
     """``--trace-out`` opts the run into span tracing (off by default;
     metrics are always on, so ``--metrics-out`` needs no arming)."""
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         from repro.obs import enable
 
         enable()
@@ -385,12 +396,12 @@ def _obs_write(args) -> None:
     fleet run.  Metrics are this process's registry (runner-side
     counters; worker-side series ride the daemon's ``/metrics``
     endpoint), the trace is the flight recorder's ring as JSONL."""
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         from repro.obs import get_registry
 
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(get_registry().render())
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         from repro.obs import get_recorder
 
         get_recorder().dump(args.trace_out)
@@ -419,9 +430,79 @@ def _cmd_trace(args) -> int:
     return _emit(args, "\n".join(lines), payload)
 
 
-def _cmd_sweep(args) -> int:
+def _open_queue(args, command: str):
+    """Check a fleet command's ``--queue-dir``/``--queue-url``/
+    ``--resume`` flags and open its queue; returns ``(queue, status)``.
+
+    ``queue`` is ``None`` when neither flag is given (the runner's
+    in-memory queue).  A queue that already holds jobs is refused
+    without ``--resume``, whichever transport backs it.  A nonzero
+    ``status`` is a refusal, explained on stderr.  Flag conflicts are
+    refused before any queue is opened, and a queue refused for
+    holding jobs already existed, so a refusal creates no directory.
+    """
+    from repro.pipeline.dist import DirectoryJobQueue, HttpJobQueue
+
+    if args.queue_url and args.queue_dir:
+        print(f"repro {command}: pass --queue-url or --queue-dir, not both "
+              "(the server owns the backing queue; point workers and runners "
+              "at its URL)", file=sys.stderr)
+        return None, 2
+    if args.resume and not (args.queue_dir or args.queue_url):
+        print(f"repro {command}: --resume needs --queue-dir or --queue-url "
+              "(the durable queue state to continue from)", file=sys.stderr)
+        return None, 2
+    if args.queue_url:
+        queue, flag = HttpJobQueue(args.queue_url), "--queue-url"
+    elif args.queue_dir:
+        queue = DirectoryJobQueue(args.queue_dir, max_attempts=args.max_attempts)
+        flag = "--queue-dir"
+    else:
+        return None, 0
+    held = 0 if args.resume else queue.stats().total
+    if held:
+        print(
+            f"repro {command}: {flag} {args.queue_url or args.queue_dir!r} "
+            f"already holds {held} job(s); pass --resume to continue that "
+            f"run or point {flag} at an empty queue",
+            file=sys.stderr,
+        )
+        return None, 2
+    return queue, 0
+
+
+def _run_fleet(
+    args, runner, csv_rows, report=lambda r: (r.render(), r.to_dict())
+) -> int:
+    """Run a fleet command's runner and report its result.
+
+    Shared tail of ``sweep``/``ladder``/``dse``: queue progress on
+    stderr (``--progress``), the ``--metrics-out``/``--trace-out``
+    artifacts, ``csv_rows(result)`` to ``--csv``, then the report
+    (``report(result) -> (text, payload)``).  Exit code 1 when any job
+    failed.
+    """
     import csv
 
+    progress = None
+    if args.progress:
+        def progress(stats):
+            print(
+                f"  pending {stats.pending}  claimed {stats.claimed}  "
+                f"done {stats.done}  failed {stats.failed}",
+                file=sys.stderr,
+            )
+    _obs_start(args)
+    result = runner.run(progress)
+    _obs_write(args)
+    if args.csv:
+        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(csv_rows(result))
+    _emit(args, *report(result))
+    return 0 if result.ok else 1
+
+
+def _cmd_sweep(args) -> int:
     from repro.pipeline import SweepRunner
 
     codecs = [c.strip() for c in args.codecs.split(",") if c.strip()]
@@ -465,22 +546,15 @@ def _cmd_sweep(args) -> int:
     elif anchor == "none":
         anchor = None
 
-    status = _check_queue_dir(args, "sweep")
+    queue, status = _open_queue(args, "sweep")
     if status:
         return status
-    queue = None
-    if args.queue_url:
-        queue, status = _remote_queue(args, "sweep")
-        if status:
-            return status
-
     runner = SweepRunner(
         codecs=codecs,
         codec_configs=configs,
         scenes=scenes,
         compute_msssim=args.msssim,
         queue=queue,
-        queue_dir=args.queue_dir,
         workers=args.workers,
         lease_seconds=args.lease,
         max_attempts=args.max_attempts,
@@ -488,22 +562,7 @@ def _cmd_sweep(args) -> int:
         metric=args.metric,
         anchor=anchor,
     )
-    progress = None
-    if args.progress:
-        def progress(stats):
-            print(
-                f"  pending {stats.pending}  claimed {stats.claimed}  "
-                f"done {stats.done}  failed {stats.failed}",
-                file=sys.stderr,
-            )
-    _obs_start(args)
-    result = runner.run(progress)
-    _obs_write(args)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(_csv_rows(result))
-    _emit(args, result.render(), result.to_dict())
-    return 0 if result.ok else 1
+    return _run_fleet(args, runner, _csv_rows)
 
 
 def _parse_renditions(text: str):
@@ -536,9 +595,18 @@ _LADDER_CSV_COLUMNS = (
 )
 
 
-def _cmd_ladder(args) -> int:
-    import csv
+def _ladder_csv_rows(result) -> list[list]:
+    """Flatten a LadderResult into CSV rows (one per completed rung)."""
+    rows = [list(_LADDER_CSV_COLUMNS)]
+    for row in result.table():
+        rows.append([
+            "" if row[column] is None else row[column]
+            for column in _LADDER_CSV_COLUMNS
+        ])
+    return rows
 
+
+def _cmd_ladder(args) -> int:
     from repro.pipeline import (
         CodecRegistryError,
         LadderRunner,
@@ -556,27 +624,10 @@ def _cmd_ladder(args) -> int:
     except CodecRegistryError as exc:
         print(f"repro ladder: {exc}", file=sys.stderr)
         return 2
-    # Same generic-knob mapping as encode: --qp drives whatever the
-    # codec's config calls its quantization field.
-    config = dict(json.loads(args.config)) if args.config else {}
-    fields = {f.name for f in dataclasses.fields(config_cls)}
-    for name, value in (
-        ("qstep", args.qp),
-        ("qp", None if "qstep" in fields else args.qp),
+    config = _config_overrides(config_cls, (
+        ("qp", args.qp),
         ("entropy_backend", args.entropy_backend),
-    ):
-        if value is not None and name in fields:
-            config[name] = value
-
-    status = _check_queue_dir(args, "ladder")
-    if status:
-        return status
-    queue = None
-    if args.queue_url:
-        queue, status = _remote_queue(args, "ladder")
-        if status:
-            return status
-
+    ), args.config)
     spec = LadderSpec(
         renditions,
         codec=args.codec,
@@ -586,37 +637,19 @@ def _cmd_ladder(args) -> int:
         fps=args.fps,
         compute_msssim=args.msssim,
     )
+
+    queue, status = _open_queue(args, "ladder")
+    if status:
+        return status
     runner = LadderRunner(
         spec,
         queue=queue,
-        queue_dir=args.queue_dir,
         workers=args.workers,
         lease_seconds=args.lease,
         max_attempts=args.max_attempts,
         bundle=args.bundle,
     )
-    progress = None
-    if args.progress:
-        def progress(stats):
-            print(
-                f"  pending {stats.pending}  claimed {stats.claimed}  "
-                f"done {stats.done}  failed {stats.failed}",
-                file=sys.stderr,
-            )
-    _obs_start(args)
-    result = runner.run(progress)
-    _obs_write(args)
-    if args.csv:
-        rows = [list(_LADDER_CSV_COLUMNS)]
-        for row in result.table():
-            rows.append([
-                "" if row[column] is None else row[column]
-                for column in _LADDER_CSV_COLUMNS
-            ])
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(rows)
-    _emit(args, result.render(), result.to_dict())
-    return 0 if result.ok else 1
+    return _run_fleet(args, runner, _ladder_csv_rows)
 
 
 def _cmd_hardware(args) -> int:
@@ -627,23 +660,16 @@ def _cmd_hardware(args) -> int:
     except PlatformRegistryError as exc:
         print(f"repro hardware: {exc}", file=sys.stderr)
         return 2
-    # Map the CLI knobs onto whatever the platform's config defines
-    # (the NVCA operating point; reference platforms only take
-    # --technology) — unknown keys are skipped, mirroring encode.
-    fields = {f.name for f in dataclasses.fields(entry.config_cls)}
-    overrides = {}
-    for name, value in (
+    # The NVCA operating point; reference platforms only take
+    # --technology.
+    config = _config_overrides(entry.config_cls, (
         ("pif", args.pif),
         ("pof", args.pof),
         ("rho", args.rho),
         ("frequency_mhz", args.frequency),
         ("channels", args.channels),
         ("technology_nm", args.technology),
-    ):
-        if value is not None and name in fields:
-            overrides[name] = value
-    config = dict(json.loads(args.config)) if args.config else {}
-    config.update(overrides)
+    ), args.config)
     report = create_platform(args.platform, config).analyze(
         args.height, args.width
     )
@@ -657,8 +683,6 @@ def _cmd_hardware(args) -> int:
 def _bundle_arg(value: str):
     """argparse type for --bundle: a positive batch size, or 'auto' to
     size bundles from the grid and worker count."""
-    import argparse
-
     if value == "auto":
         return "auto"
     try:
@@ -670,56 +694,6 @@ def _bundle_arg(value: str):
     if size < 1:
         raise argparse.ArgumentTypeError("--bundle must be >= 1 or 'auto'")
     return size
-
-
-def _check_queue_dir(args, command: str) -> int:
-    """Shared --queue-dir/--resume hygiene for sweep-shaped commands."""
-    queue_url = getattr(args, "queue_url", None)
-    if queue_url and args.queue_dir:
-        print(f"repro {command}: pass --queue-url or --queue-dir, not both "
-              "(the server owns the backing queue; point workers and runners "
-              "at its URL)", file=sys.stderr)
-        return 2
-    if args.resume and not (args.queue_dir or queue_url):
-        print(f"repro {command}: --resume needs --queue-dir or --queue-url "
-              "(the durable queue state to continue from)", file=sys.stderr)
-        return 2
-    if args.queue_dir and not args.resume:
-        leftover = [
-            name
-            for state in ("pending", "claimed", "done", "failed")
-            if os.path.isdir(os.path.join(args.queue_dir, state))
-            for name in os.listdir(os.path.join(args.queue_dir, state))
-        ]
-        if leftover:
-            print(
-                f"repro {command}: queue dir {args.queue_dir!r} already holds "
-                f"{len(leftover)} job file(s); pass --resume to continue "
-                "that run or point --queue-dir at an empty directory",
-                file=sys.stderr,
-            )
-            return 2
-    return 0
-
-
-def _remote_queue(args, command: str):
-    """Build the HttpJobQueue for --queue-url, with the same
-    already-holds-jobs hygiene as --queue-dir; returns (queue, status)."""
-    from repro.pipeline.dist import HttpJobQueue
-
-    queue = HttpJobQueue(args.queue_url)
-    if not args.resume:
-        stats = queue.stats()
-        total = stats.pending + stats.claimed + stats.done + stats.failed
-        if total:
-            print(
-                f"repro {command}: queue at {queue.url} already holds "
-                f"{total} job(s); pass --resume to continue that run or "
-                "point --queue-url at a fresh server",
-                file=sys.stderr,
-            )
-            return None, 2
-    return queue, 0
 
 
 def _dse_csv_rows(result) -> list[list]:
@@ -741,8 +715,6 @@ def _dse_csv_rows(result) -> list[list]:
 
 
 def _cmd_dse(args) -> int:
-    import csv
-
     from repro.pipeline import DSERunner, dse_grid
 
     # An axis-values flag that does not match --grid would be silently
@@ -790,16 +762,6 @@ def _cmd_dse(args) -> int:
     ):
         if value is not None:
             base[name] = value
-
-    status = _check_queue_dir(args, "dse")
-    if status:
-        return status
-    queue = None
-    if args.queue_url:
-        queue, status = _remote_queue(args, "dse")
-        if status:
-            return status
-
     specs = dse_grid(
         args.grid,
         values=values,
@@ -808,34 +770,26 @@ def _cmd_dse(args) -> int:
         width=args.width,
         platform=args.platform,
     )
+
+    queue, status = _open_queue(args, "dse")
+    if status:
+        return status
     runner = DSERunner(
         specs,
         queue=queue,
-        queue_dir=args.queue_dir,
         workers=args.workers,
         lease_seconds=args.lease,
         max_attempts=args.max_attempts,
         bundle=args.bundle,
     )
-    progress = None
-    if args.progress:
-        def progress(stats):
-            print(
-                f"  pending {stats.pending}  claimed {stats.claimed}  "
-                f"done {stats.done}  failed {stats.failed}",
-                file=sys.stderr,
-            )
-    _obs_start(args)
-    result = runner.run(progress)
-    _obs_write(args)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(_dse_csv_rows(result))
-    payload = result.to_dict()
-    if args.pareto:
-        payload["points"] = payload["pareto"]
-    _emit(args, result.render(pareto_only=args.pareto), payload)
-    return 0 if result.ok else 1
+
+    def report(result):
+        payload = result.to_dict()
+        if args.pareto:
+            payload["points"] = payload["pareto"]
+        return result.render(pareto_only=args.pareto), payload
+
+    return _run_fleet(args, runner, _dse_csv_rows, report)
 
 
 def _cmd_serve(args) -> int:
@@ -899,6 +853,20 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _one_queue_flag(args, command: str) -> bool:
+    """Whether exactly one of ``--queue-url``/``--queue-dir`` is given
+    (commands that attach to one existing queue); explains on stderr
+    when not."""
+    if bool(args.queue_url) != bool(args.queue_dir):
+        return True
+    print(
+        f"repro {command}: pass exactly one of --queue-url (a repro serve "
+        "daemon) or --queue-dir (a queue directory)",
+        file=sys.stderr,
+    )
+    return False
+
+
 def _cmd_worker(args) -> int:
     """Join a worker fleet: drain jobs from a queue server (or a shared
     queue directory) until it is empty — or forever with --forever."""
@@ -909,40 +877,25 @@ def _cmd_worker(args) -> int:
         run_worker,
     )
 
-    if bool(args.queue_url) == bool(args.queue_dir):
-        print(
-            "repro worker: pass exactly one of --queue-url (a repro serve "
-            "daemon) or --queue-dir (a shared queue directory)",
-            file=sys.stderr,
-        )
+    if not _one_queue_flag(args, "worker"):
         return 2
     worker_id = args.id or default_worker_id()
+    drain = dict(
+        lease_seconds=args.lease,
+        poll_seconds=args.poll,
+        max_jobs=args.max_jobs,
+        stop_when_drained=not args.forever,
+        job_timeout_seconds=args.job_timeout,
+        bundle=args.bundle,
+    )
     try:
         if args.queue_url:
-            completed = http_worker_entry(
-                args.queue_url,
-                worker_id,
-                lease_seconds=args.lease,
-                poll_seconds=args.poll,
-                max_jobs=args.max_jobs,
-                stop_when_drained=not args.forever,
-                job_timeout_seconds=args.job_timeout,
-                bundle=args.bundle,
-            )
+            completed = http_worker_entry(args.queue_url, worker_id, **drain)
         else:
             queue = DirectoryJobQueue(
                 args.queue_dir, max_attempts=args.max_attempts
             )
-            completed = run_worker(
-                queue,
-                worker_id,
-                lease_seconds=args.lease,
-                poll_seconds=args.poll,
-                max_jobs=args.max_jobs,
-                stop_when_drained=not args.forever,
-                job_timeout_seconds=args.job_timeout,
-                bundle=args.bundle,
-            )
+            completed = run_worker(queue, worker_id, **drain)
     except KeyboardInterrupt:
         print(f"worker {worker_id}: interrupted", file=sys.stderr)
         return 130
@@ -957,12 +910,7 @@ def _attach_queue(args, command: str):
     behind."""
     from repro.pipeline.dist import DirectoryJobQueue, HttpJobQueue
 
-    if bool(args.queue_url) == bool(args.queue_dir):
-        print(
-            f"repro {command}: pass exactly one of --queue-url (a repro "
-            "serve daemon) or --queue-dir (a queue directory)",
-            file=sys.stderr,
-        )
+    if not _one_queue_flag(args, command):
         return None
     if args.queue_url:
         return HttpJobQueue(args.queue_url)
@@ -1091,7 +1039,7 @@ def main(argv=None) -> int:
     enc.add_argument(
         "--stream",
         action="store_true",
-        help="frame-at-a-time encode writing the version-3 container to "
+        help="frame-at-a-time encode writing the version-4 container to "
         "--output incrementally (O(1) frame memory); report goes to stdout",
     )
     enc.add_argument(
@@ -1158,8 +1106,68 @@ def main(argv=None) -> int:
     dec.add_argument("--json", action="store_true", help="emit structured JSON")
     dec.set_defaults(func=_cmd_decode)
 
+    # The queue/run/output flags every fleet command (sweep, ladder,
+    # dse) shares; each takes them through ``parents=[fleet]``.
+    fleet = argparse.ArgumentParser(add_help=False)
+    fleet.add_argument(
+        "--workers", type=int, default=2,
+        help="worker count: 0 runs serially in-process; with --queue-dir "
+        "or --queue-url workers are processes, otherwise threads",
+    )
+    fleet.add_argument(
+        "--queue-dir", default=None,
+        help="directory-backed job queue (durable state; other hosts "
+        "sharing the filesystem can attach workers; enables --resume)",
+    )
+    fleet.add_argument(
+        "--queue-url", default=None,
+        help="run the jobs through a repro serve daemon at this URL; "
+        "workers are local processes talking HTTP, and remote hosts can "
+        "join with 'repro worker --queue-url'",
+    )
+    fleet.add_argument(
+        "--resume", action="store_true",
+        help="continue an interrupted run from --queue-dir or --queue-url "
+        "(finished jobs are not re-run)",
+    )
+    fleet.add_argument(
+        "--lease", type=float, default=120.0,
+        help="per-job lease seconds before a silent worker is presumed "
+        "dead and its job is retried",
+    )
+    fleet.add_argument(
+        "--max-attempts", type=int, default=3,
+        help="tries per job before it dead-letters into the failure report",
+    )
+    fleet.add_argument(
+        "--bundle", type=_bundle_arg, default="auto",
+        help="jobs claimed per queue round-trip; 'auto' (default) sizes "
+        "bundles from the job and worker counts — transport only, results "
+        "are byte-identical to --bundle 1",
+    )
+    fleet.add_argument(
+        "--csv", default=None, help="also write the per-job table as CSV here"
+    )
+    fleet.add_argument(
+        "--progress", action="store_true",
+        help="print queue progress snapshots to stderr",
+    )
+    fleet.add_argument(
+        "--metrics-out", default=None,
+        help="write this process's metrics registry as Prometheus text "
+        "after the run (fleet-wide series live on the daemon's /metrics)",
+    )
+    fleet.add_argument(
+        "--trace-out", default=None,
+        help="enable span tracing for the run and dump the flight "
+        "recorder as JSONL here (render with 'repro trace FILE')",
+    )
+    fleet.add_argument("-o", "--output", default=None, help="report file")
+    fleet.add_argument("--json", action="store_true", help="emit structured JSON")
+
     swp = sub.add_parser(
         "sweep",
+        parents=[fleet],
         help="run an RD grid on the work-queue backend and aggregate curves",
     )
     swp.add_argument(
@@ -1200,77 +1208,11 @@ def main(argv=None) -> int:
         help="anchor codec for BD-rate deltas ('auto': classical when "
         "present; 'none' to skip)",
     )
-    swp.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count: 0 runs serially in-process; with --queue-dir "
-        "workers are processes, otherwise threads",
-    )
-    swp.add_argument(
-        "--queue-dir",
-        default=None,
-        help="directory-backed job queue (durable state; other hosts sharing "
-        "the filesystem can attach workers; enables --resume)",
-    )
-    swp.add_argument(
-        "--queue-url",
-        default=None,
-        help="run the grid through a repro serve daemon at this URL; workers "
-        "are local processes talking HTTP, and remote hosts can join with "
-        "'repro worker --queue-url'",
-    )
-    swp.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted sweep from --queue-dir or --queue-url "
-        "(finished jobs are not re-run)",
-    )
-    swp.add_argument(
-        "--lease",
-        type=float,
-        default=120.0,
-        help="per-job lease seconds before a silent worker is presumed dead "
-        "and its job is retried",
-    )
-    swp.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="tries per job before it dead-letters into the failure report",
-    )
-    swp.add_argument(
-        "--bundle",
-        type=_bundle_arg,
-        default="auto",
-        help="jobs claimed per queue round-trip; 'auto' (default) sizes "
-        "bundles from the grid and worker count — transport only, results "
-        "are byte-identical to --bundle 1",
-    )
-    swp.add_argument(
-        "--csv", default=None, help="also write per-job rows as CSV here"
-    )
-    swp.add_argument(
-        "--progress",
-        action="store_true",
-        help="print queue progress snapshots to stderr",
-    )
-    swp.add_argument(
-        "--metrics-out", default=None,
-        help="write this process's metrics registry as Prometheus text "
-        "after the run (fleet-wide series live on the daemon's /metrics)",
-    )
-    swp.add_argument(
-        "--trace-out", default=None,
-        help="enable span tracing for the run and dump the flight "
-        "recorder as JSONL here (render with 'repro trace FILE')",
-    )
-    swp.add_argument("-o", "--output", default=None, help="report file")
-    swp.add_argument("--json", action="store_true", help="emit structured JSON")
     swp.set_defaults(func=_cmd_sweep)
 
     lad = sub.add_parser(
         "ladder",
+        parents=[fleet],
         help="build an ABR ladder (rate-controlled renditions) on the "
         "work-queue backend",
     )
@@ -1306,60 +1248,6 @@ def main(argv=None) -> int:
     )
     lad.add_argument("--msssim", action="store_true",
                      help="also compute MS-SSIM per rung")
-    lad.add_argument(
-        "--workers", type=int, default=2,
-        help="worker count: 0 runs serially in-process; with --queue-dir "
-        "workers are processes, otherwise threads",
-    )
-    lad.add_argument(
-        "--queue-dir", default=None,
-        help="directory-backed job queue (durable state; other hosts "
-        "sharing the filesystem can attach workers; enables --resume)",
-    )
-    lad.add_argument(
-        "--queue-url", default=None,
-        help="run the ladder through a repro serve daemon at this URL; "
-        "workers are local processes talking HTTP, and remote hosts can "
-        "join with 'repro worker --queue-url'",
-    )
-    lad.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted ladder from --queue-dir or "
-        "--queue-url (finished rungs are not re-run)",
-    )
-    lad.add_argument(
-        "--lease", type=float, default=120.0,
-        help="per-rung lease seconds before a silent worker is presumed "
-        "dead and its rung is retried",
-    )
-    lad.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="tries per rung before it dead-letters into the failure report",
-    )
-    lad.add_argument(
-        "--bundle", type=_bundle_arg, default="auto",
-        help="rungs claimed per queue round-trip ('auto' sizes from the "
-        "ladder and worker count; results are byte-identical to --bundle 1)",
-    )
-    lad.add_argument(
-        "--csv", default=None, help="also write per-rung rows as CSV here"
-    )
-    lad.add_argument(
-        "--progress", action="store_true",
-        help="print queue progress snapshots to stderr",
-    )
-    lad.add_argument(
-        "--metrics-out", default=None,
-        help="write this process's metrics registry as Prometheus text "
-        "after the run (fleet-wide series live on the daemon's /metrics)",
-    )
-    lad.add_argument(
-        "--trace-out", default=None,
-        help="enable span tracing for the run and dump the flight "
-        "recorder as JSONL here (render with 'repro trace FILE')",
-    )
-    lad.add_argument("-o", "--output", default=None, help="report file")
-    lad.add_argument("--json", action="store_true", help="emit structured JSON")
     lad.set_defaults(func=_cmd_ladder)
 
     hw = sub.add_parser(
@@ -1413,6 +1301,7 @@ def main(argv=None) -> int:
 
     dse = sub.add_parser(
         "dse",
+        parents=[fleet],
         help="run an NVCA design-space grid on the work-queue backend "
         "and report the Pareto front",
     )
@@ -1452,63 +1341,9 @@ def main(argv=None) -> int:
     dse.add_argument("--channels", type=int, default=None,
                      help="base-config decoder channel count")
     dse.add_argument(
-        "--workers", type=int, default=2,
-        help="worker count: 0 runs serially in-process; with --queue-dir "
-        "workers are processes, otherwise threads",
-    )
-    dse.add_argument(
-        "--queue-dir", default=None,
-        help="directory-backed job queue (durable state; other hosts "
-        "sharing the filesystem can attach workers; enables --resume)",
-    )
-    dse.add_argument(
-        "--queue-url", default=None,
-        help="run the grid through a repro serve daemon at this URL; "
-        "workers are local processes talking HTTP, and remote hosts can "
-        "join with 'repro worker --queue-url'",
-    )
-    dse.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted grid from --queue-dir or --queue-url "
-        "(finished points are not re-run)",
-    )
-    dse.add_argument(
-        "--lease", type=float, default=120.0,
-        help="per-point lease seconds before a silent worker is presumed "
-        "dead and its point is retried",
-    )
-    dse.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="tries per point before it dead-letters into the failure report",
-    )
-    dse.add_argument(
-        "--bundle", type=_bundle_arg, default="auto",
-        help="points claimed per queue round-trip ('auto' sizes from the "
-        "grid and worker count; results are byte-identical to --bundle 1)",
-    )
-    dse.add_argument(
         "--pareto", action="store_true",
         help="report only the Pareto-optimal points",
     )
-    dse.add_argument(
-        "--csv", default=None, help="also write per-point rows as CSV here"
-    )
-    dse.add_argument(
-        "--progress", action="store_true",
-        help="print queue progress snapshots to stderr",
-    )
-    dse.add_argument(
-        "--metrics-out", default=None,
-        help="write this process's metrics registry as Prometheus text "
-        "after the run (fleet-wide series live on the daemon's /metrics)",
-    )
-    dse.add_argument(
-        "--trace-out", default=None,
-        help="enable span tracing for the run and dump the flight "
-        "recorder as JSONL here (render with 'repro trace FILE')",
-    )
-    dse.add_argument("-o", "--output", default=None, help="report file")
-    dse.add_argument("--json", action="store_true", help="emit structured JSON")
     dse.set_defaults(func=_cmd_dse)
 
     srv = sub.add_parser(

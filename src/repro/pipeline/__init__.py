@@ -17,8 +17,8 @@ Layers, designed to be scripted, queued, and sharded:
   :class:`HardwareReport`; :func:`analyze_hardware` and the platform
   models return :class:`PlatformReport`; :func:`run_many` sweeps
   (codec, config, scene) and (platform, config, resolution) grids
-  inline, on a process pool, or — via ``backend="queue"`` — on the
-  work-queue execution layer.
+  inline or — via ``backend="queue"`` — on the work-queue execution
+  layer.
 * **tasks** — distributed jobs are *task-typed*
   (:mod:`repro.pipeline.tasks`): a job spec's ``"kind"`` field names
   its body — ``"encode"``, ``"hardware"``, ``"dse-point"``,
@@ -42,7 +42,7 @@ Codecs stream: the :class:`VideoCodec` protocol includes
 ``open_encoder()``/``open_decoder()`` frame-at-a-time sessions
 (:mod:`repro.codec.sessions`), and the facade's
 ``session().run(output=..., progress=...)`` writes the incremental
-version-3 container with O(1) frame memory.  The registered
+version-4 container with O(1) frame memory.  The registered
 ``rd-model`` pseudo-codec sweeps calibrated literature RD curves
 through this same surface (simulated reports — it has no bitstream).
 

@@ -5,8 +5,8 @@ name, codec config, scene config, and options — and ``run()`` composes
 source → codec → serialize/parse round-trip → metrics → optional NVCA
 hardware analysis, returning typed reports instead of printed strings.
 Because the job spec is a plain dict under the hood, it ships across
-process boundaries unchanged, which is what :func:`run_many`'s process
-pool relies on.
+process boundaries unchanged, which is what :func:`run_many`'s queue
+backend and its worker processes rely on.
 
 >>> from repro.pipeline import Pipeline
 >>> report = Pipeline("ctvc", {"channels": 12}, scene={"frames": 4}).run()
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -78,7 +76,7 @@ class EncodeSession:
     **Streaming mode** — ``encode(output=...)`` switches the session to
     the codec's frame-at-a-time API: frames come from a lazy scene
     generator, each packet is written to ``output`` (a path or binary
-    file object) through the incremental version-3 container as it is
+    file object) through the incremental version-4 container as it is
     produced, and ``progress(frame_index, packet_bytes)`` fires per
     frame.  Peak frame memory is O(1) in sequence length; the batch
     intermediates stay ``None``.  ``decode()`` then reads the container
@@ -130,7 +128,7 @@ class EncodeSession:
 
         Batch (default): one ``encode_sequence`` call, intermediates
         kept.  Streaming (``output`` given): frame-at-a-time sessions
-        writing the version-3 container to ``output`` incrementally,
+        writing the version-4 container to ``output`` incrementally,
         with an optional per-frame ``progress(index, packet_bytes)``
         callback.
         """
@@ -504,14 +502,6 @@ class Pipeline:
         )
 
 
-def _run_spec(spec: dict) -> dict:
-    """Process-pool worker: dict in, dict out (both picklable and
-    JSON-ready), dispatched by the spec's task kind."""
-    from .tasks import run_task
-
-    return run_task(spec)
-
-
 def _encode_grid(codecs, codec_configs, scenes, compute_msssim) -> list:
     """Expand the codecs x codec_configs x scenes cross product."""
     known = set(available_codecs())
@@ -598,7 +588,7 @@ def build_jobs(
     platforms x platform_configs x resolutions into ``"hardware"``
     analysis jobs the same way.  Codec, platform, and task-kind names
     are validated *up front* — before any job is built, let alone
-    shipped to a pool or queue — so a typo fails as one clear
+    submitted to a queue — so a typo fails as one clear
     ``ValueError`` naming every offender instead of a worker traceback
     mid-sweep.
 
@@ -654,17 +644,16 @@ def run_many(
     platforms=None,
     platform_configs=None,
     resolutions=None,
-    processes: int | None = None,
-    backend: str | None = None,
+    backend: str = "inline",
     queue_dir=None,
     queue_url: str | None = None,
-    workers: int | None = None,
+    workers: int = 2,
     lease_seconds: float = 120.0,
     max_attempts: int = 3,
     bundle: int | str = 1,
     share_frames: bool | None = None,
 ) -> list:
-    """Run a batch of jobs — inline, on a pool, or on a queue.
+    """Run a batch of jobs — inline or on a queue.
 
     Three calling styles:
 
@@ -692,14 +681,6 @@ def run_many(
 
     * ``"inline"`` (default) — this process, submission order,
       easiest debugging.
-    * ``"pool"`` (or just pass ``processes=N``) — a
-      ``ProcessPoolExecutor``; ``processes`` defaults to the CPU count
-      when the backend is named explicitly without it.  Job specs
-      travel as JSON-ready dicts and come back re-hydrated into
-      :class:`EncodeReport`.  Workers use
-      the ``fork`` start method where the platform offers it so codecs
-      registered at runtime stay visible; under ``spawn`` semantics,
-      custom codecs must be registered at import time of their module.
     * ``"queue"`` — the work-queue backend
       (:class:`repro.pipeline.dist.SweepRunner`): ``workers`` worker
       threads (in-memory queue) or processes (pass ``queue_dir`` for
@@ -720,12 +701,9 @@ def run_many(
     :class:`~repro.pipeline.dist.SweepRunner` directly for
     partial-result tolerance and RD aggregation).
     """
-    if backend is None:
-        backend = "pool" if processes else "inline"
-    if backend not in ("inline", "pool", "queue"):
+    if backend not in ("inline", "queue"):
         raise ValueError(
-            f"unknown run_many backend {backend!r}; "
-            "use 'inline', 'pool', or 'queue'"
+            f"unknown run_many backend {backend!r}; use 'inline' or 'queue'"
         )
     specs = build_jobs(
         jobs,
@@ -752,7 +730,7 @@ def run_many(
             specs,
             queue=queue,
             queue_dir=queue_dir,
-            workers=workers if workers is not None else (processes or 2),
+            workers=workers,
             lease_seconds=lease_seconds,
             max_attempts=max_attempts,
             bundle=bundle,
@@ -770,24 +748,6 @@ def run_many(
             )
         return result.reports
 
-    if backend == "pool":
-        # An explicitly requested pool must not silently run serial.
-        processes = processes or os.cpu_count() or 2
-        # Prefer fork so runtime codec registrations survive into the
-        # workers; elsewhere the default (spawn) re-imports the
-        # registry with the import-time registrations only.
-        context = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
-            results = list(pool.map(_run_spec, specs))
-    else:
-        results = [_run_spec(spec) for spec in specs]
+    from .tasks import hydrate_result, run_task
 
-    from .tasks import hydrate_result
-
-    return [
-        hydrate_result(spec, result) for spec, result in zip(specs, results)
-    ]
+    return [hydrate_result(spec, run_task(spec)) for spec in specs]

@@ -739,11 +739,6 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="unknown codec name"):
             run_many(codecs=["nosuch", "classical"], scenes=[SCENE])
 
-    def test_unknown_codec_fails_before_pool_spawn(self):
-        # the point of the fix: one clear error, not a worker traceback
-        with pytest.raises(ValueError, match="nosuch.*available"):
-            run_many(codecs=["nosuch"], scenes=[SCENE], processes=2)
-
     def test_unknown_codec_fails_before_queue_submit(self, tmp_path):
         with pytest.raises(ValueError, match="unknown codec name"):
             run_many(
@@ -755,12 +750,3 @@ class TestGridValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown run_many backend"):
             run_many(codecs=["classical"], scenes=[SCENE], backend="carrier-pigeon")
-
-    def test_explicit_pool_backend_without_processes_still_pools(self):
-        # an explicitly requested pool must not silently run serial
-        inline = run_many(codecs=["classical"], codec_configs=[{"qp": 8.0}],
-                          scenes=[SCENE])
-        pooled = run_many(codecs=["classical"], codec_configs=[{"qp": 8.0}],
-                          scenes=[SCENE], backend="pool")
-        assert pooled[0].bpp == inline[0].bpp
-        assert pooled[0].mean_psnr == inline[0].mean_psnr

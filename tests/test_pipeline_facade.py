@@ -1,5 +1,5 @@
 """Pipeline facade: numerical parity with the pre-redesign CLI path,
-report serialization, and batch execution (including the process pool).
+report serialization, and inline batch execution.
 """
 
 import numpy as np
@@ -107,22 +107,6 @@ class TestRunMany:
             "ctvc", "ctvc", "classical", "classical",
         ]
         assert all(isinstance(r, EncodeReport) for r in reports)
-
-    def test_process_pool_matches_inline(self):
-        kwargs = dict(
-            codecs=["ctvc", "classical"],
-            codec_configs=[{"gop": 8}, {"gop": 4}],
-            scenes=[SCENE],
-        )
-        inline = run_many(**kwargs)
-        pooled = run_many(**kwargs, processes=2)
-        assert len(pooled) == 4
-        for a, b in zip(inline, pooled):
-            a_dict, b_dict = a.to_dict(), b.to_dict()
-            # timings legitimately differ across processes
-            for key in ("encode_seconds", "decode_seconds"):
-                a_dict.pop(key), b_dict.pop(key)
-            assert a_dict == b_dict
 
     def test_explicit_jobs(self):
         jobs = [
