@@ -23,7 +23,11 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   block-match / 8x8 DCT timings of the NumPy substrate.  The
   deformable conv runs twice: with dense random weights (every tap
   sampled) and with the codec's identity-centre weights at CIF's
-  144x176 feature grid (one tap of nine sampled).
+  144x176 feature grid (one tap of nine sampled).  Two more rows run
+  the codec's own sparse weights at CIF, where zero weights are
+  skipped: the motion AE's last synthesis deconv (one input channel
+  per output) and the deformable-compensation offset head (one
+  nonzero weight per output row).
 * **container** — the integrity tax: write/read wall time of the same
   packet list through the version-3 (CRC-free) and version-4
   (header + per-packet CRC32) stream containers, with the byte
@@ -272,7 +276,7 @@ def bench_entropy(num_symbols: int, repeats: int, backends) -> dict:
 def bench_kernels(repeats: int) -> dict:
     from scipy.fft import dctn
 
-    from repro.codec.modules import DeformableCompensation
+    from repro.codec.modules import CompressionAE, DeformableCompensation
     from repro.nn import functional as F
     from repro.nn.deform import deform_conv2d
 
@@ -292,6 +296,13 @@ def bench_kernels(repeats: int) -> dict:
         rng.standard_normal((12, 144, 176)) * 2.0
     )
     dfconv = compensation.dfconv
+    offset_head = compensation.offset_conv
+    # The motion AE's last synthesis deconv as built (N=12, one input
+    # channel per output, calibrated) on its reflect-padded CIF input.
+    motion_ae = CompressionAE(channels=12)
+    motion_ae.calibrate()
+    synthesis = motion_ae.syn_deconvs[-1]
+    cif_synthesis_input = rng.standard_normal((12, 74, 90))
 
     cases = {
         "conv2d_3x3_s1": lambda: F.conv2d(x, w33, padding=1),
@@ -304,6 +315,14 @@ def bench_kernels(repeats: int) -> dict:
         "deform_conv2d_cif_codec_weights": lambda: deform_conv2d(
             cif_feature, cif_offsets, dfconv.weight.data, dfconv.bias.data,
             groups=dfconv.groups,
+        ),
+        "conv_transpose2d_cif_synthesis_weights": lambda: F.conv_transpose2d(
+            cif_synthesis_input, synthesis.weight.data, synthesis.bias.data,
+            stride=synthesis.stride, padding=synthesis.padding,
+        ),
+        "conv2d_cif_offset_head": lambda: F.conv2d(
+            cif_feature, offset_head.weight.data, offset_head.bias.data,
+            padding=offset_head.padding,
         ),
         "block_match_8x8_r4": lambda: __import__(
             "repro.codec.modules", fromlist=["block_match"]

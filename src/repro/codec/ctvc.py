@@ -250,6 +250,38 @@ class CTVCNet:
         }
         return _LatentCode(payload, meta, q.astype(np.float64) * qstep)
 
+    def _latent_shape(self, feature: np.ndarray) -> tuple[int, int, int]:
+        """Latent shape the analysis transform gives for a feature map:
+        three stride-2 stages over reflect-padded inputs, each a ceil-halving."""
+        _, h, w = feature.shape
+        for _ in range(3):
+            h, w = -(-h // 2), -(-w // 2)
+        return (self.config.channels, h, w)
+
+    @staticmethod
+    def _check_latent_meta(meta: object, shape: tuple[int, int, int]) -> dict:
+        """Validate latent side information before it sizes any buffer:
+        ``hw`` must be the shape the encoder produces for this frame
+        size, ``u`` the clamped symbol support, ``s`` one scale per
+        channel, and the scales and ``q`` 16-bit patterns."""
+        if not isinstance(meta, dict):
+            raise StreamCorruptionError("latent meta is not an object")
+        hw, support, scales = meta.get("hw"), meta.get("u"), meta.get("s")
+        if not (
+            isinstance(hw, list)
+            and all(type(v) is int for v in hw)
+            and tuple(hw) == shape
+        ):
+            raise StreamCorruptionError(f"latent shape {hw!r}, expected {list(shape)}")
+        if not (type(support) is int and 1 <= support <= 2048):
+            raise StreamCorruptionError(f"latent symbol support {support!r}")
+        if not (isinstance(scales, list) and len(scales) == shape[0]):
+            raise StreamCorruptionError(f"latent needs {shape[0]} channel scales")
+        patterns = [meta.get("q"), *scales]
+        if not all(type(b) is int and 0 <= b <= 0xFFFF for b in patterns):
+            raise StreamCorruptionError("latent scale or quantizer step is not 16-bit")
+        return meta
+
     @staticmethod
     def _decode_latent(
         payload: bytes, meta: dict, entropy: EntropyBackend
@@ -355,15 +387,20 @@ class CTVCNet:
         """
         entropy = entropy or self.entropy
         f_ref = self.feature_extraction(ref_frame)
+        latent_shape = self._latent_shape(f_ref)
         motion_latent = self._decode_latent(
-            packet.chunks["motion"], packet.meta["mm"], entropy
+            packet.chunks["motion"],
+            self._check_latent_meta(packet.meta.get("mm"), latent_shape),
+            entropy,
         )
         motion_dec = f16_from_bits(packet.meta["am"]) * self.motion_compression.synthesize(
             motion_latent
         )
         prediction = self._predict(motion_dec, f_ref)
         residual_latent = self._decode_latent(
-            packet.chunks["residual"], packet.meta["rm"], entropy
+            packet.chunks["residual"],
+            self._check_latent_meta(packet.meta.get("rm"), latent_shape),
+            entropy,
         )
         residual_hat = self.residual_compression.synthesize(residual_latent)
         f_rec = prediction + f16_from_bits(packet.meta["ar"]) * residual_hat

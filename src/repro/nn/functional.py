@@ -14,6 +14,33 @@ Direct convolution uses an im2col/GEMM formulation; correctness is
 pinned against ``scipy.signal`` in the test suite, and the fast
 Winograd/FTA kernels in :mod:`repro.core` are in turn pinned against
 these implementations.
+
+Like the accelerator's sparse computing core, and like
+:func:`repro.nn.deform.deform_conv2d`, :func:`conv2d` and
+:func:`conv_transpose2d` spend no work on zero weights where that
+cannot change a bit: for finite inputs the output is bit-for-bit that
+of the dense kernel.  The sparsity is read from the weight on every
+call, so weights that are reassigned need no cache.
+
+* ``conv2d`` with at most one nonzero weight per output row (the
+  codec's offset head and latent head) skips the GEMM: each output
+  plane is that weight times one strided slice of the padded input.
+  The GEMM sums from +0.0, so one product plus zero terms rounds once
+  in any summation order; the only difference, a -0.0 product, is
+  normalised to the GEMM's +0.0.  Rows with several nonzeros keep the
+  full GEMM: BLAS sums them in a kernel-dependent fused order NumPy
+  cannot reproduce, and a smaller GEMM changes the call shape, which
+  can change bits.
+* ``conv_transpose2d`` whose output channels each read at most half of
+  the input channels (every synthesis deconv reads one, the frame
+  reconstruction deconv a third) sums each stamp over just those
+  inputs, in ascending order, multiplying then adding, as ``einsum``
+  sums over all of them.  Denser weights keep the ``einsum``, and so
+  do inputs it would sum in another order: one that is not
+  C-contiguous, or a single tap over a single pixel.
+
+A NaN or inf under a skipped zero weight no longer reaches the output,
+so the rule holds for finite inputs only.
 """
 
 from __future__ import annotations
@@ -66,15 +93,10 @@ def pad2d(x: np.ndarray, padding: int | tuple[int, int]) -> np.ndarray:
     return out
 
 
-def im2col(
-    x: np.ndarray, kernel: tuple[int, int], stride: int = 1
-) -> np.ndarray:
-    """Unfold sliding windows into a (C*kH*kW, L) matrix.
-
-    ``x`` is (C, H, W) already padded; L = H_out * W_out.  Built with
-    stride tricks, so no data is copied until the final reshape.
-    Returns ``(cols, (H_out, W_out))``.
-    """
+def _windows(
+    x: np.ndarray, kernel: tuple[int, int], stride: int
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Read-only (C, kH, kW, H_out, W_out) sliding-window view of ``x``."""
     c, h, w = x.shape
     kh, kw = kernel
     ho = (h - kh) // stride + 1
@@ -86,7 +108,20 @@ def im2col(
         strides=(sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return windows.reshape(c * kh * kw, ho * wo), (ho, wo)
+    return windows, (ho, wo)
+
+
+def im2col(
+    x: np.ndarray, kernel: tuple[int, int], stride: int = 1
+) -> np.ndarray:
+    """Unfold sliding windows into a (C*kH*kW, L) matrix.
+
+    ``x`` is (C, H, W) already padded; L = H_out * W_out.  Built with
+    stride tricks, so no data is copied until the final reshape.
+    Returns ``(cols, (H_out, W_out))``.
+    """
+    windows, (ho, wo) = _windows(x, kernel, stride)
+    return windows.reshape(-1, ho * wo), (ho, wo)
 
 
 def conv2d(
@@ -99,15 +134,26 @@ def conv2d(
     """2-D cross-correlation (the deep-learning "convolution").
 
     Shapes: x (C_in, H, W), weight (C_out, C_in, kH, kW) -> (C_out, H_out,
-    W_out).
+    W_out).  Skips the GEMM for a weight with at most one nonzero per
+    output row (see the module docstring).
     """
     c_out, c_in, kh, kw = weight.shape
     if x.shape[0] != c_in:
         raise ValueError(f"input has {x.shape[0]} channels, weight expects {c_in}")
-    padded = pad2d(x, padding)
-    cols, (ho, wo) = im2col(padded, (kh, kw), stride)
-    out = weight.reshape(c_out, -1) @ cols
-    out = out.reshape(c_out, ho, wo)
+    windows, (ho, wo) = _windows(pad2d(x, padding), (kh, kw), stride)
+    nonzero = weight.reshape(c_out, -1) != 0
+    if nonzero.sum(axis=1).max(initial=0) <= 1:
+        # Each output plane is one weight times one strided slice of the
+        # padded input; a row with no nonzero reads weight 0.
+        flat = nonzero.argmax(axis=1)
+        scale = weight.reshape(c_out, -1)[np.arange(c_out), flat]
+        chans, ti, tj = np.unravel_index(flat, (c_in, kh, kw))
+        out = scale[:, None, None] * windows[chans, ti, tj]
+        if bias is None:
+            out += 0.0  # GEMM's zero-started sum gives +0.0 where w * x is -0.0
+    else:
+        cols = windows.reshape(c_in * kh * kw, ho * wo)
+        out = (weight.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo)
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -124,7 +170,9 @@ def conv_transpose2d(
 
     Shapes: x (C_in, H, W), weight (C_out, C_in, kH, kW) -> (C_out,
     (H-1)*s - 2p + kH, ...).  Implemented as scatter-add of weighted
-    kernel stamps, the textbook adjoint of :func:`conv2d`.
+    kernel stamps, the textbook adjoint of :func:`conv2d`.  Stamps are
+    summed only over the input channels an output channel reads when
+    that is at most half of them (see the module docstring).
     """
     c_out, c_in, kh, kw = weight.shape
     if x.shape[0] != c_in:
@@ -132,20 +180,43 @@ def conv_transpose2d(
     _, h, w = x.shape
     full_h = (h - 1) * stride + kh
     full_w = (w - 1) * stride + kw
-    # GEMM formulation: cols = W^T X, then col2im scatter.
+    # GEMM formulation: stamps = W^T X, then col2im scatter.
     x_mat = x.reshape(c_in, -1)  # (C_in, H*W)
     w_mat = weight.reshape(c_out, c_in, kh * kw)
-    # stamps: (C_out, kH*kW, H*W)
-    stamps = np.einsum("oik,il->okl", w_mat, x_mat)
     out = np.zeros((c_out, full_h, full_w))
-    stamps = stamps.reshape(c_out, kh, kw, h, w)
-    for dy in range(kh):
-        for dx in range(kw):
-            out[
-                :,
-                dy : dy + (h - 1) * stride + 1 : stride,
-                dx : dx + (w - 1) * stride + 1 : stride,
-            ] += stamps[:, dy, dx]
+
+    def scatter(tap: int, stamp: np.ndarray) -> None:
+        dy, dx = divmod(tap, kw)
+        out[
+            :,
+            dy : dy + (h - 1) * stride + 1 : stride,
+            dx : dx + (w - 1) * stride + 1 : stride,
+        ] += stamp.reshape(c_out, h, w)
+
+    live = (w_mat != 0).any(axis=2)  # (C_out, C_in) pairs with a nonzero tap
+    depth = int(live.sum(axis=1).max(initial=0))
+    # einsum sums the inputs in order only while its innermost loop runs
+    # over taps or pixels: a C-contiguous input with more than one
+    # (tap, pixel) pair.  Otherwise it runs a blocked dot product over
+    # the inputs, which only einsum itself reproduces.
+    in_order = x.flags.c_contiguous and kh * kw * h * w > 1
+    if 2 * depth <= c_in and in_order:
+        # Row o sums its live inputs in ascending order, as einsum sums
+        # every input; rows with fewer than ``depth`` live inputs are
+        # padded with dead ones, whose all-zero taps add only zeros.
+        # An all-zero weight (depth 0) stamps nothing.
+        order = np.argsort(~live, axis=1, kind="stable")[:, :depth]
+        taps = w_mat[np.arange(c_out)[:, None], order]  # (C_out, depth, K)
+        inputs = x_mat[order]  # (C_out, depth, H*W)
+        for tap in range(kh * kw if depth else 0):
+            stamp = taps[:, 0, tap, None] * inputs[:, 0]
+            for r in range(1, depth):
+                stamp += taps[:, r, tap, None] * inputs[:, r]
+            scatter(tap, stamp)
+    else:
+        stamps = np.einsum("oik,il->okl", w_mat, x_mat)  # (C_out, kH*kW, H*W)
+        for tap in range(kh * kw):
+            scatter(tap, stamps[:, tap])
     if padding:
         out = out[:, padding : full_h - padding, padding : full_w - padding]
     if bias is not None:

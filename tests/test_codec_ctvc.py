@@ -182,9 +182,10 @@ class TestModuleInventory:
 
 
 class TestHostileLatentMeta:
-    """A crafted P packet whose latent quantizer step (half-float bits in
-    the ``mm``/``rm`` meta) decodes to NaN or +-inf is rejected with a
-    typed error, not a crash or a NaN frame."""
+    """A crafted P packet whose latent side information (the ``mm``/``rm``
+    meta: quantizer step, shape, symbol support, channel scales) is
+    malformed is rejected with a typed error before anything is
+    allocated, not a crash or a NaN frame."""
 
     @pytest.fixture(scope="class")
     def stream_blob(self):
@@ -204,4 +205,60 @@ class TestHostileLatentMeta:
             header=stream.header, packets=stream.packets, version=4
         ).serialize()
         with pytest.raises(StreamCorruptionError, match="quantizer step"):
+            net.decode_sequence(SequenceBitstream.parse(crafted))
+
+    # Edits of the latent side information that once reached NumPy as
+    # MemoryError (a 596 GiB or 14.9 GiB buffer), IndexError, TypeError
+    # or an untyped unpacking ValueError.  The stream's latents are
+    # (8, 2, 3): channels=8 and 32x48 -> 16x24 features -> three
+    # ceil-halvings.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hw", [8, 100000, 100000]),
+            ("hw", [9, 2, 3]),
+            ("hw", [8, 2, 4]),
+            ("hw", [8, 2]),
+            ("hw", [8, 2, 3, 1]),
+            ("hw", [8.0, 2, 3]),
+            ("hw", "abc"),
+            ("u", 10**9),
+            ("u", 0),
+            ("u", 2049),
+            ("u", "abc"),
+            ("s", "short"),
+            ("s", "long"),
+            ("s", [70000] * 8),
+            ("q", -1),
+            ("q", None),
+        ],
+    )
+    @pytest.mark.parametrize("key", ["mm", "rm"])
+    def test_malformed_latent_meta_raises_stream_corruption(
+        self, stream_blob, key, field, value
+    ):
+        net, blob = stream_blob
+        stream = SequenceBitstream.parse(blob)
+        meta = stream.packets[1].meta[key]
+        assert meta["hw"] == [8, 2, 3]
+        if value == "short":
+            value = meta["s"][:-1]
+        elif value == "long":
+            value = meta["s"] + meta["s"][:1]
+        meta[field] = value
+        crafted = SequenceBitstream(
+            header=stream.header, packets=stream.packets, version=4
+        ).serialize()
+        with pytest.raises(StreamCorruptionError, match="latent"):
+            net.decode_sequence(SequenceBitstream.parse(crafted))
+
+    @pytest.mark.parametrize("meta", ["abc", None])
+    def test_latent_meta_that_is_not_an_object_raises(self, stream_blob, meta):
+        net, blob = stream_blob
+        stream = SequenceBitstream.parse(blob)
+        stream.packets[1].meta["mm"] = meta
+        crafted = SequenceBitstream(
+            header=stream.header, packets=stream.packets, version=4
+        ).serialize()
+        with pytest.raises(StreamCorruptionError, match="latent meta"):
             net.decode_sequence(SequenceBitstream.parse(crafted))
