@@ -29,7 +29,13 @@ from repro.obs.tracing import encode_stage_timer
 from repro.serialization import SerializableConfig
 from repro.video.yuv import rgb_to_ycbcr, subsample_420, upsample_420, ycbcr_to_rgb
 
-from .bitstream import FramePacket, SequenceBitstream, f16_bits, f16_from_bits
+from .bitstream import (
+    FramePacket,
+    SequenceBitstream,
+    StreamCorruptionError,
+    f16_bits,
+    f16_from_bits,
+)
 from .entropy import (
     ArithmeticDecoder,
     EntropyBackend,
@@ -47,9 +53,20 @@ from .sessions import (
     GopEncoderSession,
 )
 
-__all__ = ["ClassicalCodecConfig", "ClassicalCodec", "zigzag_indices"]
+__all__ = [
+    "MAX_FRAME_SIDE",
+    "ClassicalCodecConfig",
+    "ClassicalCodec",
+    "header_geometry",
+    "zigzag_indices",
+]
 
 _BLOCK = 8
+#: Largest frame side a decoder accepts from a stream (8K UHD is 7680
+#: pixels wide); it bounds intra planes when no header fixes the size.
+MAX_FRAME_SIDE = 8192
+#: Least symbol support the encoder's adaptive clamp produces.
+_MIN_SUPPORT = 16
 #: Zigzag frequency bands sharing one Laplacian scale each:
 #: DC, low AC, mid AC, high AC.
 _BANDS = ((0, 1), (1, 6), (6, 21), (21, 64))
@@ -128,6 +145,33 @@ def _unblockify(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
     )
 
 
+def _is_int_list(value: object, length: int) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == length
+        and all(type(v) is int for v in value)
+    )
+
+
+def _check_geometry(height: object, width: object) -> tuple[int, int]:
+    """A frame size a decoder may allocate: even (4:2:0) and at most
+    :data:`MAX_FRAME_SIDE` per side."""
+    if not all(
+        type(side) is int and 2 <= side <= MAX_FRAME_SIDE and side % 2 == 0
+        for side in (height, width)
+    ):
+        raise StreamCorruptionError(f"frame geometry {height!r}x{width!r}")
+    return height, width
+
+
+def header_geometry(header: dict | None) -> tuple[int, int] | None:
+    """The validated ``(height, width)`` a stream header declares, or
+    None when there is no header or it names no size."""
+    if header is None or ("height" not in header and "width" not in header):
+        return None
+    return _check_geometry(header.get("height"), header.get("width"))
+
+
 def _band_scales(coeffs: np.ndarray) -> list[int]:
     """Laplacian MLE scale per zigzag band, as f32 bit patterns
     (compact, exact side info — encoder and decoder build identical
@@ -175,7 +219,7 @@ class _PlaneCoder:
         if timer:
             timer.lap("transform")
         raw = np.round(flat / self.qstep)
-        support = int(np.clip(np.max(np.abs(raw)), 16, 4 * self.max_support))
+        support = int(np.clip(np.max(np.abs(raw)), _MIN_SUPPORT, 4 * self.max_support))
         quantized = np.clip(raw, -support, support).astype(np.int64)
 
         scales = _band_scales(quantized)
@@ -310,12 +354,17 @@ class ClassicalCodec:
         *,
         entropy: EntropyBackend | None = None,
         legacy_order: bool = False,
+        geometry: tuple[int, int] | None = None,
     ) -> np.ndarray:
+        """Decode one I-frame.  ``geometry`` is the ``(height, width)``
+        the stream header declares; without it the planes may take any
+        size up to :data:`MAX_FRAME_SIDE`."""
+        metas = self._check_planes(packet, geometry)
         luma_coder, chroma_coder = self._plane_coders(
             entropy, qp=self._packet_qp(packet)
         )
         planes = []
-        for meta in packet.meta["P"]:
+        for meta in metas:
             coder = luma_coder if meta["p"] == "y" else chroma_coder
             h, w = meta["hw"]
             plane = coder.decode(
@@ -323,6 +372,54 @@ class ClassicalCodec:
             )
             planes.append(plane + 128.0)
         return self._frame_from_planes(*planes)
+
+    def _check_planes(
+        self, packet: FramePacket, geometry: tuple[int, int] | None
+    ) -> list[dict]:
+        """Validate a packet's plane side information before it sizes
+        any buffer: planes ``y``, ``cb``, ``cr`` with chunks, whose
+        ``hw`` are the luma ``geometry`` (any valid frame size when it
+        is None) and its 4:2:0 chroma halves, and whose ``sd`` holds a
+        support ``u`` inside the encoder's clamp and exactly four
+        finite 16-bit band scales ``s``."""
+        metas = packet.meta.get("P")
+        if not (
+            isinstance(metas, list)
+            and all(isinstance(meta, dict) for meta in metas)
+            and [meta.get("p") for meta in metas] == ["y", "cb", "cr"]
+            and all(name in packet.chunks for name in ("y", "cb", "cr"))
+        ):
+            raise StreamCorruptionError("plane meta is not the y, cb, cr planes")
+        if geometry is None:
+            luma = metas[0].get("hw")
+            if not _is_int_list(luma, 2):
+                raise StreamCorruptionError(f"plane y shape {luma!r}")
+            geometry = _check_geometry(*luma)
+        h, w = geometry
+        chroma = [h // 2, w // 2]
+        max_support = 4 * self.config.support
+        for meta, shape in zip(metas, ([h, w], chroma, chroma)):
+            name, hw, side = meta["p"], meta.get("hw"), meta.get("sd")
+            if not (_is_int_list(hw, 2) and hw == shape):
+                raise StreamCorruptionError(
+                    f"plane {name} shape {hw!r}, expected {shape}"
+                )
+            if not isinstance(side, dict):
+                raise StreamCorruptionError(f"plane {name} side info is not an object")
+            support, scales = side.get("u"), side.get("s")
+            if not (type(support) is int and _MIN_SUPPORT <= support <= max_support):
+                raise StreamCorruptionError(f"plane {name} symbol support {support!r}")
+            if not (
+                _is_int_list(scales, len(_BANDS))
+                and all(
+                    0 <= bits <= 0xFFFF and np.isfinite(f16_from_bits(bits))
+                    for bits in scales
+                )
+            ):
+                raise StreamCorruptionError(
+                    f"plane {name} needs {len(_BANDS)} finite 16-bit band scales"
+                )
+        return metas
 
     def _packet_qp(self, packet: FramePacket) -> float:
         """QP one packet was coded with: the per-frame override a
@@ -348,12 +445,20 @@ class ClassicalCodec:
         return payload, {"mvs": list(mv.shape), "hp": int(self.config.half_pel)}
 
     def _decode_motion(
-        self, payload: bytes, meta: dict, entropy: EntropyBackend | None = None
+        self,
+        payload: bytes,
+        meta: dict,
+        geometry: tuple[int, int],
+        entropy: EntropyBackend | None = None,
     ) -> np.ndarray:
         entropy = entropy or self.entropy
         max_abs = self._mv_max_abs
         model = cached_uniform_model(2 * max_abs + 1)
-        shape = tuple(meta["mvs"])
+        block = self.config.block_size
+        shape = [2, geometry[0] // block, geometry[1] // block]
+        mvs = meta.get("mvs")
+        if not (_is_int_list(mvs, 3) and mvs == shape):
+            raise StreamCorruptionError(f"motion field shape {mvs!r}, expected {shape}")
         count = int(np.prod(shape))
         flat = entropy.decode_segments(payload, [(count, model)])[0] - max_abs
         return flat.reshape(shape)
@@ -482,14 +587,16 @@ class ClassicalCodec:
             raise ValueError(
                 "bitstream motion precision does not match codec config"
             )
+        geometry = reference.shape[1:]
+        metas = self._check_planes(packet, geometry)
         ry, rcb, rcr = self._planes(reference)
-        mv = self._decode_motion(packet.chunks["mv"], packet.meta, entropy)
+        mv = self._decode_motion(packet.chunks["mv"], packet.meta, geometry, entropy)
         luma_coder, chroma_coder = self._plane_coders(
             entropy, qp=self._packet_qp(packet)
         )
         planes = []
         for meta, ref, coder, chroma in zip(
-            packet.meta["P"],
+            metas,
             (ry, rcb, rcr),
             (luma_coder, chroma_coder, chroma_coder),
             (False, True, True),
@@ -554,9 +661,13 @@ class ClassicalCodec:
         else:
             entropy = get_entropy_backend(header.get("entropy", "cacm"))
         legacy_order = version == 1
+        geometry = header_geometry(header)
         return GopDecoderSession(
             intra=lambda packet: self.decode_intra(
-                packet, entropy=entropy, legacy_order=legacy_order
+                packet,
+                entropy=entropy,
+                legacy_order=legacy_order,
+                geometry=geometry,
             ),
             inter=lambda packet, reference: self.decode_inter(
                 packet, reference, entropy=entropy, legacy_order=legacy_order

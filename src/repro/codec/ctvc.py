@@ -44,7 +44,7 @@ from .bitstream import (
     f16_bits,
     f16_from_bits,
 )
-from .classical import ClassicalCodec, ClassicalCodecConfig
+from .classical import ClassicalCodec, ClassicalCodecConfig, header_geometry
 from .entropy import (
     EntropyBackend,
     LaplacianModel,
@@ -465,9 +465,13 @@ class CTVCNet:
         else:
             entropy = get_entropy_backend(header.get("entropy", "cacm"))
         legacy_order = version == 1
+        geometry = header_geometry(header)
         return GopDecoderSession(
             intra=lambda packet: self.intra_codec.decode_intra(
-                packet, entropy=entropy, legacy_order=legacy_order
+                packet,
+                entropy=entropy,
+                legacy_order=legacy_order,
+                geometry=geometry,
             ),
             inter=lambda packet, reference: self.decode_inter(
                 packet, reference, entropy=entropy

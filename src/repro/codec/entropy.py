@@ -109,6 +109,7 @@ class SymbolModel:
         self.cum = np.concatenate([[0], np.cumsum(freqs)])
         self.total = int(self.cum[-1])
         self._rans_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._rans_slot_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_symbols(self) -> int:
@@ -128,9 +129,11 @@ class SymbolModel:
         """Frequencies re-quantized to total 2**RANS_PRECISION.
 
         Returns ``(freqs, cums, slots)`` — uint64 per-symbol frequency
-        and cumulative arrays plus the int32 slot->symbol lookup table
+        and cumulative arrays plus the int16 slot->symbol lookup table
         of length 2**RANS_PRECISION that replaces per-symbol
-        ``searchsorted`` on the decoder side.  Deterministic (largest
+        ``searchsorted`` on the decoder side (an alphabet has at most
+        2**RANS_PRECISION symbols, so int16 holds every one; it keeps
+        the table half the size).  Deterministic (largest
         remainder apportionment), so encoder and decoder derive
         identical tables from identical side information.  Cached per
         instance; combined with :func:`cached_laplacian` the table is
@@ -164,11 +167,31 @@ class SymbolModel:
                         diff += 1
             freqs = base.astype(np.uint64)
             cums = np.concatenate([[0], np.cumsum(base)]).astype(np.uint64)
-            slots = np.repeat(
-                np.arange(base.size, dtype=np.int32), base
-            )
+            slots = np.repeat(np.arange(base.size, dtype=np.int16), base)
             self._rans_table = (freqs, cums[:-1], slots)
         return self._rans_table
+
+    def rans_slot_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-slot rANS decode tables ``(freq, delta, symbol)``.
+
+        Three int16 arrays of length 2**RANS_PRECISION indexed by the
+        state's slot ``x = state & (2**RANS_PRECISION - 1)``:
+        ``symbol[x]`` is the decoded symbol (the slot LUT of
+        :meth:`rans_table`, shared, not copied), ``freq[x]`` its
+        frequency and ``delta[x] = x - cum[symbol[x]]``, so a decode
+        step is ``freq[x] * (state >> RANS_PRECISION) + delta[x]``.
+        Every entry is at most 2**RANS_PRECISION, so int16 holds it:
+        the tables cost 64 KiB per model on top of the LUT, and models
+        live as long as :func:`cached_laplacian` keeps them.  Cached per
+        instance.
+        """
+        if self._rans_slot_tables is None:
+            freqs, cums, slots = self.rans_table()
+            freq = freqs.astype(np.int16)[slots]
+            slot = np.arange(slots.size, dtype=np.int16)
+            delta = slot - cums.astype(np.int16)[slots]
+            self._rans_slot_tables = (freq, delta, slots)
+        return self._rans_slot_tables
 
     @classmethod
     def from_pmf(cls, pmf: np.ndarray, precision_total: int = 1 << 14) -> "SymbolModel":

@@ -7,6 +7,7 @@ from repro.codec import (
     ClassicalCodec,
     ClassicalCodecConfig,
     SequenceBitstream,
+    StreamCorruptionError,
     zigzag_indices,
 )
 from repro.metrics import psnr
@@ -196,3 +197,131 @@ class TestHalfPelMotion:
         _, ref = codec.encode_intra(subpel_frames[0])
         packet, encoder_recon = codec.encode_inter(subpel_frames[1], ref)
         assert np.array_equal(encoder_recon, codec.decode_inter(packet, ref))
+
+
+class TestHostilePlaneMeta:
+    """A crafted packet whose plane side information (``hw``, ``sd.u``,
+    ``sd.s``) or motion-field shape (``mvs``) is malformed is rejected
+    with a typed error before anything is allocated.  Each edit below
+    once reached NumPy as a 128 GiB (``hw``), 32 GiB (``mvs``) or 16 TiB
+    (``u``) allocation, or, for a short ``s``, decoded without error
+    with uninitialised coefficient rows in the frame."""
+
+    @pytest.fixture(scope="class")
+    def stream_blob(self):
+        clip = generate_sequence(SceneConfig(height=32, width=48, frames=2, seed=3))
+        codec = ClassicalCodec(ClassicalCodecConfig(qp=8.0))
+        return codec, codec.encode_sequence(clip).serialize()
+
+    @staticmethod
+    def craft(blob, edit, index):
+        stream = SequenceBitstream.parse(blob)
+        edit(stream.packets[index].meta)
+        # re-serialize so the v4 CRCs cover the crafted meta
+        return SequenceBitstream(
+            header=stream.header, packets=stream.packets, version=4
+        ).serialize()
+
+    @pytest.mark.parametrize(
+        "plane,field,value",
+        [
+            ("y", "hw", [2**17, 2**17]),
+            ("y", "hw", [32, 50]),
+            ("y", "hw", [32.0, 48]),
+            ("y", "hw", [32]),
+            ("y", "hw", "abc"),
+            ("cb", "hw", [16, 25]),
+            ("cr", "hw", [32, 48]),
+            ("y", "u", 10**9),
+            ("y", "u", 15),
+            ("cb", "u", 1021),
+            ("y", "u", "abc"),
+            ("y", "s", "short"),
+            ("cr", "s", "long"),
+            ("y", "s", [70000] * 4),
+            ("y", "s", [0x7E00] * 4),  # f16 NaN
+            ("y", "s", None),
+        ],
+    )
+    @pytest.mark.parametrize("index", [0, 1], ids=["I", "P"])
+    def test_malformed_plane_meta_raises(self, stream_blob, index, plane, field, value):
+        codec, blob = stream_blob
+
+        def edit(meta):
+            entry = next(m for m in meta["P"] if m["p"] == plane)
+            assert entry["hw"] == ([32, 48] if plane == "y" else [16, 24])
+            scales = entry["sd"]["s"]
+            resized = {"short": scales[:3], "long": scales + scales[:1]}
+            target = entry if field == "hw" else entry["sd"]
+            target[field] = resized.get(value, value) if isinstance(value, str) else value
+
+        crafted = self.craft(blob, edit, index)
+        with pytest.raises(StreamCorruptionError, match=f"plane {plane}"):
+            codec.decode_sequence(SequenceBitstream.parse(crafted))
+
+    @pytest.mark.parametrize(
+        "value", [[2, 2**20, 2**20], [2, 4, 7], [3, 4, 6], [2.0, 4, 6], [2, 4], "abc"]
+    )
+    def test_malformed_motion_shape_raises(self, stream_blob, value):
+        codec, blob = stream_blob
+
+        def edit(meta):
+            assert meta["mvs"] == [2, 4, 6]
+            meta["mvs"] = value
+
+        crafted = self.craft(blob, edit, 1)
+        with pytest.raises(StreamCorruptionError, match="motion field shape"):
+            codec.decode_sequence(SequenceBitstream.parse(crafted))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.update(P="abc"),
+            lambda meta: meta.update(P=meta["P"][:2]),
+            lambda meta: meta["P"].reverse(),
+            lambda meta: meta["P"][0].update(sd="abc"),
+        ],
+        ids=["not-a-list", "two-planes", "reordered", "sd-not-an-object"],
+    )
+    def test_malformed_plane_list_raises(self, stream_blob, edit):
+        codec, blob = stream_blob
+        crafted = self.craft(blob, edit, 0)
+        with pytest.raises(StreamCorruptionError, match="plane"):
+            codec.decode_sequence(SequenceBitstream.parse(crafted))
+
+    def test_headerless_decoder_bounds_intra_geometry(self, stream_blob):
+        """Without a header only MAX_FRAME_SIDE bounds an I-frame; a
+        consistent but oversized plane set is still refused."""
+        from repro.codec.classical import MAX_FRAME_SIDE
+
+        codec, blob = stream_blob
+        side = MAX_FRAME_SIDE + 2
+        packet = SequenceBitstream.parse(blob).packets[0]
+        shapes = ([side, side], [side // 2] * 2, [side // 2] * 2)
+        for entry, shape in zip(packet.meta["P"], shapes):
+            entry["hw"] = shape
+        decoder = codec.open_decoder()
+        with pytest.raises(StreamCorruptionError, match="frame geometry"):
+            decoder.push(packet)
+            decoder.pull()
+
+    def test_headerless_decoder_decodes_valid_stream(self, stream_blob):
+        codec, blob = stream_blob
+        stream = SequenceBitstream.parse(blob)
+        decoder = codec.open_decoder()
+        frames = []
+        for packet in stream.packets:
+            decoder.push(packet)
+            frames.append(decoder.pull())
+        for got, want in zip(frames, codec.decode_sequence(stream)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "height,width", [(2**17, 48), (32, 47), (32.0, 48), ("32", 48), (0, 48)]
+    )
+    def test_malformed_header_geometry_raises(self, stream_blob, height, width):
+        codec, blob = stream_blob
+        stream = SequenceBitstream.parse(blob)
+        header = dict(stream.header, height=height, width=width)
+        with pytest.raises(StreamCorruptionError, match="frame geometry"):
+            codec.open_decoder(header)

@@ -252,6 +252,23 @@ class TestHostileLatentMeta:
         with pytest.raises(StreamCorruptionError, match="latent"):
             net.decode_sequence(SequenceBitstream.parse(crafted))
 
+    @pytest.mark.parametrize(
+        "field,value", [("hw", [2**17, 2**17]), ("u", 10**9), ("s", [0x3C00] * 3)]
+    )
+    def test_malformed_intra_plane_meta_raises(self, stream_blob, field, value):
+        """The I-frame is the classical intra coder's: its plane meta is
+        checked against the header's frame size the same way."""
+        net, blob = stream_blob
+        stream = SequenceBitstream.parse(blob)
+        assert stream.packets[0].frame_type == "I"
+        luma = stream.packets[0].meta["P"][0]
+        (luma if field == "hw" else luma["sd"])[field] = value
+        crafted = SequenceBitstream(
+            header=stream.header, packets=stream.packets, version=4
+        ).serialize()
+        with pytest.raises(StreamCorruptionError, match="plane y"):
+            net.decode_sequence(SequenceBitstream.parse(crafted))
+
     @pytest.mark.parametrize("meta", ["abc", None])
     def test_latent_meta_that_is_not_an_object_raises(self, stream_blob, meta):
         net, blob = stream_blob
