@@ -41,7 +41,7 @@ def raw_session_round_trip(path: str) -> None:
         for packet in session.flush():
             writer.write_packet(packet)
         total = writer.finalize()
-    print(f"  encoded {writer.packets_written} packets, {total} bytes (v3)")
+    print(f"  encoded {writer.packets_written} packets, {total} bytes (v4)")
 
     with open(path, "rb") as handle:
         reader = StreamReader(handle)

@@ -296,7 +296,7 @@ def _cmd_decode(args) -> int:
         width = int(header.get("width", 0))
 
         # Reference frames for quality scoring: an explicit YUV file,
-        # or the scene the facade embedded in a version-3 header.
+        # or the scene the facade embedded in a streaming header.
         originals = None
         if args.reference:
             originals = iter(read_yuv420(args.reference, height, width))
@@ -1081,7 +1081,7 @@ def main(argv=None) -> int:
         "--reference",
         default=None,
         help="raw YUV 4:2:0 reference for PSNR (default: the scene recorded "
-        "in a version-3 header, if any)",
+        "in a streaming container header, if any)",
     )
     dec.add_argument(
         "--on-error",

@@ -5,13 +5,19 @@ bitstreams" (Section I) — the decoder-side accelerator consumes exactly
 this.  The container is deliberately simple and fully self-describing:
 
     magic 'NVCA' | version u16 | header-length u32 | header JSON |
-    repeat per frame:  meta-length u32 | meta JSON | chunks...
+    header CRC32 u32 |
+    repeat per frame:  size u32 | CRC32 u32 | meta-length u32 |
+                       meta JSON | chunks...
+    end of stream:     size u32 = 0
 
 Every chunk is a named byte payload (an entropy-coded stream or raw
 side information).  All rate numbers in the evaluation harness are
-``len(serialize())*8`` — real bits, headers included.
+``len(serialize())*8`` — real bits, headers and CRC words included.
 
-Format versions:
+Format versions.  :class:`StreamWriter` is the only code that writes
+container bytes and always writes version 4; :class:`StreamReader` is
+the only code that parses them and reads every version, so archived
+streams keep decoding.  Versions 1–3 are read-only:
 
 * **1** — the original container: every chunk is CACM'87
   arithmetic-coded, and the classical codec's DCT planes interleave
@@ -22,25 +28,23 @@ Format versions:
   ``"cacm"``), and multi-model chunks are laid out as contiguous
   per-model segments.  Decoders pick the backend from the stream, not
   from their own configuration.
-* **3** (streaming) — the header drops ``num_frames`` (unknowable
-  while encoding live) and every packet is length-prefixed
-  (``u32 size | packet bytes``), terminated by a zero-size sentinel,
-  so file-to-file transcoding needs O(1) frame memory.
-* **4** (streaming + integrity) — version 3's framing plus end-to-end
-  integrity checking: a CRC32 of the header JSON follows the header
-  (``u32``), and every packet carries a CRC32 of its body
-  (``u32 size | u32 crc | packet bytes``).  A flipped bit anywhere is
-  *detected* — :class:`StreamReader` raises
-  :class:`StreamCorruptionError` naming the packet — instead of
-  decoding garbage.  This is what :class:`StreamWriter` emits by
-  default; pass ``version=3`` for the checksum-free legacy framing.
+* **3** — the header drops ``num_frames`` (unknowable while encoding
+  live) and every packet is length-prefixed (``u32 size | packet
+  bytes``), terminated by a zero-size sentinel, so file-to-file
+  transcoding needs O(1) frame memory.
+* **4** — version 3's framing plus end-to-end integrity checking: a
+  CRC32 of the header JSON follows the header (``u32``), and every
+  packet carries a CRC32 of its body (``u32 size | u32 crc | packet
+  bytes``).  A flipped bit anywhere is *detected* —
+  :class:`StreamReader` raises :class:`StreamCorruptionError` naming
+  the packet — instead of decoding garbage.
 
-``parse`` accepts every version and records which one it saw in
-``SequenceBitstream.version``, so version-1 streams remain decodable
-(the codecs keep a legacy symbol-order path for them) and version-3/4
-files round-trip through the in-memory API too.  The batch encoders
-keep writing version 2 — byte-compatible with every pre-streaming
-consumer — while the streaming paths write version 4.
+:class:`SequenceBitstream` is the in-memory form of the two:
+``serialize`` writes through a :class:`StreamWriter`, ``parse``
+collects a :class:`StreamReader`, and ``version`` records which
+version was read so decoders can dispatch on it (version-1 streams
+decode through the codecs' legacy symbol order).  Serializing a
+sequence read from versions 1–3 raises :class:`ValueError`.
 
 Corruption handling: every parse/read failure — truncation, bad
 framing, CRC mismatch, malformed meta JSON — raises
@@ -59,6 +63,7 @@ and decoder derive bit-identical probability models.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 import zlib
@@ -80,8 +85,7 @@ __all__ = [
 ]
 
 _MAGIC = b"NVCA"
-_VERSION = 2
-#: Version the incremental (length-prefixed) container writes by default.
+#: The only container version written; older versions are read-only.
 STREAM_VERSION = 4
 #: First framed (length-prefixed packets + sentinel) container version.
 _FIRST_FRAMED_VERSION = 3
@@ -139,18 +143,68 @@ def f16_from_bits(bits: int) -> float:
     return float(np.uint16(bits).view(np.float16))
 
 
-def _parse_meta(blob: bytes) -> dict:
-    """Decode a packet meta blob, mapping malformed bytes — invalid
-    UTF-8, broken JSON, a non-object document, missing keys — to
-    :class:`StreamCorruptionError` instead of leaking codec-agnostic
-    exceptions at the decoder."""
+def _is_uint(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _parse_json(blob: bytes, what: str) -> dict:
+    """Decode a JSON object blob, mapping invalid UTF-8, broken JSON
+    and non-object documents to :class:`StreamCorruptionError`."""
     try:
         record = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StreamCorruptionError(f"malformed packet meta: {exc}") from exc
-    if not isinstance(record, dict) or not {"t", "m", "n", "z"} <= set(record):
+        raise StreamCorruptionError(f"malformed {what}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise StreamCorruptionError(f"malformed {what}: not a JSON object")
+    return record
+
+
+def _parse_header(blob: bytes, version: int) -> tuple[dict, int | None]:
+    """Validate a container header blob: ``(header, num_frames)``, the
+    frame count being ``None`` for framed versions (3/4), which end at
+    the sentinel instead."""
+    record = _parse_json(blob, "bitstream header")
+    header = record.get("header")
+    if not isinstance(header, dict):
+        raise StreamCorruptionError(
+            "malformed bitstream header: 'header' is not an object"
+        )
+    if version >= _FIRST_FRAMED_VERSION:
+        return header, None
+    num_frames = record.get("num_frames")
+    if not _is_uint(num_frames):
+        raise StreamCorruptionError(
+            f"malformed bitstream header: num_frames {num_frames!r}"
+        )
+    return header, num_frames
+
+
+def _parse_meta(blob: bytes) -> dict:
+    """Decode and validate a packet meta blob before it sizes any
+    slice: chunk names ``n`` are unique strings and chunk sizes ``z``
+    one non-negative int per name."""
+    record = _parse_json(blob, "packet meta")
+    if not {"t", "m", "n", "z"} <= set(record):
         raise StreamCorruptionError(
             "malformed packet meta: expected an object with keys t/m/n/z"
+        )
+    names, sizes = record["n"], record["z"]
+    if not (
+        isinstance(names, list)
+        and all(isinstance(name, str) for name in names)
+        and len(set(names)) == len(names)
+    ):
+        raise StreamCorruptionError(
+            "malformed packet meta: chunk names are not unique strings"
+        )
+    if not (
+        isinstance(sizes, list)
+        and len(sizes) == len(names)
+        and all(_is_uint(size) for size in sizes)
+    ):
+        raise StreamCorruptionError(
+            "malformed packet meta: chunk sizes are not one "
+            "non-negative int per chunk"
         )
     return record
 
@@ -193,6 +247,9 @@ class FramePacket:
 
     @classmethod
     def parse(cls, buffer: bytes, offset: int) -> tuple["FramePacket", int]:
+        """Parse the packet at ``offset``; returns it and the offset
+        just past it (the framing is self-describing: chunk names and
+        sizes ride in the meta blob)."""
         if offset + 4 > len(buffer):
             raise StreamCorruptionError(
                 "truncated bitstream: packet meta length overruns the buffer"
@@ -217,18 +274,6 @@ class FramePacket:
             offset += size
         return packet, offset
 
-    @classmethod
-    def read_from(cls, fileobj) -> "FramePacket":
-        """Read one packet from a binary file object (the packet framing
-        is self-describing: chunk names and sizes ride in the meta
-        blob, so no container-level length prefix is needed)."""
-        (meta_len,) = struct.unpack("<I", _read_exact(fileobj, 4))
-        record = _parse_meta(_read_exact(fileobj, meta_len))
-        packet = cls(frame_type=record["t"], meta=record["m"])
-        for name, size in zip(record["n"], record["z"]):
-            packet.chunks[name] = _read_exact(fileobj, size)
-        return packet
-
 
 def _read_exact(fileobj, size: int) -> bytes:
     data = fileobj.read(size)
@@ -239,26 +284,50 @@ def _read_exact(fileobj, size: int) -> bytes:
     return bytes(data)
 
 
+def _read_u32(fileobj) -> int:
+    return struct.unpack("<I", _read_exact(fileobj, 4))[0]
+
+
+def _check_crc(blob: bytes, expected: int, what: str, index: int | None = None):
+    actual = zlib.crc32(blob)
+    if actual != expected:
+        raise StreamCorruptionError(
+            f"{what} CRC mismatch: stream says {expected:#010x}, "
+            f"bytes hash to {actual:#010x}",
+            packet_index=index,
+        )
+
+
+def _parse_packet(buffer: bytes, offset: int, index: int) -> tuple[FramePacket, int]:
+    """:meth:`FramePacket.parse`, attributing any failure to packet
+    ``index``."""
+    try:
+        return FramePacket.parse(buffer, offset)
+    except StreamCorruptionError as exc:
+        raise StreamCorruptionError(str(exc), packet_index=index) from exc
+
+
 @dataclass
 class SequenceBitstream:
     """A full coded sequence: header plus per-frame packets.
 
-    ``version`` is the container format version; ``parse`` preserves
-    the version of the incoming stream so re-serialization and
-    decoder dispatch stay faithful to what was read.
+    The in-memory form of :class:`StreamWriter`/:class:`StreamReader`.
+    ``version`` is the container version the stream was read from
+    (:data:`STREAM_VERSION` for freshly encoded ones), so decoder
+    dispatch stays faithful to what was read.
     """
 
     header: dict = field(default_factory=dict)
     packets: list[FramePacket] = field(default_factory=list)
-    version: int = _VERSION
+    version: int = STREAM_VERSION
 
     def add_packet(self, packet: FramePacket) -> None:
         self.packets.append(packet)
 
     def num_bits(self) -> int:
-        """Total bits of the serialized stream (container included —
-        for version 4 that includes every CRC word; integrity is paid
-        for in the measured rate, not hidden)."""
+        """Total bits of the serialized stream (container included,
+        every CRC word too; integrity is paid for in the measured rate,
+        not hidden)."""
         return 8 * len(self.serialize())
 
     def bits_per_pixel(self, height: int, width: int) -> float:
@@ -266,166 +335,26 @@ class SequenceBitstream:
         return self.num_bits() / (frames * height * width)
 
     def serialize(self) -> bytes:
-        if self.version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported bitstream version {self.version}")
-        if self.version >= _FIRST_FRAMED_VERSION:
-            out = bytearray(_stream_header_bytes(self.header, self.version))
+        if self.version != STREAM_VERSION:
+            raise ValueError(
+                f"bitstream version {self.version} is read-only; only "
+                f"version {STREAM_VERSION} is written"
+            )
+        buffer = io.BytesIO()
+        with StreamWriter(buffer, self.header) as writer:
             for packet in self.packets:
-                blob = packet.serialize()
-                out.extend(struct.pack("<I", len(blob)))
-                if self.version >= _CRC_VERSION:
-                    out.extend(struct.pack("<I", zlib.crc32(blob)))
-                out.extend(blob)
-            out.extend(_END_OF_STREAM)
-            return bytes(out)
-        header_blob = json.dumps(
-            {"header": self.header, "num_frames": len(self.packets)},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        out = bytearray()
-        out.extend(_MAGIC)
-        out.extend(struct.pack("<H", self.version))
-        out.extend(struct.pack("<I", len(header_blob)))
-        out.extend(header_blob)
-        for packet in self.packets:
-            out.extend(packet.serialize())
-        return bytes(out)
+                writer.write_packet(packet)
+        return buffer.getvalue()
 
     @classmethod
     def parse(cls, buffer: bytes) -> "SequenceBitstream":
-        if len(buffer) < 10:
-            raise StreamCorruptionError(
-                "truncated bitstream: missing container prelude"
-            )
-        if buffer[:4] != _MAGIC:
-            raise StreamCorruptionError("not an NVCA bitstream (bad magic)")
-        (version,) = struct.unpack_from("<H", buffer, 4)
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported bitstream version {version}")
-        (header_len,) = struct.unpack_from("<I", buffer, 6)
-        offset = 10
-        if offset + header_len > len(buffer):
-            raise StreamCorruptionError(
-                f"truncated bitstream: header of {header_len} bytes "
-                "overruns the buffer"
-            )
-        header_blob = buffer[offset : offset + header_len]
-        try:
-            record = json.loads(header_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StreamCorruptionError(
-                f"malformed bitstream header: {exc}"
-            ) from exc
-        offset += header_len
-        if version >= _CRC_VERSION:
-            if offset + 4 > len(buffer):
-                raise StreamCorruptionError(
-                    "truncated bitstream: missing header CRC"
-                )
-            (expected,) = struct.unpack_from("<I", buffer, offset)
-            offset += 4
-            actual = zlib.crc32(header_blob)
-            if actual != expected:
-                raise StreamCorruptionError(
-                    f"header CRC mismatch: stream says {expected:#010x}, "
-                    f"bytes hash to {actual:#010x}"
-                )
-        stream = cls(header=record["header"], version=version)
-        if version >= _FIRST_FRAMED_VERSION:
-            index = 0
-            while True:
-                if offset + 4 > len(buffer):
-                    raise StreamCorruptionError(
-                        f"truncated version-{version} bitstream "
-                        "(missing end-of-stream sentinel)"
-                    )
-                (size,) = struct.unpack_from("<I", buffer, offset)
-                offset += 4
-                if size == 0:
-                    break
-                if version >= _CRC_VERSION:
-                    if offset + 4 > len(buffer):
-                        raise StreamCorruptionError(
-                            "truncated bitstream: missing packet CRC",
-                            packet_index=index,
-                        )
-                    (expected,) = struct.unpack_from("<I", buffer, offset)
-                    offset += 4
-                if offset + size > len(buffer):
-                    raise StreamCorruptionError(
-                        f"truncated version-{version} bitstream "
-                        f"(packet of {size} bytes overruns the buffer)",
-                        packet_index=index,
-                    )
-                body = bytes(buffer[offset : offset + size])
-                if version >= _CRC_VERSION:
-                    actual = zlib.crc32(body)
-                    if actual != expected:
-                        raise StreamCorruptionError(
-                            f"packet CRC mismatch: stream says "
-                            f"{expected:#010x}, bytes hash to {actual:#010x}",
-                            packet_index=index,
-                        )
-                packet, end = _parse_framed_packet(body, size, index)
-                offset += size
-                stream.add_packet(packet)
-                index += 1
-            return stream
-        for index in range(record["num_frames"]):
-            try:
-                packet, offset = FramePacket.parse(buffer, offset)
-            except StreamCorruptionError as exc:
-                raise _attribute(exc, index) from exc
-            stream.add_packet(packet)
-        return stream
-
-
-def _parse_framed_packet(
-    body: bytes, size: int, index: int
-) -> tuple[FramePacket, int]:
-    """Parse one framed packet body, attributing every failure —
-    including a body that does not span exactly its framed size — to
-    the packet's index."""
-    try:
-        packet, end = FramePacket.parse(body, 0)
-    except StreamCorruptionError as exc:
-        raise _attribute(exc, index) from exc
-    if end != size:
-        raise StreamCorruptionError(
-            f"corrupt bitstream: packet framed as {size} bytes but its "
-            f"body spans {end}",
-            packet_index=index,
-        )
-    return packet, end
-
-
-def _attribute(exc: StreamCorruptionError, index: int) -> StreamCorruptionError:
-    """Attach a packet index to a corruption error that lacks one."""
-    if exc.packet_index is not None:
-        return exc
-    return StreamCorruptionError(str(exc), packet_index=index)
-
-
-def _stream_header_bytes(header: dict, version: int = STREAM_VERSION) -> bytes:
-    """Magic + version + header JSON (no frame count — unknowable while
-    encoding live); version 4 appends a CRC32 of the header blob."""
-    blob = json.dumps(
-        {"header": header}, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    out = (
-        _MAGIC
-        + struct.pack("<H", version)
-        + struct.pack("<I", len(blob))
-        + blob
-    )
-    if version >= _CRC_VERSION:
-        out += struct.pack("<I", zlib.crc32(blob))
-    return out
+        reader = StreamReader(io.BytesIO(buffer))
+        return cls(header=reader.header, packets=list(reader), version=reader.version)
 
 
 class StreamWriter:
-    """Incremental framed-container writer over a binary file object.
+    """Incremental container writer over a binary file object; the only
+    code that writes container bytes, always at :data:`STREAM_VERSION`.
 
     Packets leave the process as they are produced — nothing buffers —
     so encode memory is independent of sequence length:
@@ -434,31 +363,17 @@ class StreamWriter:
     >>> writer.write_packet(packet)                    # per frame
     >>> writer.finalize()                              # end-of-stream
 
-    Writes container version 4 by default (per-packet CRC32 + header
-    checksum, ~4 bytes/packet of rate); ``version=3`` selects the
-    checksum-free legacy framing for byte-compatibility with
-    pre-integrity consumers.
+    Every packet carries a CRC32 of its body and the header a CRC32 of
+    its JSON (~4 bytes/packet of rate).
 
     The caller owns the file object (``finalize`` writes the
     end-of-stream sentinel but does not close the file).  Used as a
     context manager, ``finalize`` runs on clean exit.
     """
 
-    def __init__(
-        self,
-        fileobj,
-        header: dict | None = None,
-        *,
-        version: int = STREAM_VERSION,
-    ):
-        if version < _FIRST_FRAMED_VERSION or version not in _SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"StreamWriter writes framed containers "
-                f"(versions >= {_FIRST_FRAMED_VERSION}), got {version}"
-            )
+    def __init__(self, fileobj, header: dict | None = None):
         self._file = fileobj
         self._finalized = False
-        self.version = version
         self.header: dict | None = None
         self.packets_written = 0
         self.bytes_written = 0
@@ -466,31 +381,36 @@ class StreamWriter:
             self.write_header(header)
 
     def write_header(self, header: dict) -> int:
-        """Write magic/version/header; must happen before any packet."""
+        """Write magic/version/header/CRC; must precede any packet.  The
+        header carries no frame count — unknowable while encoding live."""
         if self.header is not None:
             raise ValueError("stream header already written")
-        blob = _stream_header_bytes(header, self.version)
-        self._file.write(blob)
+        blob = json.dumps(
+            {"header": header}, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        out = (
+            _MAGIC
+            + struct.pack("<HI", STREAM_VERSION, len(blob))
+            + blob
+            + struct.pack("<I", zlib.crc32(blob))
+        )
+        self._file.write(out)
         self.header = dict(header)
-        self.bytes_written += len(blob)
-        return len(blob)
+        self.bytes_written += len(out)
+        return len(out)
 
     def write_packet(self, packet: FramePacket) -> int:
-        """Write one length-prefixed packet; returns its wire size."""
+        """Write one framed, checksummed packet; returns its wire size."""
         if self.header is None:
             raise ValueError("write_header must precede write_packet")
         if self._finalized:
             raise ValueError("stream is finalized")
         blob = packet.serialize()
-        written = 4 + len(blob)
-        self._file.write(struct.pack("<I", len(blob)))
-        if self.version >= _CRC_VERSION:
-            self._file.write(struct.pack("<I", zlib.crc32(blob)))
-            written += 4
+        self._file.write(struct.pack("<II", len(blob), zlib.crc32(blob)))
         self._file.write(blob)
         self.packets_written += 1
-        self.bytes_written += written
-        return written
+        self.bytes_written += 8 + len(blob)
+        return 8 + len(blob)
 
     def finalize(self) -> int:
         """Write the end-of-stream sentinel; returns total bytes
@@ -513,14 +433,17 @@ class StreamWriter:
 
 class StreamReader:
     """Incremental container reader: any supported version, packet at
-    a time, from a binary file object.
+    a time, from a binary file object; the only code that parses
+    container bytes.
 
     The header parses on construction (``.header``, ``.version``; a
     version-4 header is CRC-verified before anything else is trusted);
     :meth:`read_packet` returns packets in stream order and ``None`` at
     end of stream.  Version 1/2 files end after the frame count their
-    header promised; framed files (3/4) end at the zero-size sentinel.
-    Iterating the reader yields every remaining packet.
+    header promised (their packets are not length-prefixed, so the
+    reader buffers the rest of such a file); framed files (3/4) end at
+    the zero-size sentinel.  Iterating the reader yields every
+    remaining packet.
 
     Corruption policy, per ``on_error``:
 
@@ -543,41 +466,24 @@ class StreamReader:
             )
         self._file = fileobj
         self._on_error = on_error
-        magic = _read_exact(fileobj, 4)
-        if magic != _MAGIC:
+        if _read_exact(fileobj, 4) != _MAGIC:
             raise StreamCorruptionError("not an NVCA bitstream (bad magic)")
         (version,) = struct.unpack("<H", _read_exact(fileobj, 2))
         if version not in _SUPPORTED_VERSIONS:
             raise ValueError(f"unsupported bitstream version {version}")
-        (header_len,) = struct.unpack("<I", _read_exact(fileobj, 4))
-        header_blob = _read_exact(fileobj, header_len)
-        try:
-            record = json.loads(header_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StreamCorruptionError(
-                f"malformed bitstream header: {exc}"
-            ) from exc
+        header_blob = _read_exact(fileobj, _read_u32(fileobj))
         if version >= _CRC_VERSION:
-            (expected,) = struct.unpack("<I", _read_exact(fileobj, 4))
-            actual = zlib.crc32(header_blob)
-            if actual != expected:
-                raise StreamCorruptionError(
-                    f"header CRC mismatch: stream says {expected:#010x}, "
-                    f"bytes hash to {actual:#010x}"
-                )
+            _check_crc(header_blob, _read_u32(fileobj), "header")
         self.version = version
-        self.header: dict = record["header"]
+        self.header, self._remaining = _parse_header(header_blob, version)
         #: zero-based index of the next packet to be read.
         self.packet_index = 0
         #: corrupt packets dropped so far (``on_error="skip"`` only).
         self.packets_skipped = 0
-        #: packets left to read for v1/v2; None means "until sentinel".
-        self._remaining = (
-            None
-            if version >= _FIRST_FRAMED_VERSION
-            else int(record["num_frames"])
-        )
         self._done = False
+        if self._remaining is not None:  # versions 1 and 2
+            self._rest = fileobj.read()
+            self._offset = 0
 
     def read_packet(self) -> FramePacket | None:
         """Next packet, or ``None`` once the stream is exhausted."""
@@ -590,31 +496,28 @@ class StreamReader:
             self._remaining -= 1
             index = self.packet_index
             self.packet_index += 1
-            try:
-                return FramePacket.read_from(self._file)
-            except StreamCorruptionError as exc:
-                raise _attribute(exc, index) from exc
+            packet, self._offset = _parse_packet(self._rest, self._offset, index)
+            return packet
         while True:
-            (size,) = struct.unpack("<I", _read_exact(self._file, 4))
+            size = _read_u32(self._file)
             if size == 0:
                 self._done = True
                 return None
             index = self.packet_index
             self.packet_index += 1
-            expected: int | None = None
-            if self.version >= _CRC_VERSION:
-                (expected,) = struct.unpack("<I", _read_exact(self._file, 4))
+            expected = _read_u32(self._file) if self.version >= _CRC_VERSION else None
             body = _read_exact(self._file, size)
             try:
                 if expected is not None:
-                    actual = zlib.crc32(body)
-                    if actual != expected:
-                        raise StreamCorruptionError(
-                            f"packet CRC mismatch: stream says "
-                            f"{expected:#010x}, bytes hash to {actual:#010x}",
-                            packet_index=index,
-                        )
-                packet, _ = _parse_framed_packet(body, size, index)
+                    _check_crc(body, expected, "packet", index)
+                packet, end = _parse_packet(body, 0, index)
+                if end != size:
+                    raise StreamCorruptionError(
+                        f"corrupt bitstream: packet framed as {size} bytes "
+                        f"but its body spans {end}",
+                        packet_index=index,
+                    )
+                return packet
             except StreamCorruptionError:
                 if self._on_error == "skip":
                     # The length prefix was intact, so the stream
@@ -623,7 +526,6 @@ class StreamReader:
                     self.packets_skipped += 1
                     continue
                 raise
-            return packet
 
     def __iter__(self):
         while True:

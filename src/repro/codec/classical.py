@@ -38,6 +38,7 @@ from .bitstream import (
 )
 from .entropy import (
     ArithmeticDecoder,
+    CacmBackend,
     EntropyBackend,
     LaplacianModel,
     cached_laplacian,
@@ -58,6 +59,7 @@ __all__ = [
     "ClassicalCodecConfig",
     "ClassicalCodec",
     "header_geometry",
+    "stream_entropy",
     "zigzag_indices",
 ]
 
@@ -172,6 +174,40 @@ def header_geometry(header: dict | None) -> tuple[int, int] | None:
     return _check_geometry(header.get("height"), header.get("width"))
 
 
+class _BlockInterleavedCacm(CacmBackend):
+    """Entropy layout of version-1 streams: every chunk is CACM-coded,
+    but a DCT plane interleaves its four band models block by block
+    instead of coding them as contiguous segments."""
+
+    def decode_bands(
+        self, payload: bytes, models: list[LaplacianModel], nblocks: int
+    ) -> np.ndarray:
+        """Quantized ``(nblocks, 64)`` zigzag coefficients of a plane."""
+        quantized = np.empty((nblocks, 64), dtype=np.int64)
+        decoder = ArithmeticDecoder(payload)
+        for b in range(nblocks):
+            for (lo, hi), model in zip(_BANDS, models):
+                for pos in range(lo, hi):
+                    quantized[b, pos] = model.value_of(decoder.decode(model.model))
+        return quantized
+
+
+_VERSION1_ENTROPY = _BlockInterleavedCacm()
+
+
+def stream_entropy(
+    header: dict | None, version: int, default: EntropyBackend
+) -> EntropyBackend:
+    """The entropy backend a stream's chunks decode with: the legacy
+    layout for version 1, ``default`` without a header, else the
+    backend the header names (absent means ``"cacm"``)."""
+    if version == 1:
+        return _VERSION1_ENTROPY
+    if header is None:
+        return default
+    return get_entropy_backend(header.get("entropy", "cacm"))
+
+
 def _band_scales(coeffs: np.ndarray) -> list[int]:
     """Laplacian MLE scale per zigzag band, as f32 bit patterns
     (compact, exact side info — encoder and decoder build identical
@@ -198,7 +234,7 @@ class _PlaneCoder:
     contiguous per-band segments (all blocks' DC, then all low AC, ...)
     so any entropy backend codes them with vectorized symbol mapping;
     version-1 streams interleaved the bands block by block and decode
-    through the ``legacy_order`` path.
+    through :class:`_BlockInterleavedCacm`.
     """
 
     def __init__(self, qstep: float, support: int, entropy: EntropyBackend):
@@ -238,31 +274,16 @@ class _PlaneCoder:
         meta = {"s": scales, "u": support}
         return payload, meta, recon[:h, :w]
 
-    def decode(
-        self,
-        payload: bytes,
-        meta: dict,
-        h: int,
-        w: int,
-        legacy_order: bool = False,
-    ) -> np.ndarray:
+    def decode(self, payload: bytes, meta: dict, h: int, w: int) -> np.ndarray:
         ph = h + ((-h) % _BLOCK)
         pw = w + ((-w) % _BLOCK)
         nblocks = (ph // _BLOCK) * (pw // _BLOCK)
         models = _band_models(meta["s"], meta["u"])
         support = meta["u"]
-        quantized = np.empty((nblocks, 64), dtype=np.int64)
-        if legacy_order:
-            # Version-1 layout: bands interleaved block by block, always
-            # CACM-coded (the seed coder's symbol order).
-            decoder = ArithmeticDecoder(payload)
-            for b in range(nblocks):
-                for (lo, hi), model in zip(_BANDS, models):
-                    for pos in range(lo, hi):
-                        quantized[b, pos] = model.value_of(
-                            decoder.decode(model.model)
-                        )
+        if isinstance(self.entropy, _BlockInterleavedCacm):
+            quantized = self.entropy.decode_bands(payload, models, nblocks)
         else:
+            quantized = np.empty((nblocks, 64), dtype=np.int64)
             specs = [
                 (nblocks * (hi - lo), model.model)
                 for (lo, hi), model in zip(_BANDS, models)
@@ -353,7 +374,6 @@ class ClassicalCodec:
         packet: FramePacket,
         *,
         entropy: EntropyBackend | None = None,
-        legacy_order: bool = False,
         geometry: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """Decode one I-frame.  ``geometry`` is the ``(height, width)``
@@ -367,9 +387,7 @@ class ClassicalCodec:
         for meta in metas:
             coder = luma_coder if meta["p"] == "y" else chroma_coder
             h, w = meta["hw"]
-            plane = coder.decode(
-                packet.chunks[meta["p"]], meta["sd"], h, w, legacy_order
-            )
+            plane = coder.decode(packet.chunks[meta["p"]], meta["sd"], h, w)
             planes.append(plane + 128.0)
         return self._frame_from_planes(*planes)
 
@@ -581,7 +599,6 @@ class ClassicalCodec:
         reference: np.ndarray,
         *,
         entropy: EntropyBackend | None = None,
-        legacy_order: bool = False,
     ) -> np.ndarray:
         if bool(packet.meta.get("hp", 0)) != self.config.half_pel:
             raise ValueError(
@@ -603,9 +620,7 @@ class ClassicalCodec:
         ):
             h, w = meta["hw"]
             prediction = self._predict_plane(ref, mv, h, w, chroma)
-            residual = coder.decode(
-                packet.chunks[meta["p"]], meta["sd"], h, w, legacy_order
-            )
+            residual = coder.decode(packet.chunks[meta["p"]], meta["sd"], h, w)
             planes.append(np.clip(prediction + residual, 0.0, 255.0))
         return self._frame_from_planes(*planes)
 
@@ -651,26 +666,19 @@ class ClassicalCodec:
         )
 
     def open_decoder(
-        self, header: dict | None = None, version: int = 2
+        self, header: dict | None = None, version: int = 4
     ) -> DecoderSession:
         """Streaming decoder honouring the backend the stream header
         names; version-1 streams use the legacy CACM layout.  Without a
         header the session trusts this codec's configured backend."""
-        if header is None:
-            entropy = self.entropy
-        else:
-            entropy = get_entropy_backend(header.get("entropy", "cacm"))
-        legacy_order = version == 1
+        entropy = stream_entropy(header, version, self.entropy)
         geometry = header_geometry(header)
         return GopDecoderSession(
             intra=lambda packet: self.decode_intra(
-                packet,
-                entropy=entropy,
-                legacy_order=legacy_order,
-                geometry=geometry,
+                packet, entropy=entropy, geometry=geometry
             ),
             inter=lambda packet, reference: self.decode_inter(
-                packet, reference, entropy=entropy, legacy_order=legacy_order
+                packet, reference, entropy=entropy
             ),
         )
 

@@ -44,7 +44,12 @@ from .bitstream import (
     f16_bits,
     f16_from_bits,
 )
-from .classical import ClassicalCodec, ClassicalCodecConfig, header_geometry
+from .classical import (
+    ClassicalCodec,
+    ClassicalCodecConfig,
+    header_geometry,
+    stream_entropy,
+)
 from .entropy import (
     EntropyBackend,
     LaplacianModel,
@@ -451,7 +456,7 @@ class CTVCNet:
         )
 
     def open_decoder(
-        self, header: dict | None = None, version: int = 2
+        self, header: dict | None = None, version: int = 4
     ) -> DecoderSession:
         """Streaming decoder for a stream with the given header.
 
@@ -460,18 +465,11 @@ class CTVCNet:
         legacy block-interleaved intra layout); without a header the
         session trusts this codec's configured backend.
         """
-        if header is None:
-            entropy = self.entropy
-        else:
-            entropy = get_entropy_backend(header.get("entropy", "cacm"))
-        legacy_order = version == 1
+        entropy = stream_entropy(header, version, self.entropy)
         geometry = header_geometry(header)
         return GopDecoderSession(
             intra=lambda packet: self.intra_codec.decode_intra(
-                packet,
-                entropy=entropy,
-                legacy_order=legacy_order,
-                geometry=geometry,
+                packet, entropy=entropy, geometry=geometry
             ),
             inter=lambda packet, reference: self.decode_inter(
                 packet, reference, entropy=entropy

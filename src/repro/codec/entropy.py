@@ -22,7 +22,7 @@ behind a pluggable **entropy backend** seam:
   of once per symbol.  This is the default backend of both codecs.
 
 Which backend produced a bitstream is recorded in the
-:class:`~repro.codec.bitstream.SequenceBitstream` header (format
+:class:`~repro.codec.bitstream.SequenceBitstream` header (since format
 version 2), so decoders always pick the right one regardless of their
 own configuration.
 

@@ -374,5 +374,5 @@ class RDModelCodec:
     def open_encoder(self):
         self._refuse("the streaming session API (open_encoder)")
 
-    def open_decoder(self, header=None, version=2):
+    def open_decoder(self, header=None, version=4):
         self._refuse("the streaming session API (open_decoder)")

@@ -14,8 +14,8 @@ carry an ``entropy_backend`` field (``"rans"``/``"cacm"``, validated
 against the entropy-backend registry at construction), so a sweep
 document can pit entropy coders against each other like any other
 knob.  These config documents are what travels inside the job specs
-of distributed sweeps (``docs/distributed.md``) and inside version-3
-stream headers (``docs/bitstream.md``).
+of distributed sweeps (``docs/distributed.md``) and inside streaming
+container headers (``docs/bitstream.md``).
 """
 
 from __future__ import annotations

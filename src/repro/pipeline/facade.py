@@ -13,8 +13,8 @@ backend and its worker processes rely on.
 >>> report.bpp, report.mean_psnr  # doctest: +SKIP
 
 The encode path is numerically identical to the pre-facade CLI: same
-frame source, same serialize/parse round trip, same
-``stream.bits_per_pixel`` rate and mean-PSNR quality.
+frame source, same serialize/parse round trip, same rate (container
+bits per pixel) and mean-PSNR quality.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class EncodeSession:
         return self._encode_streaming(output, progress)
 
     def _stream_header(self, session_header: dict) -> dict:
-        """The v3 file header: the codec's stream header plus enough
+        """The streaming file header: the codec's stream header plus enough
         context (registry name, full config, scene) for ``repro
         decode`` to rebuild the decoder and score quality unaided."""
         spec = self.pipeline
@@ -333,9 +333,6 @@ class EncodeSession:
             msssims = self._streamed_msssims or []
             num_frames = len(psnrs)
             stream_bytes = self.stream_bytes or 0
-            bpp = (
-                8.0 * stream_bytes / (max(num_frames, 1) * scene.height * scene.width)
-            )
             frame_bits = self._frame_bits or []
         else:
             psnrs = [float(psnr(a, b)) for a, b in zip(self.frames, self.decoded)]
@@ -346,8 +343,8 @@ class EncodeSession:
             )
             num_frames = len(self.frames)
             stream_bytes = len(self.payload)
-            bpp = self.stream.bits_per_pixel(scene.height, scene.width)
             frame_bits = [8 * len(p.serialize()) for p in self.stream.packets]
+        bpp = 8.0 * stream_bytes / (max(num_frames, 1) * scene.height * scene.width)
         fps = float(self.codec.config.to_dict().get("fps", 30.0) or 30.0)
         achieved_kbps = (
             sum(frame_bits) * fps / (num_frames * 1000.0)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from legacy_container import legacy_bytes
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -185,7 +187,7 @@ class TestStreamingCLI:
         frames = generate_sequence(SceneConfig(height=32, width=48, frames=3))
         stream = codec.encode_sequence(frames)
         container = tmp_path / "v2.bin"
-        container.write_bytes(stream.serialize())
+        container.write_bytes(legacy_bytes(stream.header, stream.packets, 2))
         expected = [
             float(psnr(a, b))
             for a, b in zip(frames, codec.decode_sequence(stream))

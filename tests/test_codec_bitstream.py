@@ -1,16 +1,33 @@
 """Tests for the bitstream container."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.codec import (
     FramePacket,
     SequenceBitstream,
+    StreamWriter,
     as_f32,
     f16_bits,
     f16_from_bits,
     f32_bits,
     f32_from_bits,
+)
+
+from legacy_container import legacy_bytes
+
+#: ``TestSequenceBitstream.make_stream()`` as version 4, frozen: the
+#: writer's bytes must never drift for the same header and packets.
+FROZEN_V4 = bytes.fromhex(
+    "4e5643410400270000007b22686561646572223a7b22636f646563223a2274657374"
+    "222c22686569676874223a36347d7d37e188932f000000670943d62a0000007b226d"
+    "223a7b2269223a307d2c226e223a5b2264617461225d2c2274223a2249222c227a22"
+    "3a5b315d7d00300000007cdeae3f2a0000007b226d223a7b2269223a317d2c226e22"
+    "3a5b2264617461225d2c2274223a2250222c227a223a5b325d7d0101310000004e1d"
+    "640c2a0000007b226d223a7b2269223a327d2c226e223a5b2264617461225d2c2274"
+    "223a2250222c227a223a5b335d7d02020200000000"
 )
 
 
@@ -94,20 +111,40 @@ class TestSequenceBitstream:
         with pytest.raises(ValueError):
             SequenceBitstream.parse(bytes(blob))
 
-    def test_current_version_is_2(self):
+    def test_current_version_is_4(self):
         stream = self.make_stream()
-        assert stream.version == 2
+        assert stream.version == 4
         blob = stream.serialize()
-        assert blob[4:6] == (2).to_bytes(2, "little")
-        assert SequenceBitstream.parse(blob).version == 2
+        assert blob[4:6] == (4).to_bytes(2, "little")
+        assert SequenceBitstream.parse(blob).version == 4
+
+    def test_v4_bytes_are_frozen(self):
+        stream = self.make_stream()
+        assert stream.serialize() == FROZEN_V4
+        buffer = io.BytesIO()
+        with StreamWriter(buffer, stream.header) as writer:
+            for packet in stream.packets:
+                writer.write_packet(packet)
+        assert buffer.getvalue() == FROZEN_V4
 
     def test_version_1_streams_parse(self):
         stream = self.make_stream()
-        stream.version = 1
-        parsed = SequenceBitstream.parse(stream.serialize())
+        parsed = SequenceBitstream.parse(
+            legacy_bytes(stream.header, stream.packets, 1)
+        )
         assert parsed.version == 1
         assert parsed.header == stream.header
         assert len(parsed.packets) == 3
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_legacy_versions_are_read_only(self, version):
+        stream = self.make_stream()
+        parsed = SequenceBitstream.parse(
+            legacy_bytes(stream.header, stream.packets, version)
+        )
+        assert parsed.version == version
+        with pytest.raises(ValueError, match="read-only"):
+            parsed.serialize()
 
     def test_unsupported_version_serialize_rejected(self):
         stream = self.make_stream()

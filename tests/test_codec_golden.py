@@ -3,7 +3,7 @@
 The two base64 blobs below were produced by the seed (pre-entropy-
 backend) coder at commit 0df5600: format version 1, CACM'87 arithmetic
 coding, and — for the classical codec's DCT planes — the legacy
-block-interleaved band order.  After the version-2 header bump these
+block-interleaved band order.  Version 1 is read-only now, but these
 streams must keep decoding bit-for-bit through the legacy path, which
 is what pins backward compatibility for archived bitstreams.
 """
@@ -107,12 +107,13 @@ def test_ctvc_v1_stream_decodes():
         assert float(psnr(frame, recon)) == pytest.approx(expected, abs=1e-9)
 
 
-def test_v1_reserialization_preserves_version():
+def test_v1_stream_is_read_only():
     stream = SequenceBitstream.parse(base64.b64decode(GOLDEN_CLASSICAL_V1))
-    assert SequenceBitstream.parse(stream.serialize()).version == 1
+    with pytest.raises(ValueError, match="read-only"):
+        stream.serialize()
 
 
-def test_v2_reencode_of_golden_scene_matches_quality():
+def test_v4_reencode_of_golden_scene_matches_quality():
     """Re-encoding the golden scene with today's cacm backend yields the
     same reconstruction the seed produced (PSNR identical): the
     entropy refactor changed the container, not the signal path."""
@@ -120,7 +121,7 @@ def test_v2_reencode_of_golden_scene_matches_quality():
     codec = ClassicalCodec(ClassicalCodecConfig(qp=12.0, entropy_backend="cacm"))
     blob = codec.encode_sequence(frames).serialize()
     stream = SequenceBitstream.parse(blob)
-    assert stream.version == 2
+    assert stream.version == 4
     decoded = codec.decode_sequence(stream)
     golden = codec.decode_sequence(
         SequenceBitstream.parse(base64.b64decode(GOLDEN_CLASSICAL_V1))

@@ -1,9 +1,10 @@
 """Bitstream integrity: version-4 CRC containers (bit-exact round
 trips, single-flipped-byte detection with packet attribution, resync
 and skip), and typed corruption errors — never ``struct.error``, never
-a hang — for truncated or garbage version 1–3 streams."""
+a hang — for truncated, garbage or hostile version 1–4 streams."""
 
 import io
+import json
 import struct
 import zlib
 
@@ -18,6 +19,8 @@ from repro.codec import (
     StreamWriter,
 )
 from repro.video import SceneConfig, generate_sequence
+
+from legacy_container import legacy_bytes
 
 
 def _stream():
@@ -95,6 +98,7 @@ class TestV4Container:
         reader = StreamReader(io.BytesIO(bytes(blob)), on_error="skip")
         survivors = [p.serialize() for p in reader]
         assert reader.packets_skipped == 1
+        assert reader.packet_index == len(stream.packets)  # skips count
         expected = [p.serialize() for p in stream.packets]
         assert survivors == expected[:1] + expected[2:]
 
@@ -109,23 +113,17 @@ class TestV4Container:
             StreamReader(io.BytesIO(b""), on_error="ignore")
 
     def test_v3_stays_crc_free_and_both_versions_interchange(self):
-        # v3 is the byte-compatibility escape hatch: no CRC words.
+        # v3 (read-only) carries no CRC words.
         stream = _stream()
-        buffer = io.BytesIO()
-        writer = StreamWriter(buffer, stream.header, version=3)
-        for packet in stream.packets:
-            writer.write_packet(packet)
-        writer.finalize()
-        reader = StreamReader(io.BytesIO(buffer.getvalue()))
+        v3 = legacy_bytes(stream.header, stream.packets, 3)
+        reader = StreamReader(io.BytesIO(v3))
         assert reader.version == 3
         assert [p.serialize() for p in reader] == [
             p.serialize() for p in stream.packets
         ]
         v4 = _v4_bytes(stream)
         # v4 costs the two header/packet CRC words and nothing else
-        assert len(v4) == len(buffer.getvalue()) + 4 * (
-            1 + len(stream.packets)
-        )
+        assert len(v4) == len(v3) + 4 * (1 + len(stream.packets))
 
     def test_header_crc_actually_guards_the_header_blob(self):
         blob = bytearray(_v4_bytes(_stream()))
@@ -143,9 +141,7 @@ class TestLegacyCorruption:
 
     def _blob(self, version: int) -> bytes:
         stream = _stream()
-        return SequenceBitstream(
-            header=stream.header, packets=stream.packets, version=version
-        ).serialize()
+        return legacy_bytes(stream.header, stream.packets, version)
 
     def test_garbage_at_byte_zero(self, version):
         blob = bytearray(self._blob(version))
@@ -189,3 +185,83 @@ class TestLegacyCorruption:
             SequenceBitstream.parse(bytes(blob))
         with pytest.raises(StreamCorruptionError, match="header"):
             StreamReader(io.BytesIO(bytes(blob)))
+
+
+def _container(version: int, header: object, packets: list[bytes]) -> bytes:
+    """Raw container bytes around an arbitrary header document and raw
+    packet bodies (meta length + meta + chunks), CRC words included for
+    version 4 — hostile input the writer itself would never produce."""
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    out = b"NVCA" + struct.pack("<HI", version, len(blob)) + blob
+    if version == 4:
+        out += struct.pack("<I", zlib.crc32(blob))
+    for body in packets:
+        if version == 4:
+            out += struct.pack("<II", len(body), zlib.crc32(body))
+        out += body
+    return out + (struct.pack("<I", 0) if version == 4 else b"")
+
+
+def _packet_body(meta: object, payload: bytes = b"") -> bytes:
+    blob = json.dumps(meta, separators=(",", ":")).encode()
+    return struct.pack("<I", len(blob)) + blob + payload
+
+
+def _meta(**fields) -> dict:
+    return {"t": "I", "m": {}, "n": ["a"], "z": [1], **fields}
+
+
+def _assert_both_parsers_refuse(blob: bytes) -> None:
+    with pytest.raises(StreamCorruptionError):
+        SequenceBitstream.parse(blob)
+    with pytest.raises(StreamCorruptionError):
+        list(StreamReader(io.BytesIO(blob)))
+
+
+class TestHostileContainer:
+    """Hostile header and packet-meta fields are validated before they
+    size any slice or loop: every case raises StreamCorruptionError from
+    both SequenceBitstream.parse and StreamReader."""
+
+    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize(
+        "header", [[], {}, {"header": 5}, {"header": [1]}, "header"]
+    )
+    def test_header_field(self, version, header):
+        if isinstance(header, dict) and version == 2:
+            header = {**header, "num_frames": 0}
+        _assert_both_parsers_refuse(_container(version, header, []))
+
+    @pytest.mark.parametrize("num_frames", ["x", -3, 1.5, None, True])
+    def test_num_frames_field(self, num_frames):
+        record = {"header": {}, "num_frames": num_frames}
+        _assert_both_parsers_refuse(_container(2, record, []))
+
+    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize(
+        "names", ["a", ["a", "a"], [1], [None], {"a": 1}]
+    )
+    def test_n_field(self, version, names):
+        body = _packet_body(_meta(n=names, z=[1] * len(names)), b"xx")
+        record = {"header": {}, "num_frames": 1} if version == 2 else {"header": {}}
+        _assert_both_parsers_refuse(_container(version, record, [body]))
+
+    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize("sizes", [[-1], [1, 1], [], [1.0], ["1"], [True], 1])
+    def test_z_field(self, version, sizes):
+        body = _packet_body(_meta(z=sizes), b"x")
+        record = {"header": {}, "num_frames": 1} if version == 2 else {"header": {}}
+        _assert_both_parsers_refuse(_container(version, record, [body]))
+
+    def test_negative_size_cannot_rewind_into_a_packet_loop(self):
+        # A chunk size of -40 once rewound the parse offset to the
+        # packet's own start, so this 83-byte stream decoded as the
+        # 200,000 packets its header promised.
+        body = _packet_body(_meta(z=[-40]))
+        blob = _container(2, {"header": {}, "num_frames": 200_000}, [body])
+        assert len(blob) == 83
+        _assert_both_parsers_refuse(blob)
+        reader = StreamReader(io.BytesIO(blob))
+        with pytest.raises(StreamCorruptionError, match="chunk sizes") as info:
+            reader.read_packet()
+        assert info.value.packet_index == 0

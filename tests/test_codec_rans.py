@@ -280,7 +280,7 @@ class TestCodecsAcrossBackends:
             blob = net.encode_sequence(frames).serialize()
             stream = SequenceBitstream.parse(blob)
             assert stream.header["entropy"] == backend
-            assert stream.version == 2
+            assert stream.version == 4
             recons[backend] = net.decode_sequence(stream)
         for a, b in zip(recons["cacm"], recons["rans"]):
             assert np.array_equal(a, b)

@@ -1,4 +1,4 @@
-"""Streaming codec sessions and the incremental (v3) container.
+"""Streaming codec sessions and the incremental (framed) container.
 
 The redesign's contract, pinned here:
 
@@ -7,7 +7,8 @@ The redesign's contract, pinned here:
   both entropy backends (property-based over scenes and GOPs);
 * version-1 and version-2 containers keep decoding through the new
   :class:`StreamReader` (golden-pinned);
-* the version-3 container round-trips incrementally, file-to-file
+* the framed containers (version 3 read-only, version 4 written)
+  round-trip incrementally, file-to-file
   encoding holds O(1) frames in memory regardless of sequence length,
   and the facade's streaming mode reports the same quality as batch.
 """
@@ -37,6 +38,7 @@ from repro.metrics import psnr
 from repro.pipeline import Pipeline
 from repro.video import SceneConfig, generate_sequence, iter_sequence
 
+from legacy_container import legacy_bytes
 from test_codec_golden import EXPECTED_PSNR, GOLDEN_CLASSICAL_V1, GOLDEN_CTVC_V1
 
 
@@ -153,7 +155,8 @@ class TestGoldenContainersThroughStreamReader:
         codec = make_codec("classical", "rans")
         clip = generate_sequence(SceneConfig(height=16, width=32, frames=3))
         stream = codec.encode_sequence(clip)
-        reader = StreamReader(io.BytesIO(stream.serialize()))
+        blob = legacy_bytes(stream.header, stream.packets, 2)
+        reader = StreamReader(io.BytesIO(blob))
         assert (reader.version, reader.header) == (2, stream.header)
         packets = list(reader)
         assert [p.serialize() for p in packets] == [
@@ -199,33 +202,29 @@ class TestV3Container:
 
     def test_sequence_bitstream_v3_round_trip(self):
         _, stream = self._packets()
-        v3 = SequenceBitstream(
-            header=stream.header, packets=stream.packets, version=3
+        back = SequenceBitstream.parse(
+            legacy_bytes(stream.header, stream.packets, 3)
         )
-        back = SequenceBitstream.parse(v3.serialize())
         assert back.version == 3
         assert back.header == stream.header
         assert [p.serialize() for p in back.packets] == [
             p.serialize() for p in stream.packets
         ]
-        # and the whole v3 buffer re-serializes identically
-        assert back.serialize() == v3.serialize()
+        # v3 is read-only; the same packets re-serialize as v4
+        with pytest.raises(ValueError, match="read-only"):
+            back.serialize()
+        back.version = 4
+        assert back.serialize() == stream.serialize()
 
-    def test_v3_decodes_like_v2(self):
+    def test_v3_decodes_like_v4(self):
         codec, stream = self._packets()
-        v3 = SequenceBitstream.parse(
-            SequenceBitstream(
-                header=stream.header, packets=stream.packets, version=3
-            ).serialize()
-        )
+        v3 = SequenceBitstream.parse(legacy_bytes(stream.header, stream.packets, 3))
         for a, b in zip(codec.decode_sequence(stream), codec.decode_sequence(v3)):
             assert np.array_equal(a, b)
 
     def test_truncated_v3_raises(self):
         _, stream = self._packets()
-        blob = SequenceBitstream(
-            header=stream.header, packets=stream.packets, version=3
-        ).serialize()
+        blob = legacy_bytes(stream.header, stream.packets, 3)
         reader = StreamReader(io.BytesIO(blob[:-6]))  # kill sentinel + tail
         with pytest.raises(ValueError, match="truncated"):
             list(reader)
@@ -234,11 +233,7 @@ class TestV3Container:
         import struct
 
         _, stream = self._packets()
-        blob = bytearray(
-            SequenceBitstream(
-                header=stream.header, packets=stream.packets, version=3
-            ).serialize()
-        )
+        blob = bytearray(legacy_bytes(stream.header, stream.packets, 3))
         # Grow the first packet's length prefix so the framed size no
         # longer matches the packet body it wraps.
         header_len = struct.unpack_from("<I", blob, 6)[0]
@@ -256,9 +251,7 @@ class TestV3Container:
         # never leak struct.error, whether the cut lands mid-packet or
         # on the sentinel.
         _, stream = self._packets()
-        blob = SequenceBitstream(
-            header=stream.header, packets=stream.packets, version=3
-        ).serialize()
+        blob = legacy_bytes(stream.header, stream.packets, 3)
         with pytest.raises(ValueError, match="truncated"):
             SequenceBitstream.parse(blob[:-cut])
 
@@ -342,8 +335,9 @@ class TestFacadeStreamingMode:
         report = session.run(output=str(tmp_path / "clip.bin"))
         assert report.psnr_per_frame == batch.psnr_per_frame
         assert report.frames == batch.frames
-        # v3 carries extra header context (config + scene), so it costs
-        # a little container overhead but the payload is identical.
+        # the streamed header carries extra context (config + scene), so
+        # it costs a little container overhead but the payload is
+        # identical.
         assert report.stream_bytes >= batch.stream_bytes
         assert report.encode_seconds > 0 and report.decode_seconds > 0
 

@@ -8,7 +8,7 @@ and Bjøntegaard identities.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codec import LaplacianModel, SymbolModel, decode_symbols, encode_symbols
@@ -209,6 +209,7 @@ class TestBjontegaardProperties:
         factor=st.floats(0.3, 3.0),
         seed=st.integers(0, 2**31),
     )
+    @example(factor=2.0, seed=39459)
     def test_uniform_rate_scaling_identity(self, factor, seed):
         """Scaling every rate by f gives BD-rate exactly (f-1)*100%."""
         rng = np.random.default_rng(seed)
@@ -222,9 +223,9 @@ class TestBjontegaardProperties:
             anchor.add(float(r), float(q))
             test.add(float(r * factor), float(q))
         expected = (factor - 1.0) * 100.0
-        # The default trapezoid-on-log integration carries a few-1e-6
-        # numerical error on some curves (e.g. factor=2.0, seed=12707);
-        # pchip is exact to machine precision.
+        # The cubic fit runs on centred qualities; fitting raw ~40 dB
+        # powers once missed by 5e-4 (the pinned example).  pchip is
+        # exact to machine precision.
         assert bd_rate(anchor, test) == pytest.approx(expected, abs=1e-4)
         assert bd_rate(anchor, test, method="pchip") == pytest.approx(
             expected, abs=1e-6
