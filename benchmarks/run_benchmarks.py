@@ -27,7 +27,9 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   the codec's own sparse weights at CIF, where zero weights are
   skipped: the motion AE's last synthesis deconv (one input channel
   per output) and the deformable-compensation offset head (one
-  nonzero weight per output row).
+  nonzero weight per output row).  Block matching runs at the 96x64
+  toy size and at the classical_stream geometry: 640x360 luma under
+  the classical defaults (8x8 blocks, search range 8).
 * **container** — the integrity tax: write/read wall time of the same
   packet list through the version-3 (CRC-free) and version-4
   (header + per-packet CRC32) stream containers, with the byte
@@ -277,7 +279,11 @@ def bench_entropy(num_symbols: int, repeats: int, backends) -> dict:
 def bench_kernels(repeats: int) -> dict:
     from scipy.fft import dctn
 
-    from repro.codec.modules import CompressionAE, DeformableCompensation
+    from repro.codec.modules import (
+        CompressionAE,
+        DeformableCompensation,
+        block_match,
+    )
     from repro.nn import functional as F
     from repro.nn.deform import deform_conv2d
 
@@ -304,6 +310,9 @@ def bench_kernels(repeats: int) -> dict:
     motion_ae.calibrate()
     synthesis = motion_ae.syn_deconvs[-1]
     cif_synthesis_input = rng.standard_normal((12, 74, 90))
+    # classical_stream's luma (640x360) under the classical defaults
+    stream_luma = rng.standard_normal((360, 640)) * 40 + 128
+    stream_motion = ClassicalCodecConfig()
 
     cases = {
         "conv2d_3x3_s1": lambda: F.conv2d(x, w33, padding=1),
@@ -325,9 +334,15 @@ def bench_kernels(repeats: int) -> dict:
             cif_feature, offset_head.weight.data, offset_head.bias.data,
             padding=offset_head.padding,
         ),
-        "block_match_8x8_r4": lambda: __import__(
-            "repro.codec.modules", fromlist=["block_match"]
-        ).block_match(luma, np.roll(luma, 2, axis=1), 8, 4),
+        "block_match_8x8_r4": lambda: block_match(
+            luma, np.roll(luma, 2, axis=1), 8, 4
+        ),
+        "block_match_640x360_r8": lambda: block_match(
+            stream_luma,
+            np.roll(stream_luma, (1, 2), axis=(0, 1)),
+            stream_motion.block_size,
+            stream_motion.search_range,
+        ),
         "dct_8x8_x96": lambda: dctn(blocks, axes=(1, 2), norm="ortho"),
     }
     report = {}

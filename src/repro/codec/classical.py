@@ -45,7 +45,12 @@ from .entropy import (
     cached_uniform_model,
     get_entropy_backend,
 )
-from .modules import block_match, dense_motion_field
+from .modules import (
+    block_match,
+    block_sums,
+    dense_motion_field,
+    validate_motion_fields,
+)
 from .rate_control import create_rate_controller, validate_rate_fields
 from .sessions import (
     DecoderSession,
@@ -116,6 +121,8 @@ class ClassicalCodecConfig(SerializableConfig):
     def __post_init__(self):
         get_entropy_backend(self.entropy_backend)  # fail fast on unknown names
         validate_rate_fields(self.rate_control, self.target_kbps, self.fps)
+        # chroma planes search with half the luma block size
+        validate_motion_fields(self.block_size, self.search_range, 2)
 
 
 def _pad_to_blocks(plane: np.ndarray) -> np.ndarray:
@@ -548,8 +555,7 @@ class ClassicalCodec:
                 candidate[0] += sub_y
                 candidate[1] += sub_x
                 predicted = self._warp_half(ref, candidate)
-                diff = np.abs(cur[:hc, :wc] - predicted[:hc, :wc])
-                sad = diff.reshape(nby, bs, nbx, bs).sum(axis=(1, 3))
+                sad = block_sums(np.abs(cur[:hc, :wc] - predicted[:hc, :wc]), bs)
                 better = sad < best
                 best = np.where(better, sad, best)
                 best_mv[0] = np.where(better, base_half[0] + sub_y, best_mv[0])

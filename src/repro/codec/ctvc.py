@@ -69,6 +69,7 @@ from .modules import (
     FeatureExtraction,
     FrameReconstruction,
     MotionEstimation,
+    validate_motion_fields,
 )
 
 __all__ = ["CTVCConfig", "CTVCNet"]
@@ -106,6 +107,7 @@ class CTVCConfig(SerializableConfig):
     def __post_init__(self):
         get_entropy_backend(self.entropy_backend)  # fail fast on unknown names
         validate_rate_fields(self.rate_control, self.target_kbps, self.fps)
+        validate_motion_fields(self.block_size, self.search_range, 1)
 
     def derived_intra_qp(self) -> float:
         """I-frame QP tracking the latent quantization step."""

@@ -32,6 +32,7 @@ literal Fig. 2 topology.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn import (
     Conv2d,
@@ -59,6 +60,8 @@ __all__ = [
 
 #: residual-branch scaling used by codec ResBlocks (near-identity init).
 _CODEC_RES_SCALE = 0.02
+#: Element budget of block_match's difference buffer.
+_MATCH_BUFFER = 1 << 17
 
 
 def _reflect_pad(x: np.ndarray, amount: int) -> np.ndarray:
@@ -177,6 +180,84 @@ class FrameReconstruction(Module):
         return full[:, 3 : 3 + h, 3 : 3 + w] + 128.0
 
 
+def validate_motion_fields(
+    block_size: int, search_range: int, min_block_size: int
+) -> None:
+    """Check a codec config's motion fields at construction.
+
+    ``search_range`` must be an int >= 0 and ``block_size`` an int >=
+    ``min_block_size``; anything else would crash deep inside encode.
+    """
+    for name, value, least in (
+        ("block_size", block_size, min_block_size),
+        ("search_range", search_range, 0),
+    ):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, np.integer))
+            or value < least
+        ):
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in the order of NumPy's ``pairwise_sum``.
+
+    Fewer than 8 terms add in order; 8 to 128 terms run eight strided
+    accumulators, fold them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    add the remainder in order; longer runs split at a multiple of 8.
+    May return a view of ``terms`` (one term): never write into it.
+    """
+    n = terms.shape[-1]
+    if n < 8:
+        total = terms[..., 0]
+        for k in range(1, n):
+            total = total + terms[..., k]
+        return total
+    if n <= 128:
+        full = n - n % 8
+        acc = terms[..., :8]
+        for k in range(8, full, 8):
+            acc = acc + terms[..., k : k + 8]
+        pairs = acc[..., 0::2] + acc[..., 1::2]
+        total = pairs[..., 0::2] + pairs[..., 1::2]
+        total = total[..., 0] + total[..., 1]
+        for k in range(full, n):
+            total += terms[..., k]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[..., :half]) + _pairwise_sum(terms[..., half:])
+
+
+def block_sums(values: np.ndarray, block_size: int) -> np.ndarray:
+    """Per-block sums over the trailing (nby*bs, nbx*bs) axes.
+
+    Returns (..., nby, nbx), bit-equal to NumPy's
+    ``values.reshape(nby, bs, nbx, bs).sum(axis=(1, 3))`` of each
+    C-contiguous plane.  NumPy sums a block row by row, in order, each
+    row a pairwise sum over its ``bs`` columns — except when the plane
+    is one block wide: then each block is one contiguous run of
+    ``bs * bs`` values, summed pairwise as a whole.  Only float32 and
+    float64 are emulated; other dtypes go to NumPy's own reduction.
+    """
+    *lead, h, w = values.shape
+    bs = block_size
+    nby, nbx = h // bs, w // bs
+    if values.dtype not in (np.float32, np.float64):
+        return values.reshape(*lead, nby, bs, nbx, bs).sum(axis=(-3, -1))
+    # Every sum starts from NumPy's +0.0 identity (only the sign of a
+    # zero total could tell).
+    if nbx == 1:
+        run = _pairwise_sum(values.reshape(*lead, nby, bs * bs))
+        return (run + 0.0)[..., None]
+    rows = _pairwise_sum(values.reshape(*lead, nby, bs, nbx, bs))
+    total = rows[..., 0, :] + 0.0
+    for k in range(1, bs):
+        total += rows[..., k, :]
+    return total
+
+
 def block_match(
     current: np.ndarray,
     reference: np.ndarray,
@@ -187,32 +268,82 @@ def block_match(
 
     Returns integer motion vectors (2, nby, nbx) such that
     ``current[block] ~= reference[block + mv]`` (mv = (dy, dx)).
-    Planes are cropped to whole blocks; borders clamp.
+    Planes are cropped to whole blocks; borders clamp; planes holding
+    NaN or inf raise ``ValueError``.
+
+    Contract, for every finite input:
+
+    * a block's SAD is ``|current - reference|`` summed in NumPy's
+      order for ``reshape(nby, bs, nbx, bs).sum(axis=(1, 3))`` — see
+      :func:`block_sums`;
+    * its cost is ``sad + 0.01 * (abs(dy) + abs(dx)) * block_size``,
+      a slight zero-motion bias that stabilizes flat regions;
+    * the winner is the first least cost in (dy, dx) scan order, dy
+      outer, both from ``-search_range`` up; a block whose costs all
+      overflow to inf keeps (0, 0).
+
+    The search runs one block row at a time (narrow planes take a few
+    together, up to a fixed buffer budget) and covers every dx of one
+    dy in a single strided view, so working memory is
+    O((2r+1) * block_size * width + (2r+1)**2 * nbx) whatever the
+    frame height.
     """
     h, w = current.shape
-    nby, nbx = h // block_size, w // block_size
+    bs, r = block_size, search_range
+    nby, nbx = h // bs, w // bs
     if nby == 0 or nbx == 0:
-        raise ValueError(f"plane {h}x{w} smaller than block size {block_size}")
-    hc, wc = nby * block_size, nbx * block_size
-    cur = current[:hc, :wc]
-    padded_ref = np.pad(reference, search_range, mode="edge")
-
-    best_sad = np.full((nby, nbx), np.inf)
-    best_mv = np.zeros((2, nby, nbx), dtype=np.int64)
-    for dy in range(-search_range, search_range + 1):
-        for dx in range(-search_range, search_range + 1):
-            shifted = padded_ref[
-                search_range + dy : search_range + dy + hc,
-                search_range + dx : search_range + dx + wc,
-            ]
-            diff = np.abs(cur - shifted)
-            sad = diff.reshape(nby, block_size, nbx, block_size).sum(axis=(1, 3))
-            # Slight zero-motion bias stabilizes flat regions.
-            cost = sad + 0.01 * (abs(dy) + abs(dx)) * block_size
-            better = cost < best_sad
-            best_sad = np.where(better, cost, best_sad)
-            best_mv[0] = np.where(better, dy, best_mv[0])
-            best_mv[1] = np.where(better, dx, best_mv[1])
+        raise ValueError(f"plane {h}x{w} smaller than block size {bs}")
+    span = 2 * r + 1
+    hc, wc = nby * bs, nbx * bs
+    # The strided windows below read the padded reference unchecked.
+    if reference.ndim != 2 or reference.shape[0] < hc or reference.shape[1] < wc:
+        raise ValueError(
+            f"reference {reference.shape} does not cover the {h}x{w} plane"
+        )
+    if not (np.isfinite(current).all() and np.isfinite(reference).all()):
+        raise ValueError("block_match needs finite planes (found NaN or inf)")
+    padded_ref = np.pad(reference, r, mode="edge")
+    step_y, step_x = padded_ref.strides
+    # Narrow planes search several block rows per pass; the buffers
+    # stay within a fixed budget whatever the frame height.
+    band = max(1, min(nby, _MATCH_BUFFER // (span * bs * wc)))
+    dtype = np.result_type(current, padded_ref)
+    diff_buffer = np.empty((span, band * bs, wc), dtype)
+    # ``sad + bias`` keeps the dtype a NumPy sum plus a Python float has.
+    cost_dtype = np.result_type(diff_buffer[:0].sum(), 0.01)
+    bias = np.array(
+        [[0.01 * (abs(dy) + abs(dx)) * bs for dx in range(-r, r + 1)]
+         for dy in range(-r, r + 1)],
+        dtype=cost_dtype,
+    )[:, :, None, None]
+    cost_buffer = np.empty((span, span, band, nbx), cost_dtype)
+    best_mv = np.empty((2, nby, nbx), dtype=np.int64)
+    for first in range(0, nby, band):
+        rows = min(band, nby - first)
+        top, bottom = first * bs, (first + rows) * bs
+        cur_band = current[top:bottom, :wc]
+        diff = diff_buffer[:, : bottom - top]
+        costs = cost_buffer[:, :, :rows]
+        # windows[i, j] is the reference band at dy = i - r shifted by
+        # dx = j - r.  Copying a window into the buffer and subtracting
+        # in place runs about twice as fast as subtracting from the view.
+        windows = as_strided(
+            padded_ref[top:],
+            (span, span, bottom - top, wc),
+            (step_y, step_x, step_y, step_x),
+            writeable=False,
+        )
+        for i in range(span):
+            diff[...] = windows[i]
+            np.subtract(cur_band, diff, out=diff)
+            np.abs(diff, out=diff)
+            np.add(block_sums(diff, bs), bias[i], out=costs[i])
+        flat = costs.reshape(span * span, rows * nbx)
+        best = flat.argmin(axis=0)
+        best[np.isinf(flat[best, np.arange(rows * nbx)])] = r * span + r
+        dy, dx = np.divmod(best, span)
+        best_mv[0, first : first + rows] = (dy - r).reshape(rows, nbx)
+        best_mv[1, first : first + rows] = (dx - r).reshape(rows, nbx)
     return best_mv
 
 
