@@ -43,18 +43,17 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
 * **sweep** — grid throughput (jobs/s) of ``run_many`` per execution
   backend on a fixed 24-job classical RD grid: a cold standalone
   invocation (``inline`` — what every fleetless sweep pays), the
-  warm in-process loop (``inline_warm``), thread workers over the
-  in-memory queue, per-job-claim process workers (``cold_spawn``),
-  and bundled/warm/shared-frame process and HTTP workers.  Tracks
+  warm in-process loop (``inline_warm``), per-job-claim process
+  workers (``cold_spawn``), and bundled/warm/shared-frame process and
+  HTTP workers.  Tracks
   whether the distributed transport beats the standalone baseline
   (``x_vs_inline``) and how close it sits to the warm serial floor
   (``x_vs_inline_warm``).
 * **hardware** — hardware-analysis throughput (design points/s) of a
-  fixed NVCA geometry grid: the inline ``repro.hw.dse`` sweep vs the
-  same points through the task-typed work queue (``DSERunner``,
-  2 thread workers), with Pareto fronts asserted identical.  Tracks
-  the queue's per-point dispatch cost on sub-millisecond analytic
-  jobs.
+  fixed NVCA geometry grid through the inline ``repro.hw.dse`` sweep;
+  the same points drained once through the task-typed work queue
+  (``DSERunner``, in process) must give identical points and Pareto
+  front.
 
 The report lands in ``BENCH_codec.json`` (override with ``-o``): one
 entry per benchmark with per-stage milliseconds, plus speedup ratios
@@ -682,20 +681,6 @@ def bench_sweep(repeats: int) -> dict:
         "context": get_worker_context().stats(),
     }
 
-    reset_worker_context()
-    threads_s, result = _time(
-        lambda: SweepRunner(**grid, workers=2, bundle=bundle).run(), repeats
-    )
-    assert result.ok and len(result.reports) == num_jobs
-    report["queue_threads_x2"] = {
-        "seconds": threads_s,
-        "jobs_per_s": num_jobs / threads_s,
-        "x_vs_inline": serial_s / threads_s,
-        "x_vs_inline_warm": warm_s / threads_s,
-        "bundle": bundle,
-        "context": get_worker_context().stats(),
-    }
-
     def run_cold_queue():
         # the pre-bundling transport: one claim round-trip per job,
         # frames re-synthesized in every worker
@@ -770,7 +755,7 @@ def bench_hardware(repeats: int) -> dict:
         lambda: sweep_array_geometry(graph, geometries), repeats
     )
     specs = dse_grid("geometry", values=geometries, height=height, width=width)
-    queue_s, result = _time(lambda: DSERunner(specs, workers=2).run(), repeats)
+    result = DSERunner(specs, workers=0).run()
     assert result.ok and len(result.points) == num_points
     # same points, same frontier: the queue may cost time, never answers
     assert [p.to_dict() for p in result.points] == [
@@ -784,11 +769,6 @@ def bench_hardware(repeats: int) -> dict:
         "inline": {
             "seconds": inline_s,
             "points_per_s": num_points / inline_s,
-        },
-        "queue_threads_x2": {
-            "seconds": queue_s,
-            "points_per_s": num_points / queue_s,
-            "x_vs_inline": inline_s / queue_s,
         },
     }
 
@@ -910,7 +890,6 @@ def main(argv=None) -> int:
         for backend in (
             "inline",
             "inline_warm",
-            "queue_threads_x2",
             "cold_spawn",
             "queue_processes_x2",
             "queue_http_x2",
@@ -928,17 +907,11 @@ def main(argv=None) -> int:
 
         print("== hardware analysis (5-point NVCA geometry grid) ==")
         hardware = bench_hardware(repeats)
-        for backend in ("inline", "queue_threads_x2"):
-            row = hardware[backend]
-            extra = (
-                f"  x_vs_inline={row['x_vs_inline']:.2f}"
-                if "x_vs_inline" in row
-                else ""
-            )
-            print(
-                f"  {backend:20s} {row['seconds'] * 1e3:8.1f} ms "
-                f"{row['points_per_s']:6.1f} points/s{extra}"
-            )
+        row = hardware["inline"]
+        print(
+            f"  {'inline':20s} {row['seconds'] * 1e3:8.1f} ms "
+            f"{row['points_per_s']:6.1f} points/s"
+        )
     finally:
         unregister_entropy_backend("seed")
 

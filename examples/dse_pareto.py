@@ -3,8 +3,8 @@
 
 Builds one geometry x sparsity cross-product grid of NVCA design
 points (``dse_point_spec`` — custom grids are just spec lists), runs
-it on two execution backends — serial in-process and a 2-thread work
-queue — asserts the aggregated points *and* the Pareto front are
+it on two execution backends — serial in-process and 2 worker
+processes over a directory-backed work queue — asserts the aggregated points *and* the Pareto front are
 byte-identical, then prints the frontier table a designer would use
 to pick the paper's Pif = Pof = 12 / rho = 50% operating point.
 
@@ -14,6 +14,7 @@ Run: PYTHONPATH=src python examples/dse_pareto.py
 import json
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -55,15 +56,16 @@ def main() -> int:
           f"sparsity levels @ {WIDTH}x{HEIGHT} ===")
 
     serial = DSERunner(grid, workers=0).run()
-    threads = DSERunner(grid, workers=2).run()
-    assert serial.ok and threads.ok, (serial.failures, threads.failures)
-    assert canon(serial) == canon(threads), (
+    with tempfile.TemporaryDirectory() as queue_dir:
+        fleet = DSERunner(grid, queue_dir=queue_dir, workers=2).run()
+    assert serial.ok and fleet.ok, (serial.failures, fleet.failures)
+    assert canon(serial) == canon(fleet), (
         "serial and queued DSE sweeps must aggregate byte-identically"
     )
     assert [p.label for p in serial.pareto] == [
-        p.label for p in threads.pareto
+        p.label for p in fleet.pareto
     ]
-    print(f"backend parity: serial == {threads.workers}-thread queue "
+    print(f"backend parity: serial == {fleet.workers}-process queue "
           f"({len(serial.points)} points, byte-identical)\n")
 
     print("=== All design points (* = Pareto-optimal) ===")

@@ -1,9 +1,9 @@
 """Sharded RD sweeps: the work-queue executor end to end.
 
 A sweep is a (codec, config, scene) grid of JSON job specs.  This
-example runs the same grid three ways — serially, on thread workers
-over the in-memory queue, and on process workers over a
-directory-backed queue that survives worker death and host restarts —
+example runs the same grid three ways — serially, through the
+in-memory queue drained in this process, and on process workers over
+a directory-backed queue that survives worker death and host restarts —
 and shows that the aggregated RD curves are identical regardless of
 how the work was sharded.  See docs/distributed.md for the protocol.
 
@@ -40,8 +40,8 @@ def main():
     for report in serial:
         print(f"  {report.render()}")
 
-    print("\nSame grid on 3 worker threads (in-memory queue):")
-    result = SweepRunner(**GRID, workers=3, anchor="classical").run()
+    print("\nSame grid through the in-memory queue (drained in this process):")
+    result = SweepRunner(**GRID, workers=0, anchor="classical").run()
     print("  " + result.render().replace("\n", "\n  "))
 
     print("\nSame grid on 2 worker processes (directory-backed queue):")

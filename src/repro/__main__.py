@@ -14,9 +14,10 @@ Subcommands:
                    back to frames, reporting rate/quality; ``--output``
                    writes the reconstruction as raw YUV 4:2:0.
 * ``sweep``      — run a (codec, qp, scene) RD grid on the work-queue
-                   backend (``--workers N`` threads, processes with
+                   backend (``--workers N`` processes with
                    ``--queue-dir``, or HTTP worker processes against a
-                   ``repro serve`` daemon with ``--queue-url``;
+                   ``repro serve`` daemon with ``--queue-url``; an
+                   in-process drain otherwise;
                    ``--resume`` continues an interrupted sweep from
                    the same directory or server) and aggregate RD
                    curves + BD-rate vs ``--anchor``.
@@ -1111,8 +1112,8 @@ def main(argv=None) -> int:
     fleet = argparse.ArgumentParser(add_help=False)
     fleet.add_argument(
         "--workers", type=int, default=2,
-        help="worker count: 0 runs serially in-process; with --queue-dir "
-        "or --queue-url workers are processes, otherwise threads",
+        help="worker processes with --queue-dir or --queue-url; 0, or "
+        "neither flag, drains the queue in this process",
     )
     fleet.add_argument(
         "--queue-dir", default=None,

@@ -6,7 +6,8 @@ package is that seam made real.  Three layers, bottom up:
 
 * :mod:`~repro.pipeline.dist.queues` — the :class:`JobQueue`
   claim/lease/ack protocol with an in-memory implementation
-  (:class:`MemoryJobQueue`, thread workers) and a directory-backed one
+  (:class:`MemoryJobQueue`, drained in the runner's own process) and a
+  directory-backed one
   (:class:`DirectoryJobQueue`, atomic-rename claims; any number of
   worker processes, on one host or across hosts sharing a filesystem).
 * :mod:`~repro.pipeline.dist.worker` — the worker loop

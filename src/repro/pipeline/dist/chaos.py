@@ -38,7 +38,7 @@ concurrent workers the *assignment* of decisions to calls follows
 arrival order, but the budgets and the per-job cap bound the blast
 radius regardless of interleaving — which is what lets a chaos sweep
 guarantee completion and byte-identical aggregation no matter how the
-threads race.  Every fault fired is recorded in ``events`` /
+workers race.  Every fault fired is recorded in ``events`` /
 ``report()`` for assertions and post-mortems.
 
 The ``"chaos-poison"`` task kind (:func:`register_poison_task` /
@@ -204,6 +204,15 @@ class ChaosQueue:
         return self.inner.submit(spec, job_id=job_id)
 
     def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
+        jobs = self.claim_batch(worker_id, lease_seconds=lease_seconds)
+        return jobs[0] if jobs else None
+
+    def claim_batch(
+        self, worker_id: str, *, lease_seconds: float, limit: int = 1
+    ) -> list[Job]:
+        # Explicit wrapper (not __getattr__ delegation) so every claim
+        # stays inside the fault plan: the theft/delay faults fire once
+        # per claim round-trip, whatever its size.
         if self.plan.take("lease-theft", "claim"):
             stolen = self.inner.claim(
                 "chaos-thief",
@@ -223,37 +232,9 @@ class ChaosQueue:
             import time as _time
 
             _time.sleep(self.plan.delay_seconds)
-        return self.inner.claim(worker_id, lease_seconds=lease_seconds)
-
-    def claim_batch(
-        self, worker_id: str, *, lease_seconds: float, limit: int = 1
-    ) -> list[Job]:
-        # Explicit wrapper (not __getattr__ delegation) so bundled
-        # claims stay inside the fault plan: the same theft/delay
-        # faults fire once per bundle claim, exactly as for ``claim``.
-        if self.plan.take("lease-theft", "claim"):
-            stolen = self.inner.claim(
-                "chaos-thief",
-                lease_seconds=self.plan.theft_lease_seconds,
-            )
-            if stolen is not None:
-                self.plan.events.append(
-                    {
-                        "fault": "lease-theft",
-                        "op": "claim",
-                        "job_id": stolen.job_id,
-                    }
-                )
-        if self.plan.take("claim-delay", "claim"):
-            import time as _time
-
-            _time.sleep(self.plan.delay_seconds)
-        if hasattr(self.inner, "claim_batch"):
-            return self.inner.claim_batch(
-                worker_id, lease_seconds=lease_seconds, limit=limit
-            )
-        job = self.inner.claim(worker_id, lease_seconds=lease_seconds)
-        return [] if job is None else [job]
+        return self.inner.claim_batch(
+            worker_id, lease_seconds=lease_seconds, limit=limit
+        )
 
     def ack(
         self, job_id: str, result: dict, *, worker_id: str | None = None
@@ -401,9 +382,10 @@ class CrashPlan:
 
     Wire it into a worker with
     ``run_worker(queue, checkpoint=crash_plan.checkpoint)`` or let
-    :class:`~repro.pipeline.dist.sweep.QueueRunner` pass it to every
-    thread worker it spawns (``checkpoint=...``).  The recovery path
-    each stage exercises:
+    :class:`~repro.pipeline.dist.sweep.QueueRunner` pass it to its
+    in-process drain (``checkpoint=...``; it replaces each worker the
+    plan kills, at any ``workers`` count).  The recovery path each
+    stage exercises:
 
     * ``after-claim`` — died holding an untouched lease: expiry +
       reap re-runs the job from scratch.
@@ -492,7 +474,8 @@ def register_poison_task() -> None:
     and expired leases.  Quarantining it is the
     :class:`~repro.pipeline.dist.sweep.QueueRunner` circuit breaker's
     job.  Call this in any process that might *claim* a poison job
-    (thread-worker fleets inherit the registration from their parent).
+    (the runner's in-process drain shares the caller's registration;
+    forked worker processes inherit it).
     """
     from repro.pipeline.tasks import register_task
 

@@ -154,17 +154,9 @@ def _ep_claim(server: "QueueServer", body: dict) -> dict:
         # Bundle claim: one request, up to ``batch`` jobs, one shared
         # lease deadline.  ``"job"`` carries the first job so an old
         # client pointed at a new server still works.
-        if hasattr(server.queue, "claim_batch"):
-            jobs = server.queue.claim_batch(
-                worker_id, lease_seconds=lease_seconds, limit=batch
-            )
-        else:  # custom backing queue without bundling: loop single claims
-            jobs = []
-            while len(jobs) < batch:
-                job = server.queue.claim(worker_id, lease_seconds=lease_seconds)
-                if job is None:
-                    break
-                jobs.append(job)
+        jobs = server.queue.claim_batch(
+            worker_id, lease_seconds=lease_seconds, limit=batch
+        )
         documents = [
             {"job_id": j.job_id, "spec": j.spec, "attempts": j.attempts}
             for j in jobs
@@ -185,8 +177,7 @@ def _ep_ack(server: "QueueServer", body: dict) -> dict:
         dict(body["result"]),
         worker_id=None if worker_id is None else str(worker_id),
     )
-    # a pre-stale-ack custom queue may return None; that meant accepted
-    return {"accepted": True if accepted is None else bool(accepted)}
+    return {"accepted": bool(accepted)}
 
 
 def _ep_fail(server: "QueueServer", body: dict) -> dict:
@@ -204,15 +195,11 @@ def _ep_attempts(server: "QueueServer", body: dict) -> dict:
         # the runner's poison breaker costs O(1) requests per check
         # instead of one per unfinished job.
         ids = [j for j in str(body["job_ids"]).split(",") if j]
-        if not hasattr(server.queue, "attempts"):
-            return {"attempts_map": {job_id: 0 for job_id in ids}}
         return {
             "attempts_map": {
                 job_id: int(server.queue.attempts(job_id)) for job_id in ids
             }
         }
-    if not hasattr(server.queue, "attempts"):
-        return {"attempts": 0}  # custom queue without the counter
     return {"attempts": int(server.queue.attempts(str(body["job_id"])))}
 
 
@@ -258,16 +245,7 @@ def _ep_finished(server: "QueueServer", body: dict) -> dict:
 def _ep_results(server: "QueueServer", body: dict) -> dict:
     after = body.get("after") or None
     limit = int(body.get("limit", 100))
-    if hasattr(server.queue, "results_page"):
-        page, cursor = server.queue.results_page(after=after, limit=limit)
-    else:  # custom queue without pagination: slice its full dict
-        everything = server.queue.results()
-        ids = sorted(
-            job_id for job_id in everything
-            if after is None or job_id > after
-        )[:limit]
-        page = {job_id: everything[job_id] for job_id in ids}
-        cursor = ids[-1] if ids else None
+    page, cursor = server.queue.results_page(after=after, limit=limit)
     return {"results": page, "next": cursor}
 
 
@@ -276,31 +254,14 @@ def _ep_failures(server: "QueueServer", body: dict) -> dict:
 
 
 def _ep_failure_details(server: "QueueServer", body: dict) -> dict:
-    if hasattr(server.queue, "failure_details"):
-        return {"failures": dict(server.queue.failure_details())}
-    # custom queue predating the dead-letter ledger: degrade to errors
-    return {
-        "failures": {
-            job_id: {"error": error, "attempts": 0, "spec": {}}
-            for job_id, error in server.queue.failures().items()
-        }
-    }
+    return {"failures": dict(server.queue.failure_details())}
 
 
 def _ep_retry(server: "QueueServer", body: dict) -> dict:
-    if not hasattr(server.queue, "retry"):
-        raise ValueError(
-            f"backend {type(server.queue).__name__} does not support retry"
-        )
     return {"retried": bool(server.queue.retry(str(body["job_id"])))}
 
 
 def _ep_quarantine(server: "QueueServer", body: dict) -> dict:
-    if not hasattr(server.queue, "quarantine"):
-        raise ValueError(
-            f"backend {type(server.queue).__name__} does not support "
-            "quarantine"
-        )
     return {
         "quarantined": bool(
             server.queue.quarantine(
@@ -660,7 +621,7 @@ class HttpJobQueue:
     request) was lost, a lease is orphaned server-side and recovered
     by normal expiry.  All other verbs are idempotent by protocol.
 
-    A 200 response whose body is not valid JSON raises
+    A 200 response whose body is not valid JSON (or not UTF-8) raises
     :class:`HttpQueueError` immediately (no retry: the server already
     executed the request, and blind re-execution of a ``claim`` would
     double-lease) — a garbling middlebox surfaces as a clean typed
@@ -812,7 +773,7 @@ class HttpJobQueue:
                     return raw.decode("utf-8", "replace")
                 try:
                     return json.loads(raw) if raw else {}
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # bad JSON or bad UTF-8
                     # The server answered 200 but the body is damaged.
                     # No retry: the request already executed server-side
                     # and re-running a claim would double-lease.
@@ -822,7 +783,7 @@ class HttpJobQueue:
                     ) from exc
             try:
                 document = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
+            except ValueError:  # bad JSON or bad UTF-8
                 document = {"error": raw.decode("utf-8", "replace")}
             detail = document.get("error", repr(raw[:200]))
             raise HttpQueueError(

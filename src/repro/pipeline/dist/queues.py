@@ -14,8 +14,10 @@ caveats) are specified in ``docs/distributed.md``.
 Two implementations share the :class:`JobQueue` protocol:
 
 * :class:`MemoryJobQueue` — a ``threading.Lock``-guarded in-process
-  queue.  Workers are threads; this is what serial execution and the
-  fast tests use.
+  queue.  Its workers run in the submitting process (the runner's
+  in-process drain); this is what serial execution and the fast tests
+  use.  The lock stays: ``repro serve`` shares one queue between its
+  HTTP handler threads.
 * :class:`DirectoryJobQueue` — a filesystem-backed queue: every job is
   one JSON file that moves between ``pending/``, ``claimed/``,
   ``done/`` and ``failed/`` subdirectories via atomic ``os.rename``.
@@ -123,8 +125,11 @@ class JobQueue(Protocol):
       *rejected*: ``ack`` returns ``False``, the existing state is
       untouched, and nothing double-aggregates.  Rejection is clean,
       never an exception, so a straggler worker just moves on.
-    * ``fail`` records an error; the job returns to pending until it
-      has been attempted ``max_attempts`` times, then dead-letters.
+    * ``fail`` records an error on a claimed job; the job returns to
+      pending until it has been attempted ``max_attempts`` times, then
+      dead-letters.  A **stale** ``fail`` — the job is not claimed
+      (reaped, finished, or never handed out) — is ignored, so a late
+      report can never bump attempts or requeue a job twice.
     * ``reap_expired`` requeues every claimed job whose lease deadline
       passed (the crashed-worker recovery path).
     * ``attempts`` reads one job's attempt counter: how many times it
@@ -132,7 +137,7 @@ class JobQueue(Protocol):
       both bump it, whoever triggers them).  Monotonic until ``retry``
       resets it — which makes it the poison-job circuit breaker's
       evidence: the runner can see a job churning through workers even
-      when worker threads win every ``reap_expired`` race.
+      when workers win every ``reap_expired`` race.
     * ``results_page`` reads one lexicographic page of completed
       results after a cursor, so huge grids drain incrementally
       instead of materializing every payload at once (``results`` is
@@ -190,10 +195,11 @@ class JobQueue(Protocol):
 class MemoryJobQueue:
     """In-process :class:`JobQueue`: a lock, four dicts, no I/O.
 
-    Workers against this queue are necessarily threads of the
-    submitting process; the codec hot loops live in NumPy, so thread
-    workers still overlap usefully.  Used by ``repro sweep --workers N``
-    when no ``--queue-dir`` is given, and by the fast tests.
+    Workers against this queue live in the submitting process: the
+    runner drains it there.  Used by ``repro sweep`` when neither
+    ``--queue-dir`` nor ``--queue-url`` is given, by ``repro serve``
+    without ``--queue-dir`` (its HTTP handler threads share the queue,
+    which is why the lock stays), and by the fast tests.
     """
 
     def __init__(self, *, max_attempts: int = 3):
@@ -220,15 +226,8 @@ class MemoryJobQueue:
         return job_id
 
     def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        with self._lock:
-            if not self._pending:
-                return None
-            job_id = self._pending.pop(0)
-            self._claimed[job_id] = (
-                _sanitize(worker_id),
-                time.monotonic() + lease_seconds,
-            )
-            return Job(job_id, dict(self._specs[job_id]), self._attempts[job_id])
+        jobs = self.claim_batch(worker_id, lease_seconds=lease_seconds)
+        return jobs[0] if jobs else None
 
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
@@ -270,9 +269,8 @@ class MemoryJobQueue:
 
     def fail(self, job_id: str, error: str) -> None:
         with self._lock:
-            self._claimed.pop(job_id, None)
-            if job_id in self._done:
-                return
+            if self._claimed.pop(job_id, None) is None:
+                return  # stale: reaped, finished, or never claimed
             self._attempts[job_id] = self._attempts.get(job_id, 0) + 1
             if self._attempts[job_id] >= self.max_attempts:
                 self._failed[job_id] = error
@@ -517,28 +515,8 @@ class DirectoryJobQueue:
         )
 
     def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        worker_id = _sanitize(worker_id)
-        for name in sorted(os.listdir(self._dir("pending"))):
-            if not name.endswith(".json") or ".tmp." in name:
-                continue
-            parsed = self._parse_pending(name)
-            if parsed is None:
-                continue  # junk file; warned, skip, keep scanning
-            job_id, attempts = parsed
-            deadline_ms = int((time.time() + lease_seconds) * 1000)
-            target = os.path.join(
-                self._dir("claimed"),
-                f"{job_id}{_SEP}{attempts}{_SEP}{deadline_ms}{_SEP}"
-                f"{worker_id}.json",
-            )
-            try:
-                os.rename(os.path.join(self._dir("pending"), name), target)
-            except FileNotFoundError:
-                continue  # lost the race; try the next pending job
-            with open(target, "r", encoding="utf-8") as handle:
-                spec = json.load(handle)
-            return Job(job_id, spec, int(attempts))
-        return None
+        jobs = self.claim_batch(worker_id, lease_seconds=lease_seconds)
+        return jobs[0] if jobs else None
 
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1

@@ -2,12 +2,12 @@
 
 :class:`QueueRunner` is the generic driver: submit job specs with
 content-derived ids to a
-:class:`~repro.pipeline.dist.queues.JobQueue`, run a worker fleet
-(inline, threads, or processes — chosen by the queue type and
-``workers``), requeue expired leases while waiting, and hand the
-terminal payloads to a subclass's ``_aggregate``.  Two aggregations
-ship: :class:`SweepRunner` here (RD curves + BD-rate, behind
-``run_many(backend="queue")`` and ``repro sweep``) and
+:class:`~repro.pipeline.dist.queues.JobQueue`, run the workers —
+worker processes for a queue other processes can reach, otherwise a
+drain in this process — requeue expired leases while waiting, and
+hand the terminal payloads to a subclass's ``_aggregate``.  Two
+aggregations ship: :class:`SweepRunner` here (RD curves + BD-rate,
+behind ``run_many(backend="queue")`` and ``repro sweep``) and
 :class:`~repro.pipeline.dse.DSERunner` (design-point tables + Pareto
 fronts, behind ``repro dse``).
 
@@ -29,7 +29,8 @@ Failure tolerance: a worker that dies mid-job loses its lease and the
 job is retried elsewhere (``max_attempts`` total tries); a job whose
 spec itself is broken dead-letters with its traceback into
 ``SweepResult.failures`` instead of sinking the sweep.  Dead workers
-— processes *or* threads — are respawned while work remains.
+— worker processes *or* the in-process drain — are replaced while
+work remains, from one respawn budget.
 
 Integrity and poison handling (this runner is the last line of
 defense before aggregation):
@@ -56,7 +57,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +80,12 @@ __all__ = [
 #: hard cap on crashed-worker replacements, so a fleet whose workers
 #: die on arrival (bad interpreter, OOM box) fails instead of flapping.
 _MAX_RESPAWNS = 16
+
+
+def _count_respawn() -> None:
+    get_registry().counter(
+        "repro_runner_respawns_total", "dead workers replaced by the babysitter"
+    ).inc()
 
 
 def job_id_for_spec(index: int, spec: dict) -> str:
@@ -213,12 +219,9 @@ class QueueRunner:
     the normalized job specs and an ``_aggregate(results, failures,
     elapsed)`` that folds terminal payloads into their result type.
 
-    Execution backend, chosen by ``queue``/``queue_dir``/``workers``:
+    ``workers`` is the number of worker processes, and only a queue
+    other processes can reach gets them:
 
-    * ``workers=0`` — serial: this process drains the queue inline
-      (deterministic scheduling; the parity baseline).
-    * ``MemoryJobQueue`` (default) — ``workers`` threads of this
-      process.
     * ``DirectoryJobQueue`` (pass ``queue_dir`` or a queue instance) —
       ``workers`` local child processes; additional processes on other
       hosts may attach to the same directory with
@@ -229,6 +232,11 @@ class QueueRunner:
       server over the wire; remote hosts join the same fleet with
       ``repro worker --queue-url``.  Results drain incrementally
       through the paginated ``results`` endpoint as jobs finish.
+    * everything else — ``workers=0``, a ``MemoryJobQueue`` (the
+      default), a ``ChaosQueue`` proxy, any other queue object — drains
+      in this process (deterministic scheduling; the parity baseline).
+      ``self.workers`` reads 0 there, and so does the result's
+      ``workers``: it counts the processes that ran.
 
     ``lease_seconds`` must comfortably exceed the slowest single job:
     an expired lease is treated as a dead worker and the job re-runs
@@ -257,9 +265,9 @@ class QueueRunner:
     *recoverable* job can accumulate (worker crashes plus injected
     faults under chaos testing reach three).  ``job_timeout_seconds`` arms the per-job
     watchdog in every worker this runner spawns; ``checkpoint`` is the
-    fault-injection seam passed to thread workers and the serial
-    worker (a :class:`~repro.pipeline.dist.chaos.CrashPlan` hook —
-    not picklable, so process fleets ignore it).
+    fault-injection seam passed to the in-process drain (a
+    :class:`~repro.pipeline.dist.chaos.CrashPlan` hook — not
+    picklable, so process fleets ignore it).
     """
 
     def __init__(
@@ -282,13 +290,6 @@ class QueueRunner:
         if queue is not None and queue_dir is not None:
             raise ValueError("pass queue or queue_dir, not both")
         self.specs = list(specs)
-        if bundle == "auto":
-            bundle = auto_bundle(len(self.specs), workers)
-        if not isinstance(bundle, int) or isinstance(bundle, bool) or bundle < 1:
-            raise ValueError(
-                f"bundle must be a positive int or 'auto', got {bundle!r}"
-            )
-        self.bundle = bundle
         if queue is None:
             queue = (
                 DirectoryJobQueue(queue_dir, max_attempts=max_attempts)
@@ -296,18 +297,27 @@ class QueueRunner:
                 else MemoryJobQueue(max_attempts=max_attempts)
             )
         self.queue = queue
+        # Worker processes need a queue they can reach; any other queue
+        # drains in this process.
+        if not isinstance(queue, (DirectoryJobQueue, HttpJobQueue)):
+            workers = 0
         self.workers = workers
+        if bundle == "auto":
+            bundle = auto_bundle(len(self.specs), workers)
+        if not isinstance(bundle, int) or isinstance(bundle, bool) or bundle < 1:
+            raise ValueError(
+                f"bundle must be a positive int or 'auto', got {bundle!r}"
+            )
+        self.bundle = bundle
         self.lease_seconds = lease_seconds
         self.poison_threshold = poison_threshold
         self.job_timeout_seconds = job_timeout_seconds
         self.checkpoint = checkpoint
         if share_frames is None:
             # Auto: worth a segment only when workers live in *other*
-            # processes (thread fleets and serial drains already share
-            # this process's warm cache).
-            share_frames = workers > 0 and isinstance(
-                self.queue, (DirectoryJobQueue, HttpJobQueue)
-            )
+            # processes (the in-process drain already shares this
+            # process's warm cache).
+            share_frames = workers > 0
         self.share_frames = bool(share_frames)
         #: segment names this runner published (reclaimed in run()).
         self._shm_names: list[str] = []
@@ -425,20 +435,22 @@ class QueueRunner:
         process.start()
         return process
 
-    def _thread_body(self, index: int) -> None:
-        """One thread worker, with simulated deaths contained.
+    def _drain_inline(self, index: int) -> None:
+        """Drain the queue with a worker in this process, its death
+        contained.
 
         An :class:`~repro.pipeline.dist.chaos.InjectedCrash` (from a
         crash plan's checkpoint or a poison job) and a transport error
         that escapes the worker loop both mean the same thing a dead
         process means — this worker is gone, its lease will expire,
-        the respawn loop owns replacement.  Containing them here keeps
-        a *simulated* death from spraying a traceback over the run.
+        the babysitter in :meth:`run` owns replacement.  Containing
+        them here keeps a *simulated* death from spraying a traceback
+        over the run.
         """
         try:
             run_worker(
                 self.queue,
-                f"sweep-t{index}",
+                f"sweep-inline{index}",
                 lease_seconds=self.lease_seconds,
                 checkpoint=self.checkpoint,
                 job_timeout_seconds=self.job_timeout_seconds,
@@ -446,13 +458,6 @@ class QueueRunner:
             )
         except (InjectedCrash, HttpQueueError):
             pass  # worker died; lease recovery + respawn take over
-
-    def _spawn_thread(self, index: int):
-        thread = threading.Thread(
-            target=self._thread_body, args=(index,), daemon=True
-        )
-        thread.start()
-        return thread
 
     def _admit(self, job_id: str, doc: dict) -> None:
         """Verify one drained result's checksum; admit the stripped
@@ -499,8 +504,6 @@ class QueueRunner:
         from submission order — so a job that finishes late but sorts
         early is never skipped.
         """
-        if not hasattr(self.queue, "results_page"):
-            return  # custom queue predating pagination: full read later
         cursor = self._results_cursor
         while True:
             page, last = self.queue.results_page(
@@ -522,15 +525,9 @@ class QueueRunner:
 
     def _load_finished(self) -> tuple[dict[str, dict], dict[str, str]]:
         """Terminal payloads for this sweep's jobs (final drain of the
-        incremental cache, or a one-time full read for queues without
-        ``results_page``)."""
+        incremental cache)."""
         wanted = set(self.job_ids)
-        if hasattr(self.queue, "results_page"):
-            self._drain_results()
-        else:
-            for job_id, doc in self.queue.results().items():
-                if job_id in wanted:
-                    self._admit(job_id, doc)
+        self._drain_results()
         results = {
             k: v for k, v in self._drained.items() if k in wanted
         }
@@ -544,8 +541,8 @@ class QueueRunner:
 
     def _poison_attempts(self, job_id: str) -> int:
         """The breaker's evidence for one job: the queue's monotonic
-        attempt counter when the queue exposes it, else the runner's
-        own count of reaps it happened to win.
+        attempt counter, or the runner's own count of reaps it happened
+        to win if that is higher.
 
         The queue-side counter is the reliable source — idle workers
         race the runner for ``reap_expired`` and systematically win it
@@ -554,12 +551,9 @@ class QueueRunner:
         runner that only counts its *own* reaps can watch a poison job
         kill the entire fleet while observing zero expiries.
         """
-        if hasattr(self.queue, "attempts"):
-            return max(
-                self.queue.attempts(job_id),
-                self._lease_expiries.get(job_id, 0),
-            )
-        return self._lease_expiries.get(job_id, 0)
+        return max(
+            self.queue.attempts(job_id), self._lease_expiries.get(job_id, 0)
+        )
 
     def _break_poison_jobs(self) -> None:
         """The poison-job circuit breaker.
@@ -580,8 +574,6 @@ class QueueRunner:
         upgraded to quarantined, so the diagnosis reads the same
         whichever race was won.
         """
-        if not hasattr(self.queue, "quarantine"):
-            return
         wanted = set(self.job_ids)
         unfinished = sorted(wanted - self.queue.finished_ids())
         counts: dict[str, int] | None = None
@@ -626,8 +618,6 @@ class QueueRunner:
         circuit breaker's backstop — reachable only when every worker
         died *and* the respawn budget is spent, i.e. something is
         systematically killing workers faster than one poison job)."""
-        if not hasattr(self.queue, "quarantine"):
-            return
         finished = self.queue.finished_ids()
         for job_id in sorted(wanted - finished):
             if job_id in self.quarantined:
@@ -653,24 +643,12 @@ class QueueRunner:
         if not self.job_ids:
             self.submit()
         start = time.monotonic()
-        use_processes = isinstance(
-            self.queue, (DirectoryJobQueue, HttpJobQueue)
-        )
-        fleet: list = []
-        spawned = 0
-        spawn = self._spawn_process if use_processes else self._spawn_thread
-        if self.workers == 0:
-            run_worker(
-                self.queue,
-                "sweep-serial",
-                lease_seconds=self.lease_seconds,
-                checkpoint=self.checkpoint,
-                job_timeout_seconds=self.job_timeout_seconds,
-                bundle=self.bundle,
-            )
-        else:
-            fleet = [spawn(i) for i in range(self.workers)]
-            spawned = self.workers
+        fleet = [self._spawn_process(i) for i in range(self.workers)]
+        if not fleet:
+            self._drain_inline(0)
+        # workers started so far: processes, or in-process drains
+        spawned = len(fleet) or 1
+        budget = spawned + _MAX_RESPAWNS
         wanted = set(self.job_ids)
         # Poison evidence only changes on lease-expiry/claim timescales,
         # so the breaker runs on its own (slower) cadence — polling it
@@ -701,39 +679,33 @@ class QueueRunner:
                     progress(self.queue.stats())
                 if wanted <= self.queue.finished_ids():
                     break
-                if self.workers > 0:
-                    # Babysit the fleet: join the dead, respawn while
-                    # work remains and the respawn budget holds (threads
-                    # die too now — injected crashes, poison jobs).
-                    stats = self.queue.stats()
-                    alive = 0
-                    for i, worker in enumerate(fleet):
-                        if worker.is_alive():
-                            alive += 1
-                            continue
-                        worker.join()
-                        if (
-                            stats.pending + stats.claimed > 0
-                            and spawned < self.workers + _MAX_RESPAWNS
-                        ):
-                            fleet[i] = spawn(spawned)
-                            spawned += 1
-                            alive += 1
-                            get_registry().counter(
-                                "repro_runner_respawns_total",
-                                "dead workers replaced by the babysitter",
-                            ).inc()
-                    if (
-                        alive == 0
-                        and stats.pending + stats.claimed > 0
-                        and spawned >= self.workers + _MAX_RESPAWNS
-                    ):
-                        # Fleet exhausted: every worker is dead and the
-                        # respawn budget is spent, so the remaining jobs
-                        # can never run.  Quarantine them (terminal) so
-                        # the sweep ends with an honest dead-letter
-                        # record instead of spinning forever.
-                        self._quarantine_unrunnable(wanted)
+                # Babysit: join the dead, respawn while work remains and
+                # the respawn budget holds.  The in-process drain only
+                # gets here dead (it returns once the queue is drained).
+                stats = self.queue.stats()
+                remaining = stats.pending + stats.claimed > 0
+                alive = 0
+                for i, worker in enumerate(fleet):
+                    if worker.is_alive():
+                        alive += 1
+                        continue
+                    worker.join()
+                    if remaining and spawned < budget:
+                        fleet[i] = self._spawn_process(spawned)
+                        spawned += 1
+                        alive += 1
+                        _count_respawn()
+                if not fleet and remaining and spawned < budget:
+                    _count_respawn()
+                    self._drain_inline(spawned)
+                    spawned += 1
+                elif alive == 0 and remaining and spawned >= budget:
+                    # Fleet exhausted: every worker is dead and the
+                    # respawn budget is spent, so the remaining jobs
+                    # can never run.  Quarantine them (terminal) so
+                    # the sweep ends with an honest dead-letter
+                    # record instead of spinning forever.
+                    self._quarantine_unrunnable(wanted)
                 time.sleep(poll_seconds)
         finally:
             for worker in fleet:

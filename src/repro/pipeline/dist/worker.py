@@ -8,12 +8,14 @@ without a ``"kind"`` field is an encode job — every pre-task-typing
 spec still runs), and acks the resulting document.  All coordination —
 retries, lease recovery, result aggregation — lives in the queue and
 the :class:`~repro.pipeline.dist.sweep.SweepRunner`, so the same loop
-body serves every deployment shape: inline (serial execution), threads
-over a :class:`~repro.pipeline.dist.queues.MemoryJobQueue`, local
-processes over a :class:`~repro.pipeline.dist.queues.DirectoryJobQueue`,
-or processes on other hosts pointed at a shared queue directory (run
-:func:`worker_entry` there).  One fleet can drain a mixed queue —
-encode sweeps, hardware analyses, and DSE grids interleave freely.
+body serves every deployment shape: a drain inside the runner's own
+process (any queue, e.g. a
+:class:`~repro.pipeline.dist.queues.MemoryJobQueue`), local processes
+over a :class:`~repro.pipeline.dist.queues.DirectoryJobQueue` or an
+HTTP queue, or processes on other hosts pointed at a shared queue
+directory (run :func:`worker_entry` there).  One fleet can drain a
+mixed queue — encode sweeps, hardware analyses, and DSE grids
+interleave freely.
 
 A job that raises is ``fail()``-ed with its traceback and will be
 retried by whoever claims it next, up to the queue's ``max_attempts``;
@@ -196,22 +198,6 @@ def _execute_with_watchdog(execute, job: Job, timeout_seconds: float):
     return outcome["result"]
 
 
-def _claim_bundle(
-    queue: JobQueue, worker_id: str, lease_seconds: float, want: int
-) -> list[Job]:
-    """Claim up to ``want`` jobs — one queue round-trip when the queue
-    supports bundling, a plain single claim otherwise (a custom queue
-    predating ``claim_batch`` keeps working, just unamortized)."""
-    if want > 1 and hasattr(queue, "claim_batch"):
-        return list(
-            queue.claim_batch(
-                worker_id, lease_seconds=lease_seconds, limit=want
-            )
-        )
-    job = queue.claim(worker_id, lease_seconds=lease_seconds)
-    return [] if job is None else [job]
-
-
 def run_worker(
     queue: JobQueue,
     worker_id: str | None = None,
@@ -256,8 +242,6 @@ def run_worker(
     *bundle's* wall clock, not one job's).  Acks stay per-job, so a
     worker dying after acking job *k* of N strands only the unacked
     remainder, recovered by lease expiry like any dead worker's claim.
-    On a queue without ``claim_batch`` the worker degrades to single
-    claims.
 
     Acks carry this worker's id, so a straggler whose lease was reaped
     and whose job was re-run elsewhere gets a clean stale-ack rejection
@@ -301,7 +285,9 @@ def run_worker(
             if max_jobs is None
             else max(1, min(bundle, max_jobs - completed))
         )
-        jobs = _claim_bundle(queue, worker_id, lease_seconds, want)
+        jobs = queue.claim_batch(
+            worker_id, lease_seconds=lease_seconds, limit=want
+        )
         registry.counter(
             "repro_worker_claims_total", "claim round-trips by outcome"
         ).inc(outcome="claimed" if jobs else "empty")

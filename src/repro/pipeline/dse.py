@@ -5,8 +5,9 @@ makes those same points shardable.  A DSE grid is a list of
 ``"dse-point"`` job specs (:func:`dse_grid` / :func:`dse_point_spec`
 build them, validated up front through :mod:`repro.pipeline.tasks`),
 :class:`DSERunner` runs them on any
-:class:`~repro.pipeline.dist.JobQueue` — serial, thread workers, or
-worker processes sharing a queue directory, with ``--resume`` — and
+:class:`~repro.pipeline.dist.JobQueue` — drained in this process, or
+by worker processes sharing a queue directory or a ``repro serve``
+daemon, with ``--resume`` — and
 aggregates into a :class:`DSEResult`: the
 :class:`~repro.hw.DesignPoint` table in submission order plus its
 :func:`~repro.hw.pareto_front`, byte-identical between serial and any

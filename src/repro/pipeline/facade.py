@@ -680,10 +680,11 @@ def run_many(
       easiest debugging.
     * ``"queue"`` — the work-queue backend
       (:class:`repro.pipeline.dist.SweepRunner`): ``workers`` worker
-      threads (in-memory queue) or processes (pass ``queue_dir`` for
-      the directory-backed queue, which other hosts can join and
-      ``repro sweep --resume`` can continue, or ``queue_url`` to run
-      the grid through a ``repro serve`` daemon over HTTP).  Dead
+      processes over the directory-backed queue (pass ``queue_dir``;
+      other hosts can join it and ``repro sweep --resume`` can
+      continue it) or through a ``repro serve`` daemon over HTTP (pass
+      ``queue_url``); without either, the in-memory queue drains in
+      this process whatever ``workers`` says.  Dead
       workers lose their lease and their jobs are retried up to
       ``max_attempts`` times; ``bundle`` (a size, or ``"auto"``) claims
       jobs in batches and ``share_frames`` ships frame buffers over

@@ -11,8 +11,8 @@ job-queue machinery:
   ``"ladder-rendition"`` task specs (registered in
   :mod:`repro.pipeline.tasks`), one job per rung.
 * :class:`LadderRunner` — a :class:`~repro.pipeline.dist.QueueRunner`
-  that fans the rungs out over any queue backend (threads, directory,
-  HTTP fleet) and folds the results into a :class:`LadderReport`.
+  that fans the rungs out over any queue backend (in-process drain,
+  directory or HTTP worker processes) and folds the results into a :class:`LadderReport`.
 * :class:`RenditionReport` / :class:`LadderReport` — typed results:
   achieved kbps, overshoot %, budget violations per rung.
 

@@ -11,8 +11,8 @@ backends, :mod:`repro.codec.entropy`).
 Note on distribution: sweep workers in other *processes* resolve codec
 names against their own copy of this registry, so a custom codec must
 be registered at import time of a module the worker also imports —
-runtime registrations only propagate to thread workers and, under the
-``fork`` start method, to process pools (see ``docs/distributed.md``).
+runtime registrations only reach the runner's in-process drain and,
+under the ``fork`` start method, worker processes (see ``docs/distributed.md``).
 
 >>> from repro.pipeline import available_codecs, create_codec
 >>> available_codecs()

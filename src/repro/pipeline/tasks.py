@@ -28,7 +28,7 @@ queue — and canonicalize it so content-derived job ids are stable),
 :func:`repro.pipeline.dist.run_worker` runs), and ``hydrate`` (result
 document back to a typed report on the aggregating side).  Custom kinds
 plug in with :func:`register_task`; like codec and platform
-registrations, runtime registrations propagate to thread workers and
+registrations, runtime registrations reach the in-process drain and
 ``fork``-start processes only (``docs/distributed.md``).
 
 >>> from repro.pipeline import available_tasks

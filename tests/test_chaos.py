@@ -18,6 +18,7 @@ from repro.pipeline.dist import (
     CrashPlan,
     DirectoryJobQueue,
     HttpJobQueue,
+    HttpQueueError,
     InjectedCrash,
     JobQueue,
     MemoryJobQueue,
@@ -29,6 +30,7 @@ from repro.pipeline.dist import (
     run_worker,
     verify_result_checksum,
 )
+from repro.obs.metrics import get_registry
 
 SCENE = {"height": 32, "width": 48, "frames": 2}
 
@@ -178,9 +180,9 @@ class TestMidBundleCrash:
 
     def _bundled_crash_run(self, queue, serial_curves):
         crash = CrashPlan(mid_bundle=(0,))
-        # the empty-plan ChaosQueue keeps workers in-process (threads),
-        # which is what lets the crash checkpoint reach them — same
-        # trick the chaos parity suite uses
+        # the empty-plan ChaosQueue drains in the runner's process,
+        # which is what lets the crash checkpoint reach the worker —
+        # same trick the chaos parity suite uses
         runner = SweepRunner(
             _specs(),
             queue=ChaosQueue(queue, ChaosPlan()),
@@ -210,6 +212,29 @@ class TestMidBundleCrash:
     def test_http_queue_recovers_mid_bundle_crash(self, serial_curves):
         with QueueServer(MemoryJobQueue(max_attempts=8)) as server:
             self._bundled_crash_run(HttpJobQueue(server.url), serial_curves)
+
+
+class TestInProcessDrain:
+    """A crashed in-process worker is replaced from the runner's
+    respawn budget at any ``workers`` count, ``workers=0`` included."""
+
+    def test_crash_at_workers_zero_is_survived(self, serial_curves):
+        respawns = get_registry().counter("repro_runner_respawns_total")
+        before = respawns.value()
+        crash = CrashPlan(before_ack=(1,))
+        runner = SweepRunner(
+            _specs(),
+            workers=0,
+            lease_seconds=0.3,
+            anchor="classical",
+            checkpoint=crash.checkpoint,
+        )
+        result = runner.run(poll_seconds=0.02)
+        assert [c["stage"] for c in crash.crashes] == ["before-ack"]
+        assert not result.failures
+        assert _curve_bytes(result) == serial_curves
+        assert result.workers == 0
+        assert respawns.value() == before + 1
 
 
 class TestCrashPlan:
@@ -387,6 +412,21 @@ class TestResultChecksums:
         result = runner.run(poll_seconds=0.02)
         assert result.reports == []
         assert "checksum mismatch" in result.failures[job_id]
+
+
+class TestGarbledResponses:
+    def test_garbled_claim_body_raises_typed_error(self):
+        # An empty claim answers {"job": null}; garbled the way
+        # ChaosTransport does it, the body is not even UTF-8.
+        transport = ChaosTransport(
+            garbles=1, probability=1.0, fault_paths=("/claim",)
+        )
+        with QueueServer(MemoryJobQueue()) as server:
+            client = HttpJobQueue(server.url, transport_hook=transport)
+            with pytest.raises(HttpQueueError, match="malformed"):
+                client.claim("w", lease_seconds=30.0)
+            client.close()
+        assert transport.report()["fired"] == {"garble": 1}
 
 
 class TestSubmitIdempotencyUnderRetry:

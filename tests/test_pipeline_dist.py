@@ -2,6 +2,7 @@
 failure/retry (a genuinely killed worker process), resume, and
 aggregation parity between serial and sharded execution."""
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -13,7 +14,9 @@ from repro.metrics import bd_rate_table, curves_from_reports
 from repro.pipeline import Pipeline, run_many
 from repro.pipeline.dist import (
     DirectoryJobQueue,
+    HttpJobQueue,
     MemoryJobQueue,
+    QueueServer,
     SweepRunner,
     active_segments,
     job_id_for_spec,
@@ -168,6 +171,35 @@ class TestQueueProtocol:
             queue.ack(job.job_id, {"ok": True}, worker_id="survivor")
         assert queue.stats().done == 3
         assert set(queue.results()) == {"job-0", "job-1", "job-2"}
+
+
+@pytest.mark.parametrize("backend", ["memory", "directory", "http"])
+def test_stale_fail_does_not_double_book(tmp_path, backend):
+    """A fail() for a job that is no longer claimed — its lease was
+    reaped — is ignored: the late report plus the next claimer's ack
+    leave one done job, with the same census on every backend."""
+    with contextlib.ExitStack() as stack:
+        if backend == "directory":
+            queue = DirectoryJobQueue(tmp_path / "q", max_attempts=2)
+        else:
+            queue = MemoryJobQueue(max_attempts=2)
+        if backend == "http":
+            server = stack.enter_context(QueueServer(queue))
+            queue = HttpJobQueue(server.url)
+            stack.callback(queue.close)
+        queue.submit({"x": 1}, job_id="late")
+        assert queue.claim("w1", lease_seconds=0.05) is not None
+        time.sleep(0.08)
+        assert queue.reap_expired() == ["late"]
+        queue.fail("late", "w1 reports after its lease was reaped")
+        job = queue.claim("w2", lease_seconds=30.0)
+        assert job.job_id == "late" and job.attempts == 1
+        assert queue.ack("late", {"ok": True}, worker_id="w2")
+        stats = queue.stats()
+        assert (stats.pending, stats.claimed, stats.done, stats.failed) == (
+            0, 0, 1, 0
+        )
+        assert queue.failures() == {}
 
 
 class TestDirectoryQueue:

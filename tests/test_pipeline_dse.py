@@ -89,13 +89,14 @@ class TestGridBuilders:
 
 
 class TestDSERunner:
-    def test_threads_match_serial_byte_identically(self):
+    def test_memory_queue_drains_in_process_whatever_workers_says(self):
         specs = dse_grid("geometry", values=GEOMETRIES,
                          height=RES[0], width=RES[1])
         serial = DSERunner(specs, workers=0).run()
-        threads = DSERunner(specs, workers=2).run()
-        assert serial.ok and threads.ok
-        assert canon(serial) == canon(threads)
+        in_process = DSERunner(specs, workers=2).run()
+        assert serial.ok and in_process.ok
+        assert canon(serial) == canon(in_process)
+        assert in_process.workers == 0  # no worker process ran
 
     def test_processes_match_serial_byte_identically(self, tmp_path):
         specs = dse_grid("sparsity", values=(0.0, 0.5),
