@@ -6,9 +6,10 @@ daemon behind ``repro serve``) over an in-memory queue, points a
 :class:`SweepRunner` at it through :class:`HttpJobQueue` so two worker
 *processes* pull encode jobs over loopback HTTP, and asserts the
 aggregated RD curves and BD-rate table are byte-identical to the
-serial in-process run.  A second act drains a DSE grid with an
-:class:`Autoscaler` sizing the fleet from live queue depth instead of
-a fixed ``--workers`` count.
+serial in-process run.  A second act drains a DSE grid with a
+:class:`WorkerFleet` sizing itself from live queue depth instead of a
+fixed ``--workers`` count — the supervisor behind
+``repro serve --autoscale``.
 
 Run: PYTHONPATH=src python examples/network_sweep.py
 """
@@ -16,17 +17,18 @@ Run: PYTHONPATH=src python examples/network_sweep.py
 import json
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.pipeline import SweepRunner, dse_grid, normalize_spec  # noqa: E402
 from repro.pipeline.dist import (  # noqa: E402
-    Autoscaler,
     HttpJobQueue,
     MemoryJobQueue,
     QueueServer,
+    WorkerFleet,
     job_id_for_spec,
-    spawn_http_worker,
+    spawn_worker,
 )
 
 SCENE = {"height": 32, "width": 48, "frames": 2}
@@ -79,24 +81,31 @@ def run_autoscaled_dse() -> None:
     with QueueServer(queue, port=0) as server:
         for index, spec in enumerate(specs):
             queue.submit(spec, job_id=job_id_for_spec(index, spec))
-        scaler = Autoscaler(
-            queue=HttpJobQueue(server.url),
-            spawn=lambda: spawn_http_worker(server.url, lease_seconds=30.0),
+        client = HttpJobQueue(server.url)
+        fleet = WorkerFleet(
+            lambda index: spawn_worker(
+                client, stop_when_drained=False, lease_seconds=30.0
+            ),
             min_workers=0,
             max_workers=2,
             backlog_per_worker=2,
             cooldown_seconds=0.0,
         )
-        def drained() -> bool:
-            stats = queue.stats()
-            return stats.done + stats.failed >= len(specs)
-
-        scaler.run(poll_seconds=0.1, should_stop=drained)
-        stats = queue.stats()
+        # The supervision loop: observe the queue, let the fleet act.
+        peak = 0
+        try:
+            while True:
+                expired = len(queue.reap_expired())
+                stats = queue.stats()
+                if stats.done + stats.failed >= len(specs):
+                    break
+                peak = max(peak, fleet.step(stats, expired=expired)["alive"])
+                time.sleep(0.1)
+        finally:
+            fleet.shutdown()
     assert stats.done == len(specs), stats
     print(f"fleet drained {stats.done} design points "
-          f"(peak {scaler.desired_workers(pending=len(specs), claimed=0)} "
-          f"workers, scaled back to 0 when idle)")
+          f"(peak {peak} workers, shut down once the grid was done)")
 
 
 def main() -> int:

@@ -796,14 +796,15 @@ def _cmd_dse(args) -> int:
 def _cmd_serve(args) -> int:
     """Run the JSON-over-HTTP queue daemon (optionally autoscaling a
     local worker fleet against it)."""
-    import threading
+    import time
 
     from repro.pipeline.dist import (
-        Autoscaler,
         DirectoryJobQueue,
+        HttpJobQueue,
         MemoryJobQueue,
         QueueServer,
-        spawn_http_worker,
+        WorkerFleet,
+        spawn_worker,
     )
 
     if args.queue_dir:
@@ -817,25 +818,19 @@ def _cmd_serve(args) -> int:
     # Scraped by scripts/CI to discover an ephemeral --port 0 address;
     # keep the "serving on <url>" shape stable.
     print(f"serving on {server.url}\n  backend: {backend}", flush=True)
-    stop = threading.Event()
-    scaler_thread = None
+    fleet = None
     if args.autoscale:
-        scaler = Autoscaler(
-            queue,
-            lambda: spawn_http_worker(
-                server.url, lease_seconds=args.lease, bundle=args.bundle
+        client = HttpJobQueue(server.url)  # where the workers connect
+        fleet = WorkerFleet(
+            lambda index: spawn_worker(
+                client, stop_when_drained=False,
+                lease_seconds=args.lease, bundle=args.bundle,
             ),
             min_workers=args.min_workers,
             max_workers=args.max_workers,
             backlog_per_worker=args.backlog_per_worker,
             cooldown_seconds=args.cooldown,
         )
-        scaler_thread = threading.Thread(
-            target=scaler.run,
-            kwargs={"should_stop": stop.is_set},
-            daemon=True,
-        )
-        scaler_thread.start()
         print(
             f"  autoscaling {args.min_workers}..{args.max_workers} workers "
             f"(backlog/worker {args.backlog_per_worker}, "
@@ -843,42 +838,33 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
     try:
-        server.serve_forever()
+        # serve on a background thread; supervise any fleet here
+        server.start()
+        while True:
+            if fleet is not None:
+                expired = len(queue.reap_expired())
+                fleet.step(queue.stats(), expired=expired)
+            time.sleep(0.5)
     except KeyboardInterrupt:
         pass
     finally:
-        stop.set()
-        if scaler_thread is not None:
-            scaler_thread.join(timeout=30.0)
+        if fleet is not None:
+            fleet.shutdown()
         server.stop()
     return 0
-
-
-def _one_queue_flag(args, command: str) -> bool:
-    """Whether exactly one of ``--queue-url``/``--queue-dir`` is given
-    (commands that attach to one existing queue); explains on stderr
-    when not."""
-    if bool(args.queue_url) != bool(args.queue_dir):
-        return True
-    print(
-        f"repro {command}: pass exactly one of --queue-url (a repro serve "
-        "daemon) or --queue-dir (a queue directory)",
-        file=sys.stderr,
-    )
-    return False
 
 
 def _cmd_worker(args) -> int:
     """Join a worker fleet: drain jobs from a queue server (or a shared
     queue directory) until it is empty — or forever with --forever."""
     from repro.pipeline.dist import (
-        DirectoryJobQueue,
         default_worker_id,
         http_worker_entry,
         run_worker,
     )
 
-    if not _one_queue_flag(args, "worker"):
+    queue = _attach_queue(args, "worker", create=True)
+    if queue is None:
         return 2
     worker_id = args.id or default_worker_id()
     drain = dict(
@@ -893,9 +879,6 @@ def _cmd_worker(args) -> int:
         if args.queue_url:
             completed = http_worker_entry(args.queue_url, worker_id, **drain)
         else:
-            queue = DirectoryJobQueue(
-                args.queue_dir, max_attempts=args.max_attempts
-            )
             completed = run_worker(queue, worker_id, **drain)
     except KeyboardInterrupt:
         print(f"worker {worker_id}: interrupted", file=sys.stderr)
@@ -904,17 +887,26 @@ def _cmd_worker(args) -> int:
     return 0
 
 
-def _attach_queue(args, command: str):
-    """Attach to *existing* queue state for inspection commands
-    (``repro failures`` / ``repro retry``) — no emptiness hygiene: the
-    whole point is to look at what a finished or wedged run left
-    behind."""
+def _attach_queue(args, command: str, *, create: bool = False):
+    """The one queue ``--queue-url`` or ``--queue-dir`` names, or
+    ``None`` after explaining on stderr.  Inspection commands (``repro
+    failures`` / ``repro retry``) look at what a finished or wedged run
+    left behind, so a missing directory is refused; ``create=True``
+    (``repro worker``) opens one with the command's ``--max-attempts``.
+    """
     from repro.pipeline.dist import DirectoryJobQueue, HttpJobQueue
 
-    if not _one_queue_flag(args, command):
+    if bool(args.queue_url) == bool(args.queue_dir):
+        print(
+            f"repro {command}: pass exactly one of --queue-url (a repro "
+            "serve daemon) or --queue-dir (a queue directory)",
+            file=sys.stderr,
+        )
         return None
     if args.queue_url:
         return HttpJobQueue(args.queue_url)
+    if create:
+        return DirectoryJobQueue(args.queue_dir, max_attempts=args.max_attempts)
     if not os.path.isdir(args.queue_dir):
         print(
             f"repro {command}: no queue directory at {args.queue_dir!r}",
@@ -1395,17 +1387,23 @@ def main(argv=None) -> int:
     )
     srv.set_defaults(func=_cmd_serve, json=False, output=None)
 
+    # The one-queue flags of the commands that attach to an existing
+    # queue (worker, failures, retry): exactly one must be given.
+    attach = argparse.ArgumentParser(add_help=False)
+    attach.add_argument(
+        "--queue-url", default=None,
+        help="repro serve daemon to attach to",
+    )
+    attach.add_argument(
+        "--queue-dir", default=None,
+        help="queue directory to attach to (a sweep's --queue-dir, or a "
+        "shared filesystem) instead of a server",
+    )
+
     wrk = sub.add_parser(
         "worker",
+        parents=[attach],
         help="join a worker fleet (network or shared-filesystem queue)",
-    )
-    wrk.add_argument(
-        "--queue-url", default=None,
-        help="repro serve daemon to drain (heartbeats feed its /stats)",
-    )
-    wrk.add_argument(
-        "--queue-dir", default=None,
-        help="shared queue directory to drain instead of a server",
     )
     wrk.add_argument("--id", default=None,
                      help="worker id for lease attribution "
@@ -1442,17 +1440,9 @@ def main(argv=None) -> int:
 
     fls = sub.add_parser(
         "failures",
+        parents=[attach],
         help="list a queue's dead-lettered jobs (tracebacks, attempts, "
         "quarantine flags)",
-    )
-    fls.add_argument(
-        "--queue-dir", default=None,
-        help="queue directory to inspect (a finished or wedged sweep's "
-        "--queue-dir)",
-    )
-    fls.add_argument(
-        "--queue-url", default=None,
-        help="repro serve daemon to inspect instead of a directory",
     )
     fls.add_argument(
         "-v", "--verbose", action="store_true",
@@ -1465,6 +1455,7 @@ def main(argv=None) -> int:
 
     rty = sub.add_parser(
         "retry",
+        parents=[attach],
         help="resubmit dead-lettered jobs (fresh attempt budget; specs "
         "come from the failed records)",
     )
@@ -1474,14 +1465,6 @@ def main(argv=None) -> int:
     )
     rty.add_argument("--all", action="store_true",
                      help="resubmit every dead-lettered job")
-    rty.add_argument(
-        "--queue-dir", default=None,
-        help="queue directory holding the dead letters",
-    )
-    rty.add_argument(
-        "--queue-url", default=None,
-        help="repro serve daemon holding the dead letters",
-    )
     rty.add_argument("-o", "--output", default=None)
     rty.add_argument("--json", action="store_true",
                      help="emit structured JSON")

@@ -65,12 +65,13 @@ from .facade import (
     run_many,
 )
 from .dist import (
-    Autoscaler,
     HttpJobQueue,
     QueueRunner,
     QueueServer,
     SweepResult,
     SweepRunner,
+    WorkerFleet,
+    spawn_worker,
 )
 from .dse import DSEResult, DSERunner, dse_grid, dse_point_spec
 from .ladder import (
@@ -120,7 +121,6 @@ from .tasks import (
 __all__ = [
     "CONFIG_TYPES",
     "AcceleratorModel",
-    "Autoscaler",
     "CodecRegistryError",
     "CodecSpec",
     "ConfigError",
@@ -149,6 +149,7 @@ __all__ = [
     "TaskKind",
     "TaskRegistryError",
     "VideoCodec",
+    "WorkerFleet",
     "analyze_hardware",
     "available_codecs",
     "available_entropy_backends",
@@ -169,6 +170,7 @@ __all__ = [
     "register_task",
     "run_many",
     "run_task",
+    "spawn_worker",
     "spec_kind",
     "task_kind",
     "unregister_codec",

@@ -22,9 +22,10 @@ package is that seam made real.  Three layers, bottom up:
   implementing the same :class:`JobQueue` protocol over the wire, so
   runners and workers on any host that can reach the server
   participate unchanged (``repro worker --queue-url``).
-* :mod:`~repro.pipeline.dist.autoscale` — :class:`Autoscaler`: grows
-  and shrinks a local worker-process fleet against observed queue
-  depth and lease-expiry rate.
+* :mod:`~repro.pipeline.dist.fleet` — :func:`spawn_worker` starts a
+  worker process; :class:`WorkerFleet` replaces the dead and sizes the
+  fleet to observed queue depth and lease expiries, for the sweep
+  runner's fixed-size fleet and ``repro serve --autoscale`` alike.
 * :mod:`~repro.pipeline.dist.sweep` — :class:`QueueRunner`: submit a
   spec list, babysit the fleet (lease reaping, crash respawns), drain
   results incrementally (verifying each result's checksum), quarantine
@@ -54,7 +55,6 @@ subcommands.  Protocol semantics, the job-spec schema, and the HTTP
 wire schema are documented in ``docs/distributed.md``.
 """
 
-from .autoscale import Autoscaler, spawn_directory_worker, spawn_http_worker
 from .chaos import (
     POISON_KIND,
     ChaosPlan,
@@ -65,6 +65,7 @@ from .chaos import (
     poison_spec,
     register_poison_task,
 )
+from .fleet import WorkerFleet, spawn_worker
 from .net import HttpJobQueue, HttpQueueError, QueueServer, http_worker_entry
 from .queues import DirectoryJobQueue, Job, JobQueue, MemoryJobQueue, QueueStats
 from .shm import (
@@ -92,7 +93,6 @@ from .worker import (
 )
 
 __all__ = [
-    "Autoscaler",
     "ChaosPlan",
     "ChaosQueue",
     "ChaosTransport",
@@ -112,6 +112,7 @@ __all__ = [
     "QueueStats",
     "SweepResult",
     "SweepRunner",
+    "WorkerFleet",
     "active_segments",
     "attach_frames",
     "attach_result_checksum",
@@ -124,8 +125,7 @@ __all__ = [
     "register_poison_task",
     "result_checksum",
     "run_worker",
-    "spawn_directory_worker",
-    "spawn_http_worker",
+    "spawn_worker",
     "unlink_segments",
     "verify_result_checksum",
     "worker_entry",

@@ -152,6 +152,18 @@ class ChaosPlan:
         ).inc(layer="queue", fault=fault)
         return True
 
+    def charge(self, fault: str, job_id: str) -> None:
+        """Name the victim of the newest unattributed ``fault`` event (a
+        lease thief's job is only known after it fires) and charge it
+        against ``max_faults_per_job``.  Thread-safe."""
+        with self._lock:
+            event = next(
+                e for e in reversed(self.events)
+                if e["fault"] == fault and e["job_id"] is None
+            )
+            event["job_id"] = job_id
+            self._per_job[job_id] = self._per_job.get(job_id, 0) + 1
+
     def report(self) -> dict:
         """Fault counts by kind plus the remaining budgets."""
         with self._lock:
@@ -221,13 +233,7 @@ class ChaosQueue:
             if stolen is not None:
                 # The thief vanishes without acking; record who got hit
                 # so the per-job ledger sees the (single) fault.
-                self.plan.events.append(
-                    {
-                        "fault": "lease-theft",
-                        "op": "claim",
-                        "job_id": stolen.job_id,
-                    }
-                )
+                self.plan.charge("lease-theft", stolen.job_id)
         if self.plan.take("claim-delay", "claim"):
             import time as _time
 
@@ -250,8 +256,10 @@ class ChaosQueue:
         return accepted
 
     # -- clean pass-through -------------------------------------------
-    def fail(self, job_id: str, error: str) -> None:
-        self.inner.fail(job_id, error)
+    def fail(
+        self, job_id: str, error: str, *, worker_id: str | None = None
+    ) -> None:
+        self.inner.fail(job_id, error, worker_id=worker_id)
 
     def reap_expired(self) -> list[str]:
         return self.inner.reap_expired()

@@ -41,7 +41,7 @@ failure 500 — all with ``{"error": ...}``.
 | ``POST /claim``   | ``{"worker_id": "...", "lease_seconds": s}`` | ``{"job": null | {"job_id", "spec", "attempts"}}`` |
 | ``POST /claim`` (batch) | ``{"worker_id", "lease_seconds", "batch": n}`` | ``{"jobs": [{"job_id", "spec", "attempts"}, ...], "job": first | null}`` |
 | ``POST /ack``     | ``{"job_id", "result", "worker_id"?}``       | ``{"accepted": bool}`` |
-| ``POST /fail``    | ``{"job_id", "error"}``                      | ``{"ok": true}`` |
+| ``POST /fail``    | ``{"job_id", "error", "worker_id"?}``        | ``{"ok": true}`` |
 | ``POST /reap``    | ``{}``                                       | ``{"reaped": [ids]}`` |
 | ``GET /attempts`` | ``?job_id=<id>``                             | ``{"attempts": n}`` |
 | ``POST /heartbeat`` | worker heartbeat document                  | ``{"ok": true}`` |
@@ -111,7 +111,7 @@ from repro.obs.metrics import (
 from repro.obs.tracing import trace_meta
 
 from .queues import Job, JobQueue, QueueStats
-from .worker import Heartbeat, default_worker_id, run_worker
+from .worker import Heartbeat, run_worker
 
 __all__ = [
     "HttpJobQueue",
@@ -181,7 +181,12 @@ def _ep_ack(server: "QueueServer", body: dict) -> dict:
 
 
 def _ep_fail(server: "QueueServer", body: dict) -> dict:
-    server.queue.fail(str(body["job_id"]), str(body["error"]))
+    worker_id = body.get("worker_id")
+    server.queue.fail(
+        str(body["job_id"]),
+        str(body["error"]),
+        worker_id=None if worker_id is None else str(worker_id),
+    )
     return {"ok": True}
 
 
@@ -395,16 +400,16 @@ class QueueServer:
     same directory).  Requests are handled on daemon threads; both
     built-in queues are thread-safe (a lock, or atomic renames).
 
-    Use as a context manager or ``start()``/``stop()`` for an
-    in-process background server (tests, benchmarks, notebooks), or
-    ``serve_forever()`` to block (the ``repro serve`` daemon).  With
-    ``port=0`` the OS picks a free port; read it back from ``url``.
+    Use as a context manager or ``start()``/``stop()``: it serves on a
+    background thread (the ``repro serve`` daemon's main thread sleeps
+    and supervises its worker fleet, if any).  With ``port=0`` the OS
+    picks a free port; read it back from ``url``.
 
     Fleet liveness: workers POST structured heartbeats (worker id,
     jobs done/failed, last job id — see
     :class:`~repro.pipeline.dist.worker.Heartbeat`), and ``/stats``
-    reports the fleet under ``"workers"`` so an autoscaler or a human
-    can see who is alive without another channel.  Entries expire:
+    reports the fleet under ``"workers"`` so an operator can see who
+    is alive without another channel.  Entries expire:
     a worker silent for ``heartbeat_ttl_seconds`` is pruned (dead and
     retired workers no longer linger in ``/stats`` forever), and every
     reported entry carries ``age_seconds`` since its last beat.
@@ -475,10 +480,6 @@ class QueueServer:
         )
         self._thread.start()
         return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until ``stop()`` (the daemon)."""
-        self._httpd.serve_forever()
 
     def stop(self) -> None:
         """Stop serving and release the socket (idempotent)."""
@@ -660,7 +661,8 @@ class HttpJobQueue:
         self._host = parts.hostname
         self._port = parts.port or 80
         self._prefix = parts.path.rstrip("/")
-        self.url = f"http://{self._host}:{self._port}{self._prefix}"
+        netloc = f"[{self._host}]" if ":" in self._host else self._host
+        self.url = f"http://{netloc}:{self._port}{self._prefix}"
         self.timeout = float(timeout)
         self.retries = int(retries)
         self.backoff_seconds = float(backoff_seconds)
@@ -854,8 +856,11 @@ class HttpJobQueue:
             )["accepted"]
         )
 
-    def fail(self, job_id: str, error: str) -> None:
-        self._request("POST", "/fail", {"job_id": job_id, "error": error})
+    def fail(
+        self, job_id: str, error: str, *, worker_id: str | None = None
+    ) -> None:
+        body = {"job_id": job_id, "error": error, "worker_id": worker_id}
+        self._request("POST", "/fail", body)
 
     def reap_expired(self) -> list[str]:
         return list(self._request("POST", "/reap", {})["reaped"])
@@ -974,9 +979,9 @@ def http_worker_entry(
     The HTTP sibling of
     :func:`~repro.pipeline.dist.worker.worker_entry` — what
     ``repro worker --queue-url`` runs on a remote host, and what
-    :class:`~repro.pipeline.dist.sweep.QueueRunner` and the
-    :class:`~repro.pipeline.dist.autoscale.Autoscaler` spawn locally
-    for an :class:`HttpJobQueue`.  Heartbeats are wired to the server
+    :func:`~repro.pipeline.dist.fleet.spawn_worker` starts locally for
+    an :class:`HttpJobQueue` (the sweep runner's workers and ``repro
+    serve --autoscale``'s).  Heartbeats are wired to the server
     automatically (best-effort: a lost heartbeat never kills the
     worker — the queue's lease machinery is the real liveness truth).
 
@@ -984,8 +989,6 @@ def http_worker_entry(
     ``fork`` and ``spawn`` multiprocessing start methods.
     """
     queue = HttpJobQueue(queue_url, timeout=timeout, retries=retries)
-    if worker_id is None:
-        worker_id = default_worker_id()
 
     def on_heartbeat(beat: Heartbeat) -> None:
         try:

@@ -128,8 +128,10 @@ class JobQueue(Protocol):
     * ``fail`` records an error on a claimed job; the job returns to
       pending until it has been attempted ``max_attempts`` times, then
       dead-letters.  A **stale** ``fail`` — the job is not claimed
-      (reaped, finished, or never handed out) — is ignored, so a late
-      report can never bump attempts or requeue a job twice.
+      (reaped, finished, or never handed out), or, when ``worker_id``
+      is given, claimed by another worker now — is ignored, so a late
+      report can never bump attempts, requeue a job twice, or cut the
+      next claimer's lease short.
     * ``reap_expired`` requeues every claimed job whose lease deadline
       passed (the crashed-worker recovery path).
     * ``attempts`` reads one job's attempt counter: how many times it
@@ -167,7 +169,9 @@ class JobQueue(Protocol):
         self, job_id: str, result: dict, *, worker_id: str | None = None
     ) -> bool: ...
 
-    def fail(self, job_id: str, error: str) -> None: ...
+    def fail(
+        self, job_id: str, error: str, *, worker_id: str | None = None
+    ) -> None: ...
 
     def reap_expired(self) -> list[str]: ...
 
@@ -267,10 +271,16 @@ class MemoryJobQueue:
             self._done[job_id] = result
             return True
 
-    def fail(self, job_id: str, error: str) -> None:
+    def fail(
+        self, job_id: str, error: str, *, worker_id: str | None = None
+    ) -> None:
         with self._lock:
-            if self._claimed.pop(job_id, None) is None:
+            lease = self._claimed.get(job_id)
+            if lease is None:
                 return  # stale: reaped, finished, or never claimed
+            if worker_id is not None and lease[0] != _sanitize(worker_id):
+                return  # stale: reaped and reassigned to another worker
+            del self._claimed[job_id]
             self._attempts[job_id] = self._attempts.get(job_id, 0) + 1
             if self._attempts[job_id] >= self.max_attempts:
                 self._failed[job_id] = error
@@ -577,7 +587,9 @@ class DirectoryJobQueue:
             pass
         return True
 
-    def fail(self, job_id: str, error: str) -> None:
+    def fail(
+        self, job_id: str, error: str, *, worker_id: str | None = None
+    ) -> None:
         claimed = self._find_job("claimed", job_id)
         if claimed is None or os.path.exists(
             self._terminal_path("done", job_id)
@@ -587,6 +599,8 @@ class DirectoryJobQueue:
         parsed = self._parse_claimed(claimed)
         if parsed is None:
             return  # junk file matching the id prefix; never ours
+        if worker_id is not None and parsed[3] != _sanitize(worker_id):
+            return  # stale: reaped and reassigned to another worker
         attempts = parsed[1] + 1
         try:
             with open(path, "r", encoding="utf-8") as handle:

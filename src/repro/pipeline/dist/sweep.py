@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -65,9 +64,10 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 
 from .chaos import InjectedCrash
-from .net import HttpJobQueue, HttpQueueError, http_worker_entry
+from .fleet import WorkerFleet, spawn_worker
+from .net import HttpJobQueue, HttpQueueError
 from .queues import DirectoryJobQueue, JobQueue, MemoryJobQueue, QueueStats
-from .worker import run_worker, verify_result_checksum, worker_entry
+from .worker import run_worker, verify_result_checksum
 
 __all__ = [
     "QueueRunner",
@@ -80,12 +80,6 @@ __all__ = [
 #: hard cap on crashed-worker replacements, so a fleet whose workers
 #: die on arrival (bad interpreter, OOM box) fails instead of flapping.
 _MAX_RESPAWNS = 16
-
-
-def _count_respawn() -> None:
-    get_registry().counter(
-        "repro_runner_respawns_total", "dead workers replaced by the babysitter"
-    ).inc()
 
 
 def job_id_for_spec(index: int, spec: dict) -> str:
@@ -408,38 +402,13 @@ class QueueRunner:
         return unlink_segments(names)
 
     # -- worker fleet -------------------------------------------------
-    def _spawn_process(self, index: int):
-        if isinstance(self.queue, HttpJobQueue):
-            target = http_worker_entry
-            args = (self.queue.url,)
-            kwargs = {
-                "worker_id": f"sweep-w{index}-{os.getpid()}",
-                "lease_seconds": self.lease_seconds,
-                "job_timeout_seconds": self.job_timeout_seconds,
-                "bundle": self.bundle,
-            }
-        else:
-            assert isinstance(self.queue, DirectoryJobQueue)
-            target = worker_entry
-            args = (self.queue.root,)
-            kwargs = {
-                "worker_id": f"sweep-w{index}-{os.getpid()}",
-                "max_attempts": self.queue.max_attempts,
-                "lease_seconds": self.lease_seconds,
-                "job_timeout_seconds": self.job_timeout_seconds,
-                "bundle": self.bundle,
-            }
-        process = multiprocessing.Process(
-            target=target, args=args, kwargs=kwargs, daemon=True
-        )
-        process.start()
-        return process
+    def _spawn(self, index: int):
+        """Start worker ``index`` of the fleet: a process for a queue
+        other processes can reach, else a drain in this process that
+        returns ``None`` once the queue is drained or the worker died.
 
-    def _drain_inline(self, index: int) -> None:
-        """Drain the queue with a worker in this process, its death
-        contained.
-
-        An :class:`~repro.pipeline.dist.chaos.InjectedCrash` (from a
+        In this process an
+        :class:`~repro.pipeline.dist.chaos.InjectedCrash` (from a
         crash plan's checkpoint or a poison job) and a transport error
         that escapes the worker loop both mean the same thing a dead
         process means — this worker is gone, its lease will expire,
@@ -447,6 +416,14 @@ class QueueRunner:
         them here keeps a *simulated* death from spraying a traceback
         over the run.
         """
+        if self.workers:
+            return spawn_worker(
+                self.queue,
+                worker_id=f"sweep-w{index}-{os.getpid()}",
+                lease_seconds=self.lease_seconds,
+                job_timeout_seconds=self.job_timeout_seconds,
+                bundle=self.bundle,
+            )
         try:
             run_worker(
                 self.queue,
@@ -643,12 +620,17 @@ class QueueRunner:
         if not self.job_ids:
             self.submit()
         start = time.monotonic()
-        fleet = [self._spawn_process(i) for i in range(self.workers)]
-        if not fleet:
-            self._drain_inline(0)
-        # workers started so far: processes, or in-process drains
-        spawned = len(fleet) or 1
-        budget = spawned + _MAX_RESPAWNS
+        # A fixed-size fleet: ``workers`` processes, or one in-process
+        # drain, with dead ones replaced from one respawn budget.
+        size = max(self.workers, 1)
+        fleet = WorkerFleet(
+            self._spawn,
+            min_workers=size,
+            max_workers=size,
+            cooldown_seconds=0.0,
+            max_spawns=size + _MAX_RESPAWNS,
+        )
+        fleet.start()
         wanted = set(self.job_ids)
         # Poison evidence only changes on lease-expiry/claim timescales,
         # so the breaker runs on its own (slower) cadence — polling it
@@ -659,9 +641,8 @@ class QueueRunner:
         next_breaker = time.monotonic()
         try:
             while True:
-                reaped_now = False
-                for job_id in self.queue.reap_expired():
-                    reaped_now = True
+                reaped = self.queue.reap_expired()
+                for job_id in reaped:
                     get_registry().counter(
                         "repro_runner_lease_reaps_total",
                         "expired leases reaped by the runner poll loop",
@@ -671,7 +652,7 @@ class QueueRunner:
                             self._lease_expiries.get(job_id, 0) + 1
                         )
                 now = time.monotonic()
-                if reaped_now or now >= next_breaker:
+                if reaped or now >= next_breaker:
                     self._break_poison_jobs()
                     next_breaker = now + breaker_seconds
                 self._drain_results()
@@ -679,37 +660,27 @@ class QueueRunner:
                     progress(self.queue.stats())
                 if wanted <= self.queue.finished_ids():
                     break
-                # Babysit: join the dead, respawn while work remains and
-                # the respawn budget holds.  The in-process drain only
-                # gets here dead (it returns once the queue is drained).
+                # Babysit: replace the dead while work remains and the
+                # respawn budget holds.  The in-process drain only gets
+                # here dead (it returns once the queue is drained).
                 stats = self.queue.stats()
-                remaining = stats.pending + stats.claimed > 0
-                alive = 0
-                for i, worker in enumerate(fleet):
-                    if worker.is_alive():
-                        alive += 1
-                        continue
-                    worker.join()
-                    if remaining and spawned < budget:
-                        fleet[i] = self._spawn_process(spawned)
-                        spawned += 1
-                        alive += 1
-                        _count_respawn()
-                if not fleet and remaining and spawned < budget:
-                    _count_respawn()
-                    self._drain_inline(spawned)
-                    spawned += 1
-                elif alive == 0 and remaining and spawned >= budget:
-                    # Fleet exhausted: every worker is dead and the
-                    # respawn budget is spent, so the remaining jobs
-                    # can never run.  Quarantine them (terminal) so
-                    # the sweep ends with an honest dead-letter
-                    # record instead of spinning forever.
-                    self._quarantine_unrunnable(wanted)
+                if stats.pending + stats.claimed > 0:
+                    respawned = fleet.step(stats, expired=len(reaped))["spawned"]
+                    if respawned:
+                        get_registry().counter(
+                            "repro_runner_respawns_total",
+                            "dead workers replaced by the babysitter",
+                        ).inc(respawned)
+                    if fleet.exhausted:
+                        # Every worker is dead and the respawn budget is
+                        # spent, so the remaining jobs can never run.
+                        # Quarantine them (terminal) so the sweep ends
+                        # with an honest dead-letter record instead of
+                        # spinning forever.
+                        self._quarantine_unrunnable(wanted)
                 time.sleep(poll_seconds)
         finally:
-            for worker in fleet:
-                worker.join(timeout=max(self.lease_seconds, 10.0))
+            fleet.join(timeout=max(self.lease_seconds, 10.0))
             # Reclaim shared frame segments whatever happened above —
             # including killed workers and raised exceptions.  Workers
             # copy frames out at attach time, so a straggler never

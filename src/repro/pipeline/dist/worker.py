@@ -118,11 +118,10 @@ class Heartbeat:
     """One structured liveness report from a worker loop.
 
     Emitted through ``run_worker``'s ``on_heartbeat`` callback at
-    startup and after every job outcome, so a fleet supervisor — the
-    :class:`~repro.pipeline.dist.autoscale.Autoscaler`, or a
-    :class:`~repro.pipeline.dist.net.QueueServer` reporting fleet
-    liveness under ``/stats`` — can see progress without scraping
-    queue state.  ``last_job_id`` is ``None`` until the first job
+    startup and after every job outcome.  Over HTTP they reach the
+    :class:`~repro.pipeline.dist.net.QueueServer`, which reports fleet
+    liveness under ``/stats`` so an operator can see progress without
+    scraping queue state.  ``last_job_id`` is ``None`` until the first job
     finishes (either way).
 
     Observability rides the same wire: ``metrics`` is a
@@ -243,9 +242,10 @@ def run_worker(
     worker dying after acking job *k* of N strands only the unacked
     remainder, recovered by lease expiry like any dead worker's claim.
 
-    Acks carry this worker's id, so a straggler whose lease was reaped
-    and whose job was re-run elsewhere gets a clean stale-ack rejection
-    instead of silently double-recording the result.  Every acked
+    Acks and fails carry this worker's id, so a straggler whose lease
+    was reaped and whose job was re-run elsewhere gets a clean stale
+    rejection instead of double-recording the result or cutting the
+    new claimer's lease short.  Every acked
     result carries a CRC32 of its canonical JSON (stripped and
     verified runner-side), so transport or at-rest corruption is
     detected before aggregation.
@@ -320,7 +320,9 @@ def run_worker(
                         )
             except Exception:
                 set_job_id(None)
-                queue.fail(job.job_id, traceback.format_exc())
+                queue.fail(
+                    job.job_id, traceback.format_exc(), worker_id=worker_id
+                )
                 registry.counter(
                     "repro_jobs_failed_total", "jobs failed with a traceback"
                 ).inc(kind=kind)

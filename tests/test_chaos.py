@@ -104,6 +104,25 @@ class TestChaosPlan:
         assert decisions(42) == decisions(42)
         assert decisions(42) != decisions(43)  # and the seed matters
 
+    def test_lease_theft_is_one_event_charged_to_its_victim(self):
+        inner = MemoryJobQueue()
+        inner.submit({"n": 0}, job_id="a")
+        inner.submit({"n": 1}, job_id="b")
+        plan = ChaosPlan(
+            lease_thefts=1, ack_drops=1, probability=1.0,
+            max_faults_per_job=1,
+        )
+        queue = ChaosQueue(inner, plan)
+        claimed = queue.claim("w", lease_seconds=30.0)
+        assert claimed is not None
+        assert plan.report()["fired"] == {"lease-theft": 1}
+        [event] = plan.events
+        victim = event["job_id"]
+        assert victim is not None and victim != claimed.job_id
+        # the victim has used its one fault; the other job has not
+        assert not plan.take("ack-drop", "ack", victim)
+        assert plan.take("ack-drop", "ack", claimed.job_id)
+
     def test_chaos_queue_passes_the_protocol_check(self):
         queue = ChaosQueue(MemoryJobQueue(), ChaosPlan())
         assert isinstance(queue, JobQueue)

@@ -338,6 +338,47 @@ class TestNetworkCLI:
         # the HTTP transport wrote through to the durable backend
         assert len(list((queue_dir / "done").glob("*.json"))) == 2
 
+    def test_serve_autoscale_drains_a_grid_and_exits_clean(self):
+        """``repro serve --autoscale`` grows its own HTTP fleet to drain
+        work submitted over the wire; SIGINT stops the daemon with exit
+        0 and takes the fleet down with it."""
+        import os
+        import signal
+        import time
+
+        from repro.pipeline.dist import HttpJobQueue, job_id_for_spec
+        from repro.pipeline.dse import dse_grid
+        from repro.pipeline.tasks import normalize_spec
+
+        server, url = self._start_server(
+            "--autoscale", "--max-workers", "2", "--cooldown", "0"
+        )
+        try:
+            queue = HttpJobQueue(url)
+            specs = [
+                normalize_spec(spec)
+                for spec in dse_grid("geometry", values=((6, 6), (12, 12)))
+            ]
+            for index, spec in enumerate(specs):
+                queue.submit(spec, job_id=job_id_for_spec(index, spec))
+            deadline = time.monotonic() + 60
+            while queue.stats().done < len(specs):
+                assert time.monotonic() < deadline, "fleet never drained"
+                time.sleep(0.05)
+            # worker ids are host-pid: the fleet's processes
+            pids = {int(worker.rsplit("-", 1)[1]) for worker in queue.fleet()}
+            queue.close()
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=20)
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     def test_queue_url_and_queue_dir_are_mutually_exclusive(self):
         result = run_cli(
             "sweep", *self.GRID, "--queue-url", "http://127.0.0.1:1",

@@ -202,6 +202,77 @@ def test_stale_fail_does_not_double_book(tmp_path, backend):
         assert queue.failures() == {}
 
 
+@pytest.mark.parametrize("backend", ["memory", "directory", "http"])
+def test_late_fail_spares_the_next_claimers_lease(tmp_path, backend):
+    """w1's lease is reaped and w2 claims the job; w1's late fail names
+    w1, so it is ignored: w2 keeps its lease and its ack lands."""
+    with contextlib.ExitStack() as stack:
+        if backend == "directory":
+            queue = DirectoryJobQueue(tmp_path / "q", max_attempts=3)
+        else:
+            queue = MemoryJobQueue(max_attempts=3)
+        if backend == "http":
+            server = stack.enter_context(QueueServer(queue))
+            queue = HttpJobQueue(server.url)
+            stack.callback(queue.close)
+        queue.submit({"x": 1}, job_id="late")
+        assert queue.claim("w1", lease_seconds=0.05) is not None
+        time.sleep(0.08)
+        assert queue.reap_expired() == ["late"]
+        job = queue.claim("w2", lease_seconds=30.0)
+        assert job.job_id == "late" and job.attempts == 1
+        queue.fail("late", "w1 reports after its lease was reaped",
+                   worker_id="w1")
+        assert queue.stats().claimed == 1
+        assert queue.attempts("late") == 1
+        assert queue.ack("late", {"ok": True}, worker_id="w2")
+        stats = queue.stats()
+        assert (stats.pending, stats.claimed, stats.done, stats.failed) == (
+            0, 0, 1, 0
+        )
+
+
+def test_born_dead_fleet_quarantines_the_grid(tmp_path, monkeypatch):
+    """Workers that die on arrival burn the respawn budget; the runner
+    then quarantines every unfinished job as "worker fleet exhausted"
+    and returns instead of spinning."""
+    from repro.pipeline.dist import sweep
+
+    class _BornDead:
+        def is_alive(self):
+            return False
+
+        def terminate(self):
+            pass
+
+        def join(self, timeout=None):
+            pass
+
+    spawned = []
+    monkeypatch.setattr(
+        sweep, "spawn_worker",
+        lambda queue, **kwargs: spawned.append(kwargs["worker_id"])
+        or _BornDead(),
+    )
+    runner = SweepRunner(
+        [_spec(8.0), _spec(16.0)],
+        queue_dir=tmp_path / "q",
+        workers=2,
+        share_frames=False,
+    )
+    t0 = time.monotonic()
+    result = runner.run(poll_seconds=0.01)
+    assert time.monotonic() - t0 < 30
+    assert len(spawned) == 2 + sweep._MAX_RESPAWNS
+    assert spawned[:2] == [f"sweep-w{i}-{os.getpid()}" for i in range(2)]
+    assert sorted(runner.quarantined) == sorted(runner.job_ids)
+    assert set(result.failures) == set(runner.job_ids)
+    assert all(
+        "worker fleet exhausted" in error for error in result.failures.values()
+    )
+    assert not result.reports
+
+
 class TestDirectoryQueue:
     def test_state_survives_reattach(self, tmp_path):
         root = tmp_path / "q"

@@ -2,7 +2,7 @@
 wire-level semantics, stale-ack rejection across every queue backend,
 sweep/DSE parity over HTTP worker processes (including a killed
 worker), server restart + resume over a durable backend, and the
-autoscaler's scaling decisions."""
+worker fleet's scaling decisions."""
 
 import json
 import multiprocessing
@@ -13,13 +13,13 @@ import pytest
 
 from repro.pipeline import run_many
 from repro.pipeline.dist import (
-    Autoscaler,
     DirectoryJobQueue,
     HttpJobQueue,
     HttpQueueError,
     MemoryJobQueue,
     QueueServer,
     SweepRunner,
+    WorkerFleet,
     job_id_for_spec,
     run_worker,
 )
@@ -202,6 +202,12 @@ class TestHttpProtocol:
     def test_rejects_non_http_urls(self):
         with pytest.raises(ValueError, match="plain http"):
             HttpJobQueue("https://example.com:8642")
+
+    def test_url_round_trips_an_ipv6_host(self):
+        # spawned workers rebuild their client from ``queue.url``
+        queue = HttpJobQueue("http://[::1]:8642/q")
+        assert queue.url == "http://[::1]:8642/q"
+        assert HttpJobQueue(queue.url).url == queue.url
 
 
 class TestObservabilityEndpoints:
@@ -544,9 +550,16 @@ class _FakeWorker:
         pass
 
 
-class TestAutoscaler:
+def _observe(fleet, queue) -> dict:
+    """One supervision cycle as a caller runs it: reap, read stats,
+    step the fleet on those observations."""
+    expired = len(queue.reap_expired())
+    return fleet.step(queue.stats(), expired=expired)
+
+
+class TestWorkerFleet:
     def test_desired_workers_decision_table(self):
-        scaler = Autoscaler(
+        scaler = WorkerFleet(
             min_workers=0, max_workers=4, backlog_per_worker=4
         )
         assert scaler.desired_workers(pending=0, claimed=0) == 0
@@ -556,7 +569,7 @@ class TestAutoscaler:
         assert scaler.desired_workers(pending=0, claimed=1) == 1
         # a freshly expired lease asks for an extra hand
         assert scaler.desired_workers(pending=4, claimed=0, expired=1) == 2
-        floor = Autoscaler(min_workers=2, max_workers=4)
+        floor = WorkerFleet(min_workers=2, max_workers=4)
         assert floor.desired_workers(pending=0, claimed=0) == 2
 
     def test_step_scales_up_then_down_when_idle(self):
@@ -564,20 +577,20 @@ class TestAutoscaler:
         for i in range(8):
             queue.submit({"n": i}, job_id=f"{i:05d}-x")
         clock = {"t": 0.0}
-        scaler = Autoscaler(
-            queue, _FakeWorker,
+        scaler = WorkerFleet(
+            lambda index: _FakeWorker(),
             min_workers=0, max_workers=4, backlog_per_worker=4,
             cooldown_seconds=10.0, clock=lambda: clock["t"],
         )
-        summary = scaler.step()
+        summary = _observe(scaler, queue)
         assert summary["action"] == "scale-up:2"
         assert len(scaler.workers) == 2
         # cooldown holds even though depth would ask for more
         for i in range(8, 16):
             queue.submit({"n": i}, job_id=f"{i:05d}-x")
-        assert scaler.step()["action"] == "hold"
+        assert _observe(scaler, queue)["action"] == "hold"
         clock["t"] = 11.0
-        assert scaler.step()["action"] == "scale-up:2"
+        assert _observe(scaler, queue)["action"] == "scale-up:2"
         # drain the queue; idle fleet scales to nothing after cooldown
         while True:
             job = queue.claim("w", lease_seconds=30.0)
@@ -585,7 +598,7 @@ class TestAutoscaler:
                 break
             queue.ack(job.job_id, {})
         clock["t"] = 30.0
-        summary = scaler.step()
+        summary = _observe(scaler, queue)
         assert summary["action"] == "scale-down:4"
         assert scaler.workers == []
 
@@ -593,23 +606,23 @@ class TestAutoscaler:
         queue = MemoryJobQueue()
         queue.submit({"n": 0}, job_id="00000-x")
         clock = {"t": 0.0}
-        scaler = Autoscaler(
-            queue, _FakeWorker, min_workers=0, max_workers=2,
+        scaler = WorkerFleet(
+            lambda index: _FakeWorker(), min_workers=0, max_workers=2,
             cooldown_seconds=0.0, clock=lambda: clock["t"],
         )
-        scaler.step()
+        _observe(scaler, queue)
         assert len(scaler.workers) == 1
         assert queue.claim("w", lease_seconds=30.0) is not None
         clock["t"] = 100.0
         # claimed=1 keeps desired at 1 and forbids termination
-        assert scaler.step()["action"] == "hold"
+        assert _observe(scaler, queue)["action"] == "hold"
         assert len(scaler.workers) == 1
 
     def test_shutdown_terminates_fleet(self):
         queue = MemoryJobQueue()
         queue.submit({"n": 0}, job_id="00000-x")
-        scaler = Autoscaler(queue, _FakeWorker, cooldown_seconds=0.0)
-        scaler.step()
+        scaler = WorkerFleet(lambda index: _FakeWorker(), cooldown_seconds=0.0)
+        _observe(scaler, queue)
         workers = scaler.workers
         assert workers
         scaler.shutdown()
@@ -617,11 +630,11 @@ class TestAutoscaler:
         assert all(w.terminated for w in workers)
 
     def test_autoscaled_http_fleet_drains_a_real_grid(self):
-        """End to end: server + autoscaler-spawned HTTP worker
-        processes complete a queue nobody else is draining."""
+        """End to end: server + fleet-spawned HTTP worker processes
+        complete a queue nobody else is draining."""
         backing = MemoryJobQueue()
         with QueueServer(backing) as server:
-            from repro.pipeline.dist import spawn_http_worker
+            from repro.pipeline.dist import spawn_worker
             from repro.pipeline.tasks import normalize_spec
 
             specs = [
@@ -633,21 +646,22 @@ class TestAutoscaler:
             queue = HttpJobQueue(server.url)
             for index, spec in enumerate(specs):
                 queue.submit(spec, job_id=job_id_for_spec(index, spec))
-            scaler = Autoscaler(
-                queue,
-                lambda: spawn_http_worker(server.url, lease_seconds=30.0),
+            scaler = WorkerFleet(
+                lambda index: spawn_worker(
+                    queue, stop_when_drained=False, lease_seconds=30.0
+                ),
                 min_workers=0, max_workers=2, backlog_per_worker=1,
                 cooldown_seconds=0.0,
             )
             try:
                 deadline = time.time() + 60
                 while queue.stats().done < len(specs):
-                    scaler.step()
+                    _observe(scaler, queue)
                     assert time.time() < deadline, "fleet never drained grid"
                     time.sleep(0.05)
             finally:
                 scaler.shutdown()
             assert queue.stats().done == len(specs)
             assert len(queue.results()) == len(specs)
-            # heartbeats from the autoscaled workers reached /stats
+            # heartbeats from the fleet's workers reached /stats
             assert queue.fleet()
