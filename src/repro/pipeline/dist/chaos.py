@@ -177,7 +177,7 @@ class ChaosPlan:
             }
 
 
-class ChaosQueue:
+class ChaosQueue(JobQueue):
     """A :class:`~repro.pipeline.dist.queues.JobQueue` proxy that
     injects faults from a :class:`ChaosPlan` on the worker-facing
     verbs, and forwards everything else untouched.
@@ -214,10 +214,6 @@ class ChaosQueue:
         if self.plan.take("submit-dup", "submit", job_id):
             self.inner.submit(spec, job_id=job_id)
         return self.inner.submit(spec, job_id=job_id)
-
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        jobs = self.claim_batch(worker_id, lease_seconds=lease_seconds)
-        return jobs[0] if jobs else None
 
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
@@ -264,14 +260,17 @@ class ChaosQueue:
     def reap_expired(self) -> list[str]:
         return self.inner.reap_expired()
 
+    def attempts(self, job_id: str) -> int:
+        return self.inner.attempts(job_id)
+
+    def attempts_map(self, job_ids) -> dict[str, int]:
+        return self.inner.attempts_map(job_ids)
+
     def stats(self):
         return self.inner.stats()
 
     def finished_ids(self) -> set[str]:
         return self.inner.finished_ids()
-
-    def results(self) -> dict[str, dict]:
-        return self.inner.results()
 
     def results_page(self, *, after: str | None = None, limit: int = 100):
         return self.inner.results_page(after=after, limit=limit)

@@ -38,12 +38,12 @@ failure 500 — all with ``{"error": ...}``.
 | endpoint          | request                                      | response |
 |-------------------|----------------------------------------------|----------|
 | ``POST /submit``  | ``{"spec": {...}, "job_id": "..."}``         | ``{"job_id": "..."}`` |
-| ``POST /claim``   | ``{"worker_id": "...", "lease_seconds": s}`` | ``{"job": null | {"job_id", "spec", "attempts"}}`` |
-| ``POST /claim`` (batch) | ``{"worker_id", "lease_seconds", "batch": n}`` | ``{"jobs": [{"job_id", "spec", "attempts"}, ...], "job": first | null}`` |
+| ``POST /claim``   | ``{"worker_id", "lease_seconds", "batch"?: n}`` (``batch`` defaults to 1) | ``{"jobs": [{"job_id", "spec", "attempts"}, ...], "job": first | null}`` |
 | ``POST /ack``     | ``{"job_id", "result", "worker_id"?}``       | ``{"accepted": bool}`` |
 | ``POST /fail``    | ``{"job_id", "error", "worker_id"?}``        | ``{"ok": true}`` |
 | ``POST /reap``    | ``{}``                                       | ``{"reaped": [ids]}`` |
 | ``GET /attempts`` | ``?job_id=<id>``                             | ``{"attempts": n}`` |
+| ``GET /attempts`` | ``?job_ids=<id>,<id>,...``                   | ``{"attempts_map": {id: n}}`` |
 | ``POST /heartbeat`` | worker heartbeat document                  | ``{"ok": true}`` |
 | ``GET /stats``    | —                                            | ``{"pending", "claimed", "done", "failed", "workers"}`` |
 | ``GET /metrics``  | —                                            | fleet-merged metrics, Prometheus text |
@@ -110,7 +110,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import trace_meta
 
-from .queues import Job, JobQueue, QueueStats
+from .queues import Job, JobQueue, QueueStats, _require_positive
 from .worker import Heartbeat, run_worker
 
 __all__ = [
@@ -145,29 +145,18 @@ def _ep_submit(server: "QueueServer", body: dict) -> dict:
 
 
 def _ep_claim(server: "QueueServer", body: dict) -> dict:
-    worker_id = str(body["worker_id"])
-    lease_seconds = float(body.get("lease_seconds", 60.0))
-    batch = int(body.get("batch", 1))
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch > 1:
-        # Bundle claim: one request, up to ``batch`` jobs, one shared
-        # lease deadline.  ``"job"`` carries the first job so an old
-        # client pointed at a new server still works.
-        jobs = server.queue.claim_batch(
-            worker_id, lease_seconds=lease_seconds, limit=batch
-        )
-        documents = [
-            {"job_id": j.job_id, "spec": j.spec, "attempts": j.attempts}
-            for j in jobs
-        ]
-        return {"jobs": documents, "job": documents[0] if documents else None}
-    job = server.queue.claim(worker_id, lease_seconds=lease_seconds)
-    if job is None:
-        return {"job": None}
-    return {
-        "job": {"job_id": job.job_id, "spec": job.spec, "attempts": job.attempts}
-    }
+    # One request, up to ``batch`` jobs, one shared lease deadline.
+    # ``"job"`` repeats the first job for clients that read only it.
+    jobs = server.queue.claim_batch(
+        str(body["worker_id"]),
+        lease_seconds=float(body.get("lease_seconds", 60.0)),
+        limit=int(body.get("batch", 1)),
+    )
+    documents = [
+        {"job_id": j.job_id, "spec": j.spec, "attempts": j.attempts}
+        for j in jobs
+    ]
+    return {"jobs": documents, "job": documents[0] if documents else None}
 
 
 def _ep_ack(server: "QueueServer", body: dict) -> dict:
@@ -200,11 +189,7 @@ def _ep_attempts(server: "QueueServer", body: dict) -> dict:
         # the runner's poison breaker costs O(1) requests per check
         # instead of one per unfinished job.
         ids = [j for j in str(body["job_ids"]).split(",") if j]
-        return {
-            "attempts_map": {
-                job_id: int(server.queue.attempts(job_id)) for job_id in ids
-            }
-        }
+        return {"attempts_map": server.queue.attempts_map(ids)}
     return {"attempts": int(server.queue.attempts(str(body["job_id"])))}
 
 
@@ -600,7 +585,7 @@ class QueueServer:
 
 
 # -- client -----------------------------------------------------------------
-class HttpJobQueue:
+class HttpJobQueue(JobQueue):
     """:class:`JobQueue` client speaking JSON/HTTP to a :class:`QueueServer`.
 
     Implements the full queue protocol over the wire, so every runner
@@ -618,7 +603,7 @@ class HttpJobQueue:
       ``max_backoff_seconds``), then raise :class:`HttpQueueError`.
       HTTP-level errors (4xx/5xx) never retry: the server answered.
 
-    Retrying ``claim`` is not idempotent — if the response (not the
+    Retrying a claim is not idempotent — if the response (not the
     request) was lost, a lease is orphaned server-side and recovered
     by normal expiry.  All other verbs are idempotent by protocol.
 
@@ -805,29 +790,17 @@ class HttpJobQueue:
             )["job_id"]
         )
 
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        job = self._request(
-            "POST",
-            "/claim",
-            {"worker_id": worker_id, "lease_seconds": lease_seconds},
-        )["job"]
-        if job is None:
-            return None
-        return Job(job["job_id"], job["spec"], int(job.get("attempts", 0)))
-
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
     ) -> list[Job]:
         """Claim up to ``limit`` jobs in **one** HTTP round-trip.
 
         This is the transport win bundling exists for: N tiny jobs cost
-        one request instead of N.  The same retry caveat as ``claim``
-        applies, once per bundle instead of once per job: a lost
-        *response* orphans the whole bundle's lease, which expires and
-        is reaped like any dead worker's."""
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        payload = self._request(
+        one request instead of N.  A lost *response* orphans the whole
+        bundle's lease, which expires and is reaped like any dead
+        worker's."""
+        _require_positive("limit", limit)
+        documents = self._request(
             "POST",
             "/claim",
             {
@@ -835,11 +808,7 @@ class HttpJobQueue:
                 "lease_seconds": lease_seconds,
                 "batch": limit,
             },
-        )
-        if "jobs" in payload:
-            documents = payload["jobs"]
-        else:  # pre-batch server: it honored the claim as a single
-            documents = [payload["job"]] if payload.get("job") else []
+        )["jobs"]
         return [
             Job(doc["job_id"], doc["spec"], int(doc.get("attempts", 0)))
             for doc in documents
@@ -906,17 +875,6 @@ class HttpJobQueue:
             "GET", "/results", query={"after": after, "limit": limit}
         )
         return dict(payload["results"]), payload.get("next")
-
-    def results(self) -> dict[str, dict]:
-        """Drain every result — by page, so the server never has to
-        serialize the whole result set into one response."""
-        out: dict[str, dict] = {}
-        cursor: str | None = None
-        while True:
-            page, cursor = self.results_page(after=cursor, limit=100)
-            if not page:
-                return out
-            out.update(page)
 
     def failures(self) -> dict[str, str]:
         return dict(self._request("GET", "/failures")["failures"])

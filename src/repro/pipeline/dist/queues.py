@@ -11,26 +11,28 @@ dead-letter set after ``max_attempts`` tries instead of looping
 forever.  The full protocol semantics (state diagram, at-least-once
 caveats) are specified in ``docs/distributed.md``.
 
-Two implementations share the :class:`JobQueue` protocol:
+One state machine, two storages.  Every transition — id cleaning,
+the lease-owner check, attempt counting and dead-lettering,
+quarantine, retry, pagination — is written once, in the core both
+queues inherit.  The core sees jobs as *entries* (a state plus job
+id, attempts, lease deadline and worker) that a storage lists, finds,
+reads, writes, moves and removes:
 
-* :class:`MemoryJobQueue` — a ``threading.Lock``-guarded in-process
-  queue.  Its workers run in the submitting process (the runner's
-  in-process drain); this is what serial execution and the fast tests
-  use.  The lock stays: ``repro serve`` shares one queue between its
-  HTTP handler threads.
-* :class:`DirectoryJobQueue` — a filesystem-backed queue: every job is
-  one JSON file that moves between ``pending/``, ``claimed/``,
-  ``done/`` and ``failed/`` subdirectories via atomic ``os.rename``.
-  Claiming *is* the rename, so any number of worker processes — on one
-  host or on many hosts sharing a filesystem — can pop from the same
-  directory without locks, and the queue state survives restarts
-  (which is what ``repro sweep --resume`` relies on).
+* :class:`MemoryJobQueue` — the entries are dicts, guarded by a
+  ``threading.Lock`` the core takes for each verb.  Its workers run in
+  the submitting process (the runner's in-process drain); this is what
+  serial execution and the fast tests use.  The lock stays: ``repro
+  serve`` shares one queue between its HTTP handler threads.
+* :class:`DirectoryJobQueue` — every entry is one JSON file under
+  ``pending/``, ``claimed/``, ``done/`` or ``failed/``, its fields in
+  the file *name*, and a move is one atomic ``os.rename``.  Claiming
+  *is* the rename, so any number of worker processes — on one host or
+  on many hosts sharing a filesystem — can pop from the same directory
+  without locks, and the queue state survives restarts (which is what
+  ``repro sweep --resume`` relies on).
 
 Job identity is caller-chosen (the sweep runner derives ids from the
-spec content, making resubmission idempotent).  Lease deadlines and
-attempt counters ride in the *filename* of a claimed job, so every
-state transition is a single atomic rename with no read-modify-write
-window.
+spec content, making resubmission idempotent).
 
 A third implementation lives in :mod:`repro.pipeline.dist.net`:
 :class:`~repro.pipeline.dist.net.HttpJobQueue` speaks this same
@@ -41,6 +43,7 @@ all.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -48,7 +51,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 _LOG = logging.getLogger(__name__)
 
@@ -62,13 +65,20 @@ __all__ = [
 
 #: characters allowed in job and worker ids (they become file names).
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
-#: field separator inside queue file names; sanitization above
-#: guarantees it cannot appear in a job or worker id.
+#: field separator inside queue file names; cleaning above guarantees
+#: it cannot appear in a job or worker id.
 _SEP = "~~"
+_STATES = ("pending", "claimed", "done", "failed")
 
 
-def _sanitize(name: str) -> str:
+def _clean(name: str) -> str:
+    """The id every verb works on: unsafe characters become ``-``."""
     return _SAFE.sub("-", str(name)) or "anon"
+
+
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -104,20 +114,25 @@ class QueueStats:
 class JobQueue(Protocol):
     """What the worker loop and the sweep runner require of a queue.
 
-    Semantics (both implementations):
+    Semantics (every implementation):
 
+    * Every verb cleans the ids it is given (unsafe characters become
+      ``-``), so ``"b c"`` and ``"b-c"`` name one job everywhere.
     * ``submit`` is idempotent per ``job_id`` — resubmitting an id that
       is already pending, claimed, done, or failed is a no-op returning
       the id, so a resumed sweep can replay its whole grid.
     * ``claim`` transfers one pending job to the caller under a lease;
       ``None`` means nothing is pending right now (work may still be
-      claimed by others — check :meth:`stats`).
+      claimed by others — check :meth:`stats`).  It is exactly
+      ``claim_batch(limit=1)``.
     * ``claim_batch`` transfers up to ``limit`` pending jobs in one
       call — a *bundle* — under one lease deadline, amortizing queue
-      round-trips over many tiny jobs.  Acks stay per-job: a worker
-      that dies after acking job *k* of *N* strands only the unacked
-      remainder, which ``reap_expired`` returns to pending when the
-      shared deadline passes.  An empty list means nothing is pending.
+      round-trips over many tiny jobs.  Pending jobs are claimed in
+      job-id order (for sweep ids, submission order).  Acks stay
+      per-job: a worker that dies after acking job *k* of *N* strands
+      only the unacked remainder, which ``reap_expired`` returns to
+      pending when the shared deadline passes.  An empty list means
+      nothing is pending.
     * ``ack`` finishes a claimed job with its result document and
       returns ``True``.  A **stale** ack — the job's lease was already
       reaped (and possibly reassigned to another worker, when
@@ -136,18 +151,22 @@ class JobQueue(Protocol):
       passed (the crashed-worker recovery path).
     * ``attempts`` reads one job's attempt counter: how many times it
       has been handed out and lost (lease reaps and recorded failures
-      both bump it, whoever triggers them).  Monotonic until ``retry``
-      resets it — which makes it the poison-job circuit breaker's
-      evidence: the runner can see a job churning through workers even
-      when workers win every ``reap_expired`` race.
+      both bump it, whoever triggers them).  While the job is
+      unfinished it is monotonic until ``retry`` resets it — which
+      makes it the poison-job circuit breaker's evidence: the runner
+      can see a job churning through workers even when workers win
+      every ``reap_expired`` race.  A done job (and an unknown id)
+      reads 0: a result document has no place for the counter.
+      ``attempts_map`` reads many counters in one call.
     * ``results_page`` reads one lexicographic page of completed
       results after a cursor, so huge grids drain incrementally
       instead of materializing every payload at once (``results`` is
       the drain-everything convenience).
     * ``quarantine`` force-dead-letters a pending or claimed job
       *now*, skipping the remaining attempts — the circuit breaker's
-      verb for a poison job that keeps killing its workers.  Returns
-      ``False`` if the job is unknown or already terminal.
+      verb for a poison job that keeps killing its workers.  A job
+      already dead-lettered is upgraded in place; ``False`` if the
+      job is unknown or done.
     * ``failure_details`` is the dead-letter ledger: every failed job
       with its error text, attempt count, original spec, and a
       ``quarantined`` marker — enough to triage (``repro failures``)
@@ -159,7 +178,9 @@ class JobQueue(Protocol):
 
     def submit(self, spec: dict, *, job_id: str) -> str: ...
 
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None: ...
+    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
+        jobs = self.claim_batch(worker_id, lease_seconds=lease_seconds)
+        return jobs[0] if jobs else None
 
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
@@ -177,11 +198,20 @@ class JobQueue(Protocol):
 
     def attempts(self, job_id: str) -> int: ...
 
+    def attempts_map(self, job_ids) -> dict[str, int]: ...
+
     def stats(self) -> QueueStats: ...
 
     def finished_ids(self) -> set[str]: ...
 
-    def results(self) -> dict[str, dict]: ...
+    def results(self) -> dict[str, dict]:
+        out: dict[str, dict] = {}
+        cursor: str | None = None
+        while True:
+            page, cursor = self.results_page(after=cursor, limit=100)
+            if not page:
+                return out
+            out.update(page)
 
     def results_page(
         self, *, after: str | None = None, limit: int = 100
@@ -196,7 +226,269 @@ class JobQueue(Protocol):
     def quarantine(self, job_id: str, reason: str) -> bool: ...
 
 
-class MemoryJobQueue:
+class _Entry(NamedTuple):
+    """One job in one state, as a storage holds it (for the directory
+    queue, exactly the fields of its file name)."""
+
+    state: str
+    job_id: str
+    attempts: int = 0
+    #: lease deadline of a claimed job, in the storage's clock units.
+    deadline: float = 0
+    worker: str = ""
+
+
+def _failure_record(error, attempts, spec, quarantined=False) -> dict:
+    """The dead-letter record: stored as-is, and the ledger's shape."""
+    record = {"error": error, "attempts": int(attempts), "spec": spec}
+    if quarantined:
+        record["quarantined"] = True
+    return record
+
+
+class _QueueCore(JobQueue):
+    """Every :class:`JobQueue` transition, written once over a storage.
+
+    A storage supplies ``_lock`` (held for each verb), ``_clock`` and
+    six entry primitives: ``_list(state)``, ``_find(job_id, state)``,
+    ``_read(entry)`` (``None`` once the entry is gone), ``_write(entry,
+    document)``, ``_move(entry, target)`` (``False`` when it lost a
+    race) and ``_remove(entry)``.
+    """
+
+    def __init__(self, *, max_attempts: int = 3):
+        _require_positive("max_attempts", max_attempts)
+        self.max_attempts = max_attempts
+
+    # -- transitions ----------------------------------------------------
+    def submit(self, spec: dict, *, job_id: str) -> str:
+        job_id = _clean(job_id)
+        with self._lock:
+            # terminal states first: one cheap lookup each
+            if not any(self._find(job_id, s) for s in reversed(_STATES)):
+                self._write(_Entry("pending", job_id), dict(spec))
+        return job_id
+
+    def claim_batch(
+        self, worker_id: str, *, lease_seconds: float, limit: int = 1
+    ) -> list[Job]:
+        """Claim up to ``limit`` pending jobs, in job-id order, under one
+        lease deadline.  One listing feeds the whole bundle; each job is
+        still claimed by its own move, and losing a race skips to the
+        next candidate, so concurrent claimers never double-claim."""
+        _require_positive("limit", limit)
+        worker = _clean(worker_id)
+        jobs: list[Job] = []
+        with self._lock:
+            deadline = self._clock(lease_seconds)
+            for entry in sorted(self._list("pending")):
+                if len(jobs) == limit:
+                    break
+                lease = entry._replace(
+                    state="claimed", deadline=deadline, worker=worker
+                )
+                spec = self._read(lease) if self._move(entry, lease) else None
+                if spec is not None:
+                    jobs.append(Job(entry.job_id, spec, entry.attempts))
+        return jobs
+
+    def _owned(self, job_id: str, worker_id: str | None) -> _Entry | None:
+        """The live claim ``ack`` and ``fail`` act on, or ``None`` when
+        the report is stale: the job is not claimed, or (``worker_id``
+        given) another worker holds it now."""
+        lease = self._find(_clean(job_id), "claimed")
+        if lease is None or (
+            worker_id is not None and lease.worker != _clean(worker_id)
+        ):
+            return None
+        return lease
+
+    def ack(
+        self, job_id: str, result: dict, *, worker_id: str | None = None
+    ) -> bool:
+        with self._lock:
+            lease = self._owned(job_id, worker_id)
+            if lease is None:
+                return False
+            self._write(_Entry("done", lease.job_id), result)
+            self._remove(lease)
+            return True
+
+    def fail(
+        self, job_id: str, error: str, *, worker_id: str | None = None
+    ) -> None:
+        with self._lock:
+            lease = self._owned(job_id, worker_id)
+            # A result that landed mid-ack already finished the job.
+            if lease is not None and not self._find(lease.job_id, "done"):
+                self._burn(lease, error)
+
+    def reap_expired(self) -> list[str]:
+        reaped = []
+        with self._lock:
+            now = self._clock()
+            for lease in self._list("claimed"):
+                if lease.deadline <= now and self._burn(lease):
+                    reaped.append(lease.job_id)
+        return reaped
+
+    def _burn(self, lease: _Entry, error: str | None = None) -> bool:
+        """One attempt lost: attempts + 1, then dead-letter at
+        ``max_attempts`` or requeue.  A reap passes no error."""
+        attempts = lease.attempts + 1
+        if attempts < self.max_attempts:
+            return self._move(lease, _Entry("pending", lease.job_id, attempts))
+        if error is None:
+            error = (
+                f"lease expired {attempts} times (last worker: {lease.worker})"
+            )
+        return self._bury(lease, error, attempts)
+
+    def _bury(
+        self, entry: _Entry, error: str, attempts: int, quarantined=False
+    ) -> bool:
+        """Dead-letter a pending or claimed ``entry`` with its spec."""
+        spec = self._read(entry)
+        if spec is None:
+            return False  # a concurrent claim, ack or reap moved it
+        self._write(
+            _Entry("failed", entry.job_id),
+            _failure_record(error, attempts, spec, quarantined),
+        )
+        self._remove(entry)
+        return True
+
+    def retry(self, job_id: str) -> bool:
+        """Move one dead-lettered job back to pending, attempts reset.
+        The failed record keeps the original spec, so replay needs no
+        other source of truth."""
+        failed = _Entry("failed", _clean(job_id))
+        with self._lock:
+            record = self._read(failed)
+            if record is None:
+                return False
+            self._write(
+                _Entry("pending", failed.job_id), dict(record.get("spec") or {})
+            )
+            self._remove(failed)
+            return True
+
+    def quarantine(self, job_id: str, reason: str) -> bool:
+        """Dead-letter a pending or claimed job immediately (the
+        poison-job circuit breaker's verb — no more attempts).  A job
+        already dead-lettered is *upgraded* in place — the breaker's
+        diagnosis replaces a generic lease-expiry error — so the
+        record reads the same whichever race the breaker won.  Only a
+        completed job refuses quarantine."""
+        job_id = _clean(job_id)
+        failed = _Entry("failed", job_id)
+        with self._lock:
+            if self._find(job_id, "done"):
+                return False
+            record = self._read(failed)
+            if record is not None:
+                record.update(error=reason, quarantined=True)
+                self._write(failed, record)
+                return True
+            for state in ("pending", "claimed"):
+                entry = self._find(job_id, state)
+                if entry is None or not self._bury(
+                    entry, reason, entry.attempts, True
+                ):
+                    continue  # absent, or raced with a claim/ack
+                if self._find(job_id, "done"):
+                    # The claimer acked inside our race window; its
+                    # result wins — withdraw the quarantine record.
+                    self._remove(failed)
+                    return False
+                return True
+            return False
+
+    # -- reads ----------------------------------------------------------
+    def attempts(self, job_id: str) -> int:
+        """How many attempts this job has burned (reaps + failures)."""
+        (count,) = self.attempts_map([job_id]).values()
+        return count
+
+    def attempts_map(self, job_ids) -> dict[str, int]:
+        """Attempt counters for many jobs, each state listed once.  A
+        done or unknown job reads 0."""
+        with self._lock:
+            live = {
+                entry.job_id: entry.attempts
+                for state in ("pending", "claimed")
+                for entry in self._list(state)
+            }
+            out: dict[str, int] = {}
+            for job_id in map(_clean, job_ids):
+                if job_id in live:
+                    out[job_id] = live[job_id]
+                else:
+                    record = self._read(_Entry("failed", job_id)) or {}
+                    out[job_id] = int(record.get("attempts", 0))
+            return out
+
+    def stats(self) -> QueueStats:
+        with self._lock:
+            return QueueStats(*(len(self._list(state)) for state in _STATES))
+
+    def finished_ids(self) -> set[str]:
+        """Ids in a terminal state — cheap to poll, no payload access."""
+        with self._lock:
+            return {
+                entry.job_id
+                for state in ("done", "failed")
+                for entry in self._list(state)
+            }
+
+    def results_page(
+        self, *, after: str | None = None, limit: int = 100
+    ) -> tuple[dict[str, dict], str | None]:
+        """One lexicographic page of results with ids after ``after``;
+        only the page's documents are read.
+
+        Returns ``(page, cursor)``; ``cursor`` is the last id of the
+        page (pass it back as ``after``) or ``None`` when the page is
+        empty.  Pagination is stable because job ids only ever *enter*
+        the done set.
+        """
+        _require_positive("limit", limit)
+        with self._lock:
+            ids = sorted(
+                entry.job_id
+                for entry in self._list("done")
+                if after is None or entry.job_id > after
+            )[:limit]
+            page = {}
+            for job_id in ids:
+                document = self._read(_Entry("done", job_id))
+                if document is not None:
+                    page[job_id] = document
+        return page, (ids[-1] if ids else None)
+
+    def failure_details(self) -> dict[str, dict]:
+        """Dead-letter ledger: error, attempts, spec per failed job."""
+        out: dict[str, dict] = {}
+        with self._lock:
+            for entry in self._list("failed"):
+                record = self._read(entry)
+                if record is not None:
+                    out[entry.job_id] = _failure_record(
+                        record.get("error", "unknown error"),
+                        record.get("attempts", 0),
+                        record.get("spec") or {},
+                        bool(record.get("quarantined")),
+                    )
+        return out
+
+    def failures(self) -> dict[str, str]:
+        return {
+            job_id: record["error"]
+            for job_id, record in self.failure_details().items()
+        }
+
+
+class MemoryJobQueue(_QueueCore):
     """In-process :class:`JobQueue`: a lock, four dicts, no I/O.
 
     Workers against this queue live in the submitting process: the
@@ -207,206 +499,42 @@ class MemoryJobQueue:
     """
 
     def __init__(self, *, max_attempts: int = 3):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.max_attempts = max_attempts
+        super().__init__(max_attempts=max_attempts)
         self._lock = threading.Lock()
-        self._specs: dict[str, dict] = {}
-        self._attempts: dict[str, int] = {}
-        self._pending: list[str] = []
-        #: job_id -> (worker_id, monotonic deadline)
-        self._claimed: dict[str, tuple[str, float]] = {}
-        self._done: dict[str, dict] = {}
-        self._failed: dict[str, str] = {}
-        self._quarantined: set[str] = set()
+        #: state -> job id -> (entry, spec or result or failure record)
+        self._states: dict[str, dict[str, tuple[_Entry, dict]]] = {
+            state: {} for state in _STATES
+        }
 
-    def submit(self, spec: dict, *, job_id: str) -> str:
-        job_id = _sanitize(job_id)
-        with self._lock:
-            if job_id not in self._specs:
-                self._specs[job_id] = dict(spec)
-                self._attempts[job_id] = 0
-                self._pending.append(job_id)
-        return job_id
+    def _clock(self, lease_seconds: float = 0.0) -> float:
+        return time.monotonic() + lease_seconds
 
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        jobs = self.claim_batch(worker_id, lease_seconds=lease_seconds)
-        return jobs[0] if jobs else None
+    def _list(self, state: str) -> list[_Entry]:
+        return [entry for entry, _ in self._states[state].values()]
 
-    def claim_batch(
-        self, worker_id: str, *, lease_seconds: float, limit: int = 1
-    ) -> list[Job]:
-        """Claim up to ``limit`` pending jobs under one lease deadline.
+    def _find(self, job_id: str, state: str) -> _Entry | None:
+        return self._states[state].get(job_id, (None,))[0]
 
-        One lock acquisition pops the whole bundle, so N tiny jobs cost
-        one queue round-trip instead of N.  Acks remain per-job."""
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        worker = _sanitize(worker_id)
-        with self._lock:
-            deadline = time.monotonic() + lease_seconds
-            jobs: list[Job] = []
-            while self._pending and len(jobs) < limit:
-                job_id = self._pending.pop(0)
-                self._claimed[job_id] = (worker, deadline)
-                jobs.append(
-                    Job(job_id, dict(self._specs[job_id]), self._attempts[job_id])
-                )
-            return jobs
+    def _read(self, entry: _Entry) -> dict | None:
+        stored = self._states[entry.state].get(entry.job_id)
+        return dict(stored[1]) if stored and stored[0] == entry else None
 
-    def ack(
-        self, job_id: str, result: dict, *, worker_id: str | None = None
-    ) -> bool:
-        with self._lock:
-            lease = self._claimed.get(job_id)
-            if lease is None:
-                # Stale: the lease was reaped (job is pending again or
-                # already finished elsewhere).  Reject; state untouched.
-                return False
-            if worker_id is not None and lease[0] != _sanitize(worker_id):
-                # Stale: reaped *and* reassigned — the current claim
-                # belongs to another worker now.
-                return False
-            del self._claimed[job_id]
-            self._done[job_id] = result
-            return True
+    def _write(self, entry: _Entry, document: dict) -> None:
+        self._states[entry.state][entry.job_id] = (entry, document)
 
-    def fail(
-        self, job_id: str, error: str, *, worker_id: str | None = None
-    ) -> None:
-        with self._lock:
-            lease = self._claimed.get(job_id)
-            if lease is None:
-                return  # stale: reaped, finished, or never claimed
-            if worker_id is not None and lease[0] != _sanitize(worker_id):
-                return  # stale: reaped and reassigned to another worker
-            del self._claimed[job_id]
-            self._attempts[job_id] = self._attempts.get(job_id, 0) + 1
-            if self._attempts[job_id] >= self.max_attempts:
-                self._failed[job_id] = error
-            else:
-                self._pending.append(job_id)
+    def _move(self, entry: _Entry, target: _Entry) -> bool:
+        document = self._read(entry)
+        if document is None:
+            return False
+        self._remove(entry)
+        self._write(target, document)
+        return True
 
-    def reap_expired(self) -> list[str]:
-        now = time.monotonic()
-        reaped = []
-        with self._lock:
-            for job_id, (worker, deadline) in list(self._claimed.items()):
-                if deadline > now:
-                    continue
-                del self._claimed[job_id]
-                self._attempts[job_id] = self._attempts.get(job_id, 0) + 1
-                if self._attempts[job_id] >= self.max_attempts:
-                    self._failed[job_id] = (
-                        f"lease expired {self._attempts[job_id]} times "
-                        f"(last worker: {worker})"
-                    )
-                else:
-                    self._pending.append(job_id)
-                reaped.append(job_id)
-        return reaped
-
-    def attempts(self, job_id: str) -> int:
-        """How many attempts this job has burned (reaps + failures)."""
-        with self._lock:
-            return self._attempts.get(_sanitize(job_id), 0)
-
-    def stats(self) -> QueueStats:
-        with self._lock:
-            return QueueStats(
-                pending=len(self._pending),
-                claimed=len(self._claimed),
-                done=len(self._done),
-                failed=len(self._failed),
-            )
-
-    def finished_ids(self) -> set[str]:
-        """Ids in a terminal state — cheap to poll, no payload access."""
-        with self._lock:
-            return set(self._done) | set(self._failed)
-
-    def results(self) -> dict[str, dict]:
-        with self._lock:
-            return dict(self._done)
-
-    def results_page(
-        self, *, after: str | None = None, limit: int = 100
-    ) -> tuple[dict[str, dict], str | None]:
-        """One lexicographic page of results with ids after ``after``.
-
-        Returns ``(page, cursor)``; ``cursor`` is the last id of the
-        page (pass it back as ``after``) or ``None`` when the page is
-        empty.  Pagination is stable because job ids only ever *enter*
-        the done set.
-        """
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        with self._lock:
-            ids = sorted(
-                job_id for job_id in self._done
-                if after is None or job_id > after
-            )[:limit]
-            page = {job_id: self._done[job_id] for job_id in ids}
-        return page, (ids[-1] if ids else None)
-
-    def failures(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._failed)
-
-    def failure_details(self) -> dict[str, dict]:
-        """Dead-letter ledger: error, attempts, spec per failed job."""
-        with self._lock:
-            out: dict[str, dict] = {}
-            for job_id, error in self._failed.items():
-                record = {
-                    "error": error,
-                    "attempts": self._attempts.get(job_id, 0),
-                    "spec": dict(self._specs.get(job_id, {})),
-                }
-                if job_id in self._quarantined:
-                    record["quarantined"] = True
-                out[job_id] = record
-            return out
-
-    def retry(self, job_id: str) -> bool:
-        """Move one dead-lettered job back to pending, attempts reset."""
-        job_id = _sanitize(job_id)
-        with self._lock:
-            if job_id not in self._failed:
-                return False
-            del self._failed[job_id]
-            self._quarantined.discard(job_id)
-            self._attempts[job_id] = 0
-            self._pending.append(job_id)
-            return True
-
-    def quarantine(self, job_id: str, reason: str) -> bool:
-        """Dead-letter a pending or claimed job immediately (the
-        poison-job circuit breaker's verb — no more attempts).  A job
-        already dead-lettered is *upgraded* in place — the breaker's
-        diagnosis replaces a generic lease-expiry error — so the
-        record reads the same whichever race the breaker won.  Only a
-        completed job refuses quarantine."""
-        job_id = _sanitize(job_id)
-        with self._lock:
-            if job_id in self._done:
-                return False
-            if job_id in self._failed:
-                self._failed[job_id] = reason
-                self._quarantined.add(job_id)
-                return True
-            if job_id in self._claimed:
-                del self._claimed[job_id]
-            elif job_id in self._pending:
-                self._pending.remove(job_id)
-            elif job_id not in self._specs:
-                return False
-            self._failed[job_id] = reason
-            self._quarantined.add(job_id)
-            return True
+    def _remove(self, entry: _Entry) -> None:
+        self._states[entry.state].pop(entry.job_id, None)
 
 
-class DirectoryJobQueue:
+class DirectoryJobQueue(_QueueCore):
     """Filesystem-backed :class:`JobQueue` for cross-process workers.
 
     Layout under ``root``::
@@ -414,7 +542,7 @@ class DirectoryJobQueue:
         pending/{id}~~{attempts}.json            the job spec
         claimed/{id}~~{attempts}~~{deadline_ms}~~{worker}.json
         done/{id}.json                           the result document
-        failed/{id}.json                         {"error": ..., "spec": ...}
+        failed/{id}.json                         {"error", "attempts", "spec"}
 
     Every transition is one atomic ``os.rename`` (claim, requeue) or a
     write-then-unlink (ack, fail), so concurrent workers — including
@@ -430,436 +558,100 @@ class DirectoryJobQueue:
     (``repro sweep --resume``).
     """
 
-    _STATES = ("pending", "claimed", "done", "failed")
+    #: atomic renames serialize claimers across processes; no lock.
+    _lock = contextlib.nullcontext()
+    #: file name per state: the leading entry fields joined by ``~~``.
+    _LAYOUT = {
+        "pending": "{id}~~{attempts}.json",
+        "claimed": "{id}~~{attempts}~~{deadline_ms}~~{worker}.json",
+        "done": "{id}.json",
+        "failed": "{id}.json",
+    }
 
     def __init__(self, root: str | os.PathLike, *, max_attempts: int = 3):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        super().__init__(max_attempts=max_attempts)
         self.root = os.fspath(root)
-        self.max_attempts = max_attempts
         #: malformed filenames already warned about (warn once each —
         #: every scan revisits them, and a stray file must not spam).
         self._warned: set[str] = set()
-        for state in self._STATES:
+        for state in _STATES:
             os.makedirs(os.path.join(self.root, state), exist_ok=True)
 
-    # -- path helpers -------------------------------------------------
-    def _dir(self, state: str) -> str:
-        return os.path.join(self.root, state)
+    def _clock(self, lease_seconds: float = 0.0) -> int:
+        return int((time.time() + lease_seconds) * 1000)
 
-    def _pending_path(self, job_id: str, attempts: int) -> str:
-        return os.path.join(
-            self._dir("pending"), f"{job_id}{_SEP}{attempts}.json"
-        )
+    def _name(self, entry: _Entry) -> str:
+        fields = entry[1 : 2 + self._LAYOUT[entry.state].count(_SEP)]
+        return _SEP.join(map(str, fields)) + ".json"
 
-    def _terminal_path(self, state: str, job_id: str) -> str:
-        return os.path.join(self._dir(state), f"{job_id}.json")
+    def _path(self, entry: _Entry) -> str:
+        return os.path.join(self.root, entry.state, self._name(entry))
 
-    @staticmethod
-    def _parse_name(name: str) -> list[str]:
-        return name[: -len(".json")].split(_SEP)
-
-    def _warn_malformed(self, state: str, name: str, why: str) -> None:
-        key = f"{state}/{name}"
-        if key not in self._warned:
-            self._warned.add(key)
+    def _parse(self, state: str, name: str) -> _Entry | None:
+        """A file name back to its entry, or ``None`` (with a one-time
+        warning) for a file this queue never wrote — a corrupt or
+        foreign filename must never abort a whole scan."""
+        parts = name[: -len(".json")].split(_SEP)
+        try:
+            entry = _Entry(state, parts[0], *map(int, parts[1:3]), *parts[3:])
+        except (TypeError, ValueError):
+            entry = None
+        if entry is not None and self._name(entry) == name:
+            return entry
+        if f"{state}/{name}" not in self._warned:
+            self._warned.add(f"{state}/{name}")
             _LOG.warning(
-                "skipping malformed job file %s in %s: %s "
+                "skipping malformed job file %s in %s: want %s "
                 "(not produced by this queue; remove it to silence this)",
-                name, os.path.join(self.root, state), why,
+                name, os.path.join(self.root, state), self._LAYOUT[state],
             )
-
-    def _parse_pending(self, name: str) -> tuple[str, int] | None:
-        """``{id}~~{attempts}.json`` -> (id, attempts), or ``None``
-        (with a one-time warning) for a file this queue never wrote —
-        a corrupt or foreign filename must never abort a whole scan."""
-        parts = self._parse_name(name)
-        if len(parts) == 2 and parts[1].isdigit():
-            return parts[0], int(parts[1])
-        self._warn_malformed(
-            "pending", name, "want {id}~~{attempts}.json"
-        )
         return None
 
-    def _parse_claimed(self, name: str) -> tuple[str, int, int, str] | None:
-        """``{id}~~{attempts}~~{deadline_ms}~~{worker}.json`` parsed,
-        or ``None`` (with a one-time warning) when malformed."""
-        parts = self._parse_name(name)
-        if len(parts) == 4 and parts[1].isdigit() and parts[2].isdigit():
-            return parts[0], int(parts[1]), int(parts[2]), parts[3]
-        self._warn_malformed(
-            "claimed", name,
-            "want {id}~~{attempts}~~{deadline_ms}~~{worker}.json",
+    def _list(self, state: str) -> list[_Entry]:
+        entries = (
+            self._parse(state, name)
+            for name in os.listdir(os.path.join(self.root, state))
+            if name.endswith(".json")  # not a half-written ".tmp.{pid}"
         )
-        return None
+        return [entry for entry in entries if entry is not None]
 
-    def _find_job(self, state: str, job_id: str) -> str | None:
+    def _find(self, job_id: str, state: str) -> _Entry | None:
+        if state in ("done", "failed"):
+            entry = _Entry(state, job_id)
+            return entry if os.path.exists(self._path(entry)) else None
         prefix = f"{job_id}{_SEP}"
-        for name in os.listdir(self._dir(state)):
-            if name.startswith(prefix):
-                return name
+        for name in os.listdir(os.path.join(self.root, state)):
+            if name.startswith(prefix) and name.endswith(".json"):
+                entry = self._parse(state, name)
+                if entry is not None:
+                    return entry
         return None
 
-    @staticmethod
-    def _write_json(path: str, payload: dict) -> None:
+    def _read(self, entry: _Entry) -> dict | None:
+        try:
+            with open(self._path(entry), encoding="utf-8") as handle:
+                return json.load(handle)
+        except FileNotFoundError:
+            return None
+
+    def _write(self, entry: _Entry, document: dict) -> None:
         # Write-then-rename so a concurrently listing worker never sees
         # a half-written JSON document.
+        path = self._path(entry)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            json.dump(document, handle, sort_keys=True)
         os.replace(tmp, path)
 
-    # -- protocol -----------------------------------------------------
-    def submit(self, spec: dict, *, job_id: str) -> str:
-        job_id = _sanitize(job_id)
-        if not self._known(job_id):
-            self._write_json(self._pending_path(job_id, 0), dict(spec))
-        return job_id
-
-    def _known(self, job_id: str) -> bool:
-        for state in ("done", "failed"):
-            if os.path.exists(self._terminal_path(state, job_id)):
-                return True
-        return any(
-            self._find_job(state, job_id) for state in ("pending", "claimed")
-        )
-
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        jobs = self.claim_batch(worker_id, lease_seconds=lease_seconds)
-        return jobs[0] if jobs else None
-
-    def claim_batch(
-        self, worker_id: str, *, lease_seconds: float, limit: int = 1
-    ) -> list[Job]:
-        """Claim up to ``limit`` pending jobs under one shared deadline.
-
-        One directory listing feeds the whole bundle; each job is still
-        claimed by its own atomic rename (losing a race skips to the
-        next candidate), so concurrent bundling workers never
-        double-claim.  Acks remain per-job."""
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        worker_id = _sanitize(worker_id)
-        deadline_ms = int((time.time() + lease_seconds) * 1000)
-        jobs: list[Job] = []
-        for name in sorted(os.listdir(self._dir("pending"))):
-            if len(jobs) >= limit:
-                break
-            if not name.endswith(".json") or ".tmp." in name:
-                continue
-            parsed = self._parse_pending(name)
-            if parsed is None:
-                continue  # junk file; warned, skip, keep scanning
-            job_id, attempts = parsed
-            target = os.path.join(
-                self._dir("claimed"),
-                f"{job_id}{_SEP}{attempts}{_SEP}{deadline_ms}{_SEP}"
-                f"{worker_id}.json",
-            )
-            try:
-                os.rename(os.path.join(self._dir("pending"), name), target)
-            except FileNotFoundError:
-                continue  # lost the race; try the next pending job
-            with open(target, "r", encoding="utf-8") as handle:
-                spec = json.load(handle)
-            jobs.append(Job(job_id, spec, int(attempts)))
-        return jobs
-
-    def ack(
-        self, job_id: str, result: dict, *, worker_id: str | None = None
-    ) -> bool:
-        claimed = self._find_job("claimed", job_id)
-        if claimed is None:
-            # Stale ack: the lease was reaped (job pending again) or
-            # the job already finished.  Reject cleanly; whatever state
-            # exists — including a result acked by the re-run — stands.
-            return False
-        if worker_id is not None:
-            parsed = self._parse_claimed(claimed)
-            if parsed is not None and parsed[3] != _sanitize(worker_id):
-                # Stale: reaped *and* reassigned; the claim belongs to
-                # another worker now.
-                return False
-        self._write_json(self._terminal_path("done", job_id), result)
+    def _move(self, entry: _Entry, target: _Entry) -> bool:
         try:
-            os.unlink(os.path.join(self._dir("claimed"), claimed))
+            os.rename(self._path(entry), self._path(target))
+        except FileNotFoundError:
+            return False  # lost the race; the winner owns the job
+        return True
+
+    def _remove(self, entry: _Entry) -> None:
+        try:
+            os.unlink(self._path(entry))
         except FileNotFoundError:
             pass
-        return True
-
-    def fail(
-        self, job_id: str, error: str, *, worker_id: str | None = None
-    ) -> None:
-        claimed = self._find_job("claimed", job_id)
-        if claimed is None or os.path.exists(
-            self._terminal_path("done", job_id)
-        ):
-            return
-        path = os.path.join(self._dir("claimed"), claimed)
-        parsed = self._parse_claimed(claimed)
-        if parsed is None:
-            return  # junk file matching the id prefix; never ours
-        if worker_id is not None and parsed[3] != _sanitize(worker_id):
-            return  # stale: reaped and reassigned to another worker
-        attempts = parsed[1] + 1
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                spec = json.load(handle)
-        except FileNotFoundError:
-            return  # someone else already moved it
-        if attempts >= self.max_attempts:
-            self._write_json(
-                self._terminal_path("failed", job_id),
-                {"error": error, "attempts": attempts, "spec": spec},
-            )
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-        else:
-            try:
-                os.rename(path, self._pending_path(job_id, attempts))
-            except FileNotFoundError:
-                pass
-
-    def reap_expired(self) -> list[str]:
-        now_ms = int(time.time() * 1000)
-        reaped = []
-        for name in os.listdir(self._dir("claimed")):
-            if not name.endswith(".json") or ".tmp." in name:
-                continue
-            parsed = self._parse_claimed(name)
-            if parsed is None:
-                continue  # junk file; warned, skip, keep scanning
-            job_id, attempts, deadline_ms, worker = parsed
-            if deadline_ms > now_ms:
-                continue
-            path = os.path.join(self._dir("claimed"), name)
-            attempts = attempts + 1
-            if attempts >= self.max_attempts:
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        spec = json.load(handle)
-                    self._write_json(
-                        self._terminal_path("failed", job_id),
-                        {
-                            "error": (
-                                f"lease expired {attempts} times "
-                                f"(last worker: {worker})"
-                            ),
-                            "attempts": attempts,
-                            "spec": spec,
-                        },
-                    )
-                    os.unlink(path)
-                except FileNotFoundError:
-                    continue
-            else:
-                try:
-                    os.rename(path, self._pending_path(job_id, attempts))
-                except FileNotFoundError:
-                    continue  # claimer acked or another reaper won
-            reaped.append(job_id)
-        return reaped
-
-    def attempts(self, job_id: str) -> int:
-        """How many attempts this job has burned (reaps + failures).
-
-        Free to answer: the counter rides in the pending/claimed
-        filename and in the failed record, so no state is added — any
-        process sharing the directory sees the same number."""
-        job_id = _sanitize(job_id)
-        for state in ("pending", "claimed"):
-            name = self._find_job(state, job_id)
-            if name is None:
-                continue
-            parsed = (
-                self._parse_pending(name)
-                if state == "pending"
-                else self._parse_claimed(name)
-            )
-            if parsed is not None:
-                return int(parsed[1])
-        try:
-            with open(
-                self._terminal_path("failed", job_id), encoding="utf-8"
-            ) as handle:
-                return int(json.load(handle).get("attempts", 0))
-        except (FileNotFoundError, json.JSONDecodeError, TypeError, ValueError):
-            return 0  # unknown or done: no attempt churn worth reporting
-
-    def _count(self, state: str) -> int:
-        return sum(
-            1
-            for name in os.listdir(self._dir(state))
-            if name.endswith(".json") and ".tmp." not in name
-        )
-
-    def stats(self) -> QueueStats:
-        return QueueStats(
-            pending=self._count("pending"),
-            claimed=self._count("claimed"),
-            done=self._count("done"),
-            failed=self._count("failed"),
-        )
-
-    def finished_ids(self) -> set[str]:
-        """Ids in a terminal state, from filenames alone — the cheap
-        thing to poll (no JSON parsing; result payloads load once via
-        :meth:`results` when the sweep completes)."""
-        out: set[str] = set()
-        for state in ("done", "failed"):
-            for name in os.listdir(self._dir(state)):
-                if name.endswith(".json") and ".tmp." not in name:
-                    out.add(name[: -len(".json")])
-        return out
-
-    def _load_terminal(self, state: str) -> dict[str, dict]:
-        out = {}
-        directory = self._dir(state)
-        for name in os.listdir(directory):
-            if not name.endswith(".json") or ".tmp." in name:
-                continue
-            with open(os.path.join(directory, name), encoding="utf-8") as fh:
-                out[name[: -len(".json")]] = json.load(fh)
-        return out
-
-    def results(self) -> dict[str, dict]:
-        return self._load_terminal("done")
-
-    def results_page(
-        self, *, after: str | None = None, limit: int = 100
-    ) -> tuple[dict[str, dict], str | None]:
-        """One lexicographic page of results with ids after ``after``
-        — only the page's files are opened, so a runner can drain a
-        huge grid without ever loading every payload at once.
-
-        Returns ``(page, cursor)``; ``cursor`` is the last id of the
-        page (pass it back as ``after``) or ``None`` when empty.
-        """
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        directory = self._dir("done")
-        ids = sorted(
-            name[: -len(".json")]
-            for name in os.listdir(directory)
-            if name.endswith(".json") and ".tmp." not in name
-            and (after is None or name[: -len(".json")] > after)
-        )[:limit]
-        page: dict[str, dict] = {}
-        for job_id in ids:
-            try:
-                with open(
-                    os.path.join(directory, f"{job_id}.json"),
-                    encoding="utf-8",
-                ) as handle:
-                    page[job_id] = json.load(handle)
-            except FileNotFoundError:
-                continue  # raced with nothing we mind about
-        return page, (ids[-1] if ids else None)
-
-    def failures(self) -> dict[str, str]:
-        return {
-            job_id: record.get("error", "unknown error")
-            for job_id, record in self._load_terminal("failed").items()
-        }
-
-    def failure_details(self) -> dict[str, dict]:
-        """Dead-letter ledger: error, attempts, spec per failed job
-        (``failed/{id}.json`` already stores all three)."""
-        out: dict[str, dict] = {}
-        for job_id, record in self._load_terminal("failed").items():
-            detail = {
-                "error": record.get("error", "unknown error"),
-                "attempts": int(record.get("attempts", 0)),
-                "spec": record.get("spec") or {},
-            }
-            if record.get("quarantined"):
-                detail["quarantined"] = True
-            out[job_id] = detail
-        return out
-
-    def retry(self, job_id: str) -> bool:
-        """Move one dead-lettered job back to pending, attempts reset.
-
-        The failed record keeps the original spec, so replay needs no
-        other source of truth; concurrent retries of the same id
-        converge (the pending write is idempotent, one unlink wins).
-        """
-        job_id = _sanitize(job_id)
-        path = self._terminal_path("failed", job_id)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            return False
-        self._write_json(
-            self._pending_path(job_id, 0), dict(record.get("spec") or {})
-        )
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass  # lost a retry race; the pending file stands either way
-        return True
-
-    def quarantine(self, job_id: str, reason: str) -> bool:
-        """Dead-letter a pending or claimed job immediately (the
-        poison-job circuit breaker's verb — no more attempts).  A job
-        already dead-lettered is *upgraded* in place — the breaker's
-        diagnosis replaces a generic lease-expiry error — so the
-        record reads the same whichever race the breaker won.  Only a
-        completed job refuses quarantine."""
-        job_id = _sanitize(job_id)
-        if os.path.exists(self._terminal_path("done", job_id)):
-            return False
-        failed_path = self._terminal_path("failed", job_id)
-        try:
-            with open(failed_path, encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            record = None
-        if record is not None:
-            record["error"] = reason
-            record["quarantined"] = True
-            self._write_json(failed_path, record)
-            return True
-        for state in ("pending", "claimed"):
-            name = self._find_job(state, job_id)
-            if name is None:
-                continue
-            parsed = (
-                self._parse_pending(name)
-                if state == "pending"
-                else self._parse_claimed(name)
-            )
-            if parsed is None:
-                continue  # junk file matching the id prefix; never ours
-            path = os.path.join(self._dir(state), name)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    spec = json.load(handle)
-            except FileNotFoundError:
-                continue  # raced with a claim/ack; check the other state
-            self._write_json(
-                self._terminal_path("failed", job_id),
-                {
-                    "error": reason,
-                    "attempts": int(parsed[1]),
-                    "spec": spec,
-                    "quarantined": True,
-                },
-            )
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-            if os.path.exists(self._terminal_path("done", job_id)):
-                # The claimer acked inside our race window; its result
-                # wins — withdraw the quarantine record.
-                try:
-                    os.unlink(self._terminal_path("failed", job_id))
-                except FileNotFoundError:
-                    pass
-                return False
-            return True
-        return False

@@ -516,10 +516,11 @@ class QueueRunner:
                 failures.setdefault(job_id, error)
         return results, failures
 
-    def _poison_attempts(self, job_id: str) -> int:
-        """The breaker's evidence for one job: the queue's monotonic
+    def _poison_attempts(self, job_ids: list[str]) -> dict[str, int]:
+        """The breaker's evidence per job: the queue's monotonic
         attempt counter, or the runner's own count of reaps it happened
-        to win if that is higher.
+        to win if that is higher.  One bulk read: over HTTP, one
+        round-trip per check, not per job.
 
         The queue-side counter is the reliable source — idle workers
         race the runner for ``reap_expired`` and systematically win it
@@ -528,9 +529,13 @@ class QueueRunner:
         runner that only counts its *own* reaps can watch a poison job
         kill the entire fleet while observing zero expiries.
         """
-        return max(
-            self.queue.attempts(job_id), self._lease_expiries.get(job_id, 0)
-        )
+        counts = self.queue.attempts_map(job_ids)
+        return {
+            job_id: max(
+                counts.get(job_id, 0), self._lease_expiries.get(job_id, 0)
+            )
+            for job_id in job_ids
+        }
 
     def _break_poison_jobs(self) -> None:
         """The poison-job circuit breaker.
@@ -553,21 +558,11 @@ class QueueRunner:
         """
         wanted = set(self.job_ids)
         unfinished = sorted(wanted - self.queue.finished_ids())
-        counts: dict[str, int] | None = None
-        if hasattr(self.queue, "attempts_map"):
-            # One bulk read instead of a per-job query — over HTTP the
-            # per-job form is a round-trip per unfinished job per check.
-            counts = self.queue.attempts_map(unfinished)
+        counts = self._poison_attempts(unfinished)
         for job_id in unfinished:
             if job_id in self.quarantined:
                 continue
-            if counts is not None:
-                count = max(
-                    counts.get(job_id, 0),
-                    self._lease_expiries.get(job_id, 0),
-                )
-            else:
-                count = self._poison_attempts(job_id)
+            count = counts[job_id]
             if count < self.poison_threshold:
                 continue
             reason = (
@@ -595,16 +590,16 @@ class QueueRunner:
         circuit breaker's backstop — reachable only when every worker
         died *and* the respawn budget is spent, i.e. something is
         systematically killing workers faster than one poison job)."""
-        finished = self.queue.finished_ids()
-        for job_id in sorted(wanted - finished):
+        unfinished = sorted(wanted - self.queue.finished_ids())
+        counts = self._poison_attempts(unfinished)
+        for job_id in unfinished:
             if job_id in self.quarantined:
                 continue
-            attempts = self._poison_attempts(job_id)
             if self.queue.quarantine(
                 job_id,
                 "worker fleet exhausted: all workers dead and the "
                 f"respawn budget spent with this job unfinished "
-                f"({attempts} attempts burned)",
+                f"({counts[job_id]} attempts burned)",
             ):
                 self.quarantined.append(job_id)
 

@@ -307,9 +307,8 @@ class TestCrashPlan:
         assert queue.stats().claimed == 1
         # a successor sails past the spent crash point and finishes
         queue.reap_expired()
-        time.sleep(0)  # (lease held: reap is a no-op; claim directly)
-        queue._claimed.clear()
-        queue._pending.append("job-a")
+        time.sleep(0)  # (lease held: reap is a no-op; requeue it directly)
+        queue.fail("job-a", "worker crashed", worker_id="w1")
         completed = run_worker(
             queue, "w2", lease_seconds=30.0, checkpoint=crash.checkpoint,
             execute=lambda job: {"ok": True},
