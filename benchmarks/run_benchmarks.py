@@ -19,6 +19,11 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   byte-exact.
 * **entropy** — symbols/sec of each backend on a long Laplacian
   stream, round-trip verified.
+* **rate_gap** — the rANS rate gap: stream bytes of a 3-frame I-P-P
+  GOP at 352x288 (seed 1) coded by ``cacm`` and by ``rans``, for the
+  classical codec and CTVC-Net (N=12), with the entropy payloads per
+  packet and each rANS payload's lane count beside them (the lane
+  states' flush is what the gap pays for).
 * **kernels** — conv2d / conv_transpose2d / deformable conv /
   block-match / 8x8 DCT timings of the NumPy substrate.  The
   deformable conv runs twice: with dense random weights (every tap
@@ -272,6 +277,43 @@ def bench_entropy(num_symbols: int, repeats: int, backends) -> dict:
             "bits": 8 * len(blob),
             "overhead_vs_ideal": 8 * len(blob) / ideal - 1.0,
         }
+    return report
+
+
+#: the rate-gap scene: one CIF GOP, as ROADMAP's rans-vs-cacm table.
+RATE_GAP_SCENE = dict(height=288, width=352, frames=3, seed=1)
+
+
+def bench_rate_gap() -> dict:
+    """Stream bytes per entropy backend on a CIF GOP (sizes only: the
+    codecs' parity tests pin that every backend decodes the same
+    frames)."""
+    frames = generate_sequence(SceneConfig(**RATE_GAP_SCENE))
+    configs = {
+        "classical": lambda be: ClassicalCodec(
+            ClassicalCodecConfig(qp=8.0, gop=3, entropy_backend=be)
+        ),
+        "ctvc": lambda be: CTVCNet(
+            CTVCConfig(channels=12, gop=3, seed=1, entropy_backend=be)
+        ),
+    }
+    report: dict = {"scene": RATE_GAP_SCENE}
+    for codec_name, make in configs.items():
+        row = {}
+        for backend in ("cacm", "rans"):
+            stream = make(backend).encode_sequence(frames)
+            row[f"{backend}_bytes"] = len(stream.serialize())
+            if backend == "rans":
+                row["payloads_per_packet"] = max(
+                    len(packet.chunks) for packet in stream.packets
+                )
+                row["rans_lanes"] = [
+                    payload[0]
+                    for packet in stream.packets
+                    for payload in packet.chunks.values()
+                ]
+        row["rans_extra"] = row["rans_bytes"] / row["cacm_bytes"] - 1.0
+        report[codec_name] = row
     return report
 
 
@@ -832,6 +874,18 @@ def main(argv=None) -> int:
                 f"dec {row['decode_msym_per_s']:7.2f} Msym/s{overhead}"
             )
 
+        print("== rANS rate gap (352x288 I-P-P GOP, stream bytes) ==")
+        rate_gap = bench_rate_gap()
+        for codec_name in ("classical", "ctvc"):
+            row = rate_gap[codec_name]
+            print(
+                f"  {codec_name:10s} cacm {row['cacm_bytes']:6d}B "
+                f"rans {row['rans_bytes']:6d}B "
+                f"({100 * row['rans_extra']:+.1f}%)  "
+                f"{row['payloads_per_packet']} payload/packet, "
+                f"lanes {row['rans_lanes']}"
+            )
+
         print("== kernels ==")
         kernels = bench_kernels(repeats)
         for name, row in kernels.items():
@@ -924,6 +978,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "codecs": codecs,
         "entropy": entropy,
+        "rate_gap": rate_gap,
         "kernels": kernels,
         "container": container,
         "rate_control": rate_control,

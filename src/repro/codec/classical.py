@@ -41,6 +41,7 @@ from .entropy import (
     CacmBackend,
     EntropyBackend,
     LaplacianModel,
+    SymbolModel,
     cached_laplacian,
     cached_uniform_model,
     get_entropy_backend,
@@ -61,8 +62,11 @@ from .sessions import (
 
 __all__ = [
     "MAX_FRAME_SIDE",
+    "PACKET_PAYLOAD",
     "ClassicalCodecConfig",
     "ClassicalCodec",
+    "decode_packet_segments",
+    "encode_packet_segments",
     "header_geometry",
     "stream_entropy",
     "zigzag_indices",
@@ -187,19 +191,30 @@ class _BlockInterleavedCacm(CacmBackend):
     instead of coding them as contiguous segments."""
 
     def decode_bands(
-        self, payload: bytes, models: list[LaplacianModel], nblocks: int
-    ) -> np.ndarray:
-        """Quantized ``(nblocks, 64)`` zigzag coefficients of a plane."""
-        quantized = np.empty((nblocks, 64), dtype=np.int64)
-        decoder = ArithmeticDecoder(payload)
+        self, payload: bytes, specs: list[tuple[int, SymbolModel]]
+    ) -> list[np.ndarray]:
+        """A plane's four band specs decoded block by block; returns
+        each band's symbols in the contiguous (all blocks, band by
+        band) order version 2 writes.  The DC band holds one symbol
+        per block, so its count is the block count."""
+        nblocks = specs[0][0]
+        bands = [np.empty((nblocks, hi - lo), dtype=np.int64) for lo, hi in _BANDS]
+        decode = ArithmeticDecoder(payload).decode
         for b in range(nblocks):
-            for (lo, hi), model in zip(_BANDS, models):
-                for pos in range(lo, hi):
-                    quantized[b, pos] = model.value_of(decoder.decode(model.model))
-        return quantized
+            for band, (_, model) in zip(bands, specs):
+                for pos in range(band.shape[1]):
+                    band[b, pos] = decode(model)
+        return [band.ravel() for band in bands]
 
 
 _VERSION1_ENTROPY = _BlockInterleavedCacm()
+_PLANE_NAMES = ("y", "cb", "cr")
+
+#: The one chunk of a packet that carries one entropy payload: every
+#: segment the frame codes, interleaved under one set of coder states.
+#: Packets whose chunks are named per segment group (``y``/``cb``/``cr``,
+#: ``mv``, ``motion``/``residual``) are the read-only per-chunk layout.
+PACKET_PAYLOAD = "e"
 
 
 def stream_entropy(
@@ -213,6 +228,55 @@ def stream_entropy(
     if header is None:
         return default
     return get_entropy_backend(header.get("entropy", "cacm"))
+
+
+def encode_packet_segments(
+    packet: FramePacket,
+    entropy: EntropyBackend,
+    segments: list[tuple[np.ndarray, SymbolModel]],
+    codec: str,
+) -> None:
+    """Entropy-code every segment of a frame, in order, as the packet's
+    one payload (chunk :data:`PACKET_PAYLOAD`)."""
+    timer = encode_stage_timer(codec)
+    packet.add_chunk(PACKET_PAYLOAD, entropy.encode_segments(segments))
+    if timer:
+        timer.lap("entropy")
+
+
+def decode_packet_segments(
+    packet: FramePacket,
+    entropy: EntropyBackend,
+    groups: list[tuple[str, list[tuple[int, SymbolModel]]]],
+) -> list[list[np.ndarray]]:
+    """Symbols of each segment group of a packet, group by group.
+
+    ``groups`` lists ``(chunk name, segment specs)`` in coding order,
+    the specs built from validated meta.  The packet's chunk names say
+    its layout: a lone :data:`PACKET_PAYLOAD` chunk holds every group
+    and decodes in one call; otherwise each group decodes from the
+    chunk it names (versions 1-4 before packets carried one payload).
+    """
+    names = list(packet.chunks)
+    if names == [PACKET_PAYLOAD]:
+        every = [spec for _, specs in groups for spec in specs]
+        flat = entropy.decode_segments(packet.chunks[PACKET_PAYLOAD], every)
+        out, start = [], 0
+        for _, specs in groups:
+            out.append(flat[start : start + len(specs)])
+            start += len(specs)
+        return out
+    wanted = [name for name, _ in groups]
+    if not set(wanted) <= set(names):
+        raise StreamCorruptionError(
+            f"packet chunks {names} are neither [{PACKET_PAYLOAD!r}] nor {wanted}"
+        )
+    return [
+        entropy.decode_bands(packet.chunks[name], specs)
+        if entropy is _VERSION1_ENTROPY and name in _PLANE_NAMES
+        else entropy.decode_segments(packet.chunks[name], specs)
+        for name, specs in groups
+    ]
 
 
 def _band_scales(coeffs: np.ndarray) -> list[int]:
@@ -241,16 +305,16 @@ class _PlaneCoder:
     contiguous per-band segments (all blocks' DC, then all low AC, ...)
     so any entropy backend codes them with vectorized symbol mapping;
     version-1 streams interleaved the bands block by block and decode
-    through :class:`_BlockInterleavedCacm`.
+    through :class:`_BlockInterleavedCacm`.  The coder quantizes and
+    reconstructs; the codec entropy-codes a frame's segments together.
     """
 
-    def __init__(self, qstep: float, support: int, entropy: EntropyBackend):
+    def __init__(self, qstep: float, support: int):
         self.qstep = qstep
         self.max_support = support
-        self.entropy = entropy
 
-    def encode(self, plane: np.ndarray) -> tuple[bytes, dict, np.ndarray]:
-        """Returns (payload, side-info meta, reconstructed plane)."""
+    def encode(self, plane: np.ndarray) -> tuple[list, dict, np.ndarray]:
+        """Returns (band segments, side-info meta, reconstructed plane)."""
         # None while tracing is off: each stage boundary then costs
         # one truthiness check, and no clock is ever read.
         timer = encode_stage_timer("classical")
@@ -267,39 +331,33 @@ class _PlaneCoder:
 
         scales = _band_scales(quantized)
         models = _band_models(scales, support)
-        if timer:
-            timer.lap("quantize")
         segments = [
             (quantized[:, lo:hi].ravel() + support, model.model)
             for (lo, hi), model in zip(_BANDS, models)
         ]
-        payload = self.entropy.encode_segments(segments)
         if timer:
-            timer.lap("entropy")
-
+            timer.lap("quantize")
         recon = self._reconstruct(quantized, padded.shape)
         meta = {"s": scales, "u": support}
-        return payload, meta, recon[:h, :w]
+        return segments, meta, recon[:h, :w]
 
-    def decode(self, payload: bytes, meta: dict, h: int, w: int) -> np.ndarray:
+    @staticmethod
+    def specs(meta: dict, h: int, w: int) -> list[tuple[int, SymbolModel]]:
+        """The four band segments a plane of this size codes."""
+        nblocks = -(-h // _BLOCK) * -(-w // _BLOCK)
+        return [
+            (nblocks * (hi - lo), model.model)
+            for (lo, hi), model in zip(_BANDS, _band_models(meta["s"], meta["u"]))
+        ]
+
+    def decode(self, bands: list[np.ndarray], meta: dict, h: int, w: int) -> np.ndarray:
+        """The plane from its decoded band symbols."""
         ph = h + ((-h) % _BLOCK)
         pw = w + ((-w) % _BLOCK)
         nblocks = (ph // _BLOCK) * (pw // _BLOCK)
-        models = _band_models(meta["s"], meta["u"])
-        support = meta["u"]
-        if isinstance(self.entropy, _BlockInterleavedCacm):
-            quantized = self.entropy.decode_bands(payload, models, nblocks)
-        else:
-            quantized = np.empty((nblocks, 64), dtype=np.int64)
-            specs = [
-                (nblocks * (hi - lo), model.model)
-                for (lo, hi), model in zip(_BANDS, models)
-            ]
-            bands = self.entropy.decode_segments(payload, specs)
-            for (lo, hi), symbols in zip(_BANDS, bands):
-                quantized[:, lo:hi] = (symbols - support).reshape(
-                    nblocks, hi - lo
-                )
+        quantized = np.empty((nblocks, 64), dtype=np.int64)
+        for (lo, hi), symbols in zip(_BANDS, bands):
+            quantized[:, lo:hi] = (symbols - meta["u"]).reshape(nblocks, hi - lo)
         return self._reconstruct(quantized, (ph, pw))[:h, :w]
 
     def _reconstruct(self, quantized: np.ndarray, shape: tuple[int, int]):
@@ -340,17 +398,12 @@ class ClassicalCodec:
     def _frame_from_planes(self, y, cb, cr) -> np.ndarray:
         return np.clip(ycbcr_to_rgb(upsample_420(y, cb, cr)), 0.0, 255.0)
 
-    def _plane_coders(
-        self,
-        entropy: EntropyBackend | None = None,
-        qp: float | None = None,
-    ):
+    def _plane_coders(self, qp: float | None = None):
         cfg = self.config
-        entropy = entropy or self.entropy
         if qp is None:
             qp = cfg.qp if self._frame_qp is None else self._frame_qp
-        luma = _PlaneCoder(qp, cfg.support, entropy)
-        chroma = _PlaneCoder(qp * cfg.chroma_qp_scale, cfg.support, entropy)
+        luma = _PlaneCoder(qp, cfg.support)
+        chroma = _PlaneCoder(qp * cfg.chroma_qp_scale, cfg.support)
         return luma, chroma
 
     # -- intra ----------------------------------------------------------
@@ -359,6 +412,7 @@ class ClassicalCodec:
         y, cb, cr = self._planes(frame)
         luma_coder, chroma_coder = self._plane_coders()
         packet = FramePacket(frame_type="I")
+        segments = []
         recon_planes = []
         metas = []
         for name, plane, coder in (
@@ -366,10 +420,11 @@ class ClassicalCodec:
             ("cb", cb - 128.0, chroma_coder),
             ("cr", cr - 128.0, chroma_coder),
         ):
-            payload, side, recon = coder.encode(plane)
-            packet.add_chunk(name, payload)
+            bands, side, recon = coder.encode(plane)
+            segments += bands
             metas.append({"p": name, "sd": side, "hw": list(plane.shape)})
             recon_planes.append(recon + 128.0)
+        encode_packet_segments(packet, self.entropy, segments, "classical")
         packet.meta["P"] = metas
         if self._frame_qp is not None:
             packet.meta["rq"] = f16_bits(self._frame_qp)
@@ -387,22 +442,30 @@ class ClassicalCodec:
         the stream header declares; without it the planes may take any
         size up to :data:`MAX_FRAME_SIDE`."""
         metas = self._check_planes(packet, geometry)
-        luma_coder, chroma_coder = self._plane_coders(
-            entropy, qp=self._packet_qp(packet)
+        bands = decode_packet_segments(
+            packet, entropy or self.entropy, self._plane_groups(metas)
         )
-        planes = []
-        for meta in metas:
-            coder = luma_coder if meta["p"] == "y" else chroma_coder
-            h, w = meta["hw"]
-            plane = coder.decode(packet.chunks[meta["p"]], meta["sd"], h, w)
-            planes.append(plane + 128.0)
+        luma_coder, chroma_coder = self._plane_coders(qp=self._packet_qp(packet))
+        planes = [
+            coder.decode(plane_bands, meta["sd"], *meta["hw"]) + 128.0
+            for coder, plane_bands, meta in zip(
+                (luma_coder, chroma_coder, chroma_coder), bands, metas
+            )
+        ]
         return self._frame_from_planes(*planes)
+
+    @staticmethod
+    def _plane_groups(metas: list[dict]) -> list[tuple[str, list]]:
+        """Segment groups of the validated y, cb, cr plane meta."""
+        return [
+            (meta["p"], _PlaneCoder.specs(meta["sd"], *meta["hw"])) for meta in metas
+        ]
 
     def _check_planes(
         self, packet: FramePacket, geometry: tuple[int, int] | None
     ) -> list[dict]:
         """Validate a packet's plane side information before it sizes
-        any buffer: planes ``y``, ``cb``, ``cr`` with chunks, whose
+        any buffer: planes ``y``, ``cb``, ``cr``, whose
         ``hw`` are the luma ``geometry`` (any valid frame size when it
         is None) and its 4:2:0 chroma halves, and whose ``sd`` holds a
         support ``u`` inside the encoder's clamp and exactly four
@@ -411,8 +474,7 @@ class ClassicalCodec:
         if not (
             isinstance(metas, list)
             and all(isinstance(meta, dict) for meta in metas)
-            and [meta.get("p") for meta in metas] == ["y", "cb", "cr"]
-            and all(name in packet.chunks for name in ("y", "cb", "cr"))
+            and [meta.get("p") for meta in metas] == list(_PLANE_NAMES)
         ):
             raise StreamCorruptionError("plane meta is not the y, cb, cr planes")
         if geometry is None:
@@ -463,30 +525,17 @@ class ClassicalCodec:
         cfg = self.config
         return 2 * cfg.search_range + 1 if cfg.half_pel else cfg.search_range
 
-    def _encode_motion(self, mv: np.ndarray) -> tuple[bytes, dict]:
-        max_abs = self._mv_max_abs
-        model = cached_uniform_model(2 * max_abs + 1)
-        payload = self.entropy.encode_segments([(mv.ravel() + max_abs, model)])
-        return payload, {"mvs": list(mv.shape), "hp": int(self.config.half_pel)}
+    def _motion_model(self) -> SymbolModel:
+        return cached_uniform_model(2 * self._mv_max_abs + 1)
 
-    def _decode_motion(
-        self,
-        payload: bytes,
-        meta: dict,
-        geometry: tuple[int, int],
-        entropy: EntropyBackend | None = None,
-    ) -> np.ndarray:
-        entropy = entropy or self.entropy
-        max_abs = self._mv_max_abs
-        model = cached_uniform_model(2 * max_abs + 1)
+    def _motion_shape(self, meta: dict, geometry: tuple[int, int]) -> list[int]:
+        """The validated motion field shape: one vector per block."""
         block = self.config.block_size
         shape = [2, geometry[0] // block, geometry[1] // block]
         mvs = meta.get("mvs")
         if not (_is_int_list(mvs, 3) and mvs == shape):
             raise StreamCorruptionError(f"motion field shape {mvs!r}, expected {shape}")
-        count = int(np.prod(shape))
-        flat = entropy.decode_segments(payload, [(count, model)])[0] - max_abs
-        return flat.reshape(shape)
+        return shape
 
     def _predict_plane(
         self, ref: np.ndarray, mv: np.ndarray, h: int, w: int, chroma: bool
@@ -573,9 +622,8 @@ class ClassicalCodec:
         if cfg.half_pel:
             mv = self._refine_half_pel(y, ry, mv)
         packet = FramePacket(frame_type="P")
-        mv_payload, mv_meta = self._encode_motion(mv)
-        packet.add_chunk("mv", mv_payload)
-        packet.meta.update(mv_meta)
+        packet.meta.update({"mvs": list(mv.shape), "hp": int(cfg.half_pel)})
+        segments = [(mv.ravel() + self._mv_max_abs, self._motion_model())]
 
         luma_coder, chroma_coder = self._plane_coders()
         recon_planes = []
@@ -587,12 +635,13 @@ class ClassicalCodec:
         ):
             h, w = plane.shape
             prediction = self._predict_plane(ref, mv, h, w, chroma)
-            payload, side, residual_recon = coder.encode(plane - prediction)
-            packet.add_chunk(name, payload)
+            bands, side, residual_recon = coder.encode(plane - prediction)
+            segments += bands
             metas.append({"p": name, "sd": side, "hw": [h, w]})
             recon_planes.append(
                 np.clip(prediction + residual_recon, 0.0, 255.0)
             )
+        encode_packet_segments(packet, self.entropy, segments, "classical")
         packet.meta["P"] = metas
         if self._frame_qp is not None:
             packet.meta["rq"] = f16_bits(self._frame_qp)
@@ -612,21 +661,27 @@ class ClassicalCodec:
             )
         geometry = reference.shape[1:]
         metas = self._check_planes(packet, geometry)
-        ry, rcb, rcr = self._planes(reference)
-        mv = self._decode_motion(packet.chunks["mv"], packet.meta, geometry, entropy)
-        luma_coder, chroma_coder = self._plane_coders(
-            entropy, qp=self._packet_qp(packet)
+        shape = self._motion_shape(packet.meta, geometry)
+        motion, *bands = decode_packet_segments(
+            packet,
+            entropy or self.entropy,
+            [("mv", [(int(np.prod(shape)), self._motion_model())])]
+            + self._plane_groups(metas),
         )
+        mv = (motion[0] - self._mv_max_abs).reshape(shape)
+        ry, rcb, rcr = self._planes(reference)
+        luma_coder, chroma_coder = self._plane_coders(qp=self._packet_qp(packet))
         planes = []
-        for meta, ref, coder, chroma in zip(
+        for meta, plane_bands, ref, coder, chroma in zip(
             metas,
+            bands,
             (ry, rcb, rcr),
             (luma_coder, chroma_coder, chroma_coder),
             (False, True, True),
         ):
             h, w = meta["hw"]
             prediction = self._predict_plane(ref, mv, h, w, chroma)
-            residual = coder.decode(packet.chunks[meta["p"]], meta["sd"], h, w)
+            residual = coder.decode(plane_bands, meta["sd"], h, w)
             planes.append(np.clip(prediction + residual, 0.0, 255.0))
         return self._frame_from_planes(*planes)
 

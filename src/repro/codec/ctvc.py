@@ -47,6 +47,8 @@ from .bitstream import (
 from .classical import (
     ClassicalCodec,
     ClassicalCodecConfig,
+    decode_packet_segments,
+    encode_packet_segments,
     header_geometry,
     stream_entropy,
 )
@@ -116,9 +118,9 @@ class CTVCConfig(SerializableConfig):
 
 @dataclass
 class _LatentCode:
-    """Result of coding one latent tensor."""
+    """Result of quantizing one latent tensor."""
 
-    payload: bytes
+    segments: list  # (symbols, model) per channel, for the packet payload
     meta: dict
     reconstruction: np.ndarray  # dequantized latent (decoder-identical)
 
@@ -214,12 +216,14 @@ class CTVCNet:
         return reports
 
     # -- latent entropy coding --------------------------------------------
-    def _encode_latent(self, latent: np.ndarray) -> _LatentCode:
-        """Quantize + entropy-code one latent tensor.
+    def _quantize_latent(self, latent: np.ndarray) -> _LatentCode:
+        """Quantize one latent tensor into entropy segments.
 
         One segment per channel (symbols are channel-major contiguous,
         the same order the seed coder used), so any registered backend
-        codes the whole tensor with vectorized symbol mapping.
+        codes the whole tensor with vectorized symbol mapping.  The
+        packet entropy-codes both latents' segments together, once the
+        residual latent is quantized too.
         """
         qstep = (
             self.config.qstep
@@ -228,7 +232,7 @@ class CTVCNet:
         )
         qstep = f16_from_bits(f16_bits(qstep))
         # The analysis transform already ran in the nets upstream;
-        # the stages this coder owns are quantize and entropy.
+        # the stage this coder owns is quantize.
         timer = encode_stage_timer("ctvc")
         q = np.round(latent / qstep).astype(np.int64)
         support = int(np.clip(np.max(np.abs(q)), 2, 2048))
@@ -237,8 +241,6 @@ class CTVCNet:
         scale_bits = [
             f16_bits(LaplacianModel.fit_scale(q[c])) for c in range(channels)
         ]
-        if timer:
-            timer.lap("quantize")
         segments = [
             (
                 q[c].ravel() + support,
@@ -246,16 +248,15 @@ class CTVCNet:
             )
             for c in range(channels)
         ]
-        payload = self.entropy.encode_segments(segments)
         if timer:
-            timer.lap("entropy")
+            timer.lap("quantize")
         meta = {
             "q": f16_bits(qstep),
             "u": support,
             "s": scale_bits,
             "hw": list(latent.shape),
         }
-        return _LatentCode(payload, meta, q.astype(np.float64) * qstep)
+        return _LatentCode(segments, meta, q.astype(np.float64) * qstep)
 
     def _latent_shape(self, feature: np.ndarray) -> tuple[int, int, int]:
         """Latent shape the analysis transform gives for a feature map:
@@ -270,7 +271,8 @@ class CTVCNet:
         """Validate latent side information before it sizes any buffer:
         ``hw`` must be the shape the encoder produces for this frame
         size, ``u`` the clamped symbol support, ``s`` one scale per
-        channel, and the scales and ``q`` 16-bit patterns."""
+        channel, the scales and ``q`` 16-bit patterns, and ``q`` a
+        finite step."""
         if not isinstance(meta, dict):
             raise StreamCorruptionError("latent meta is not an object")
         hw, support, scales = meta.get("hw"), meta.get("u"), meta.get("s")
@@ -287,25 +289,24 @@ class CTVCNet:
         patterns = [meta.get("q"), *scales]
         if not all(type(b) is int and 0 <= b <= 0xFFFF for b in patterns):
             raise StreamCorruptionError("latent scale or quantizer step is not 16-bit")
-        return meta
-
-    @staticmethod
-    def _decode_latent(
-        payload: bytes, meta: dict, entropy: EntropyBackend
-    ) -> np.ndarray:
         qstep = f16_from_bits(meta["q"])
         if not np.isfinite(qstep):
             raise StreamCorruptionError(f"latent quantizer step is {qstep}")
-        support = meta["u"]
+        return meta
+
+    @staticmethod
+    def _latent_specs(meta: dict) -> list:
+        """One segment per channel of a validated latent meta."""
+        _, h, w = meta["hw"]
+        return [(h * w, cached_laplacian(bits, meta["u"]).model) for bits in meta["s"]]
+
+    @staticmethod
+    def _dequantize_latent(planes: list[np.ndarray], meta: dict) -> np.ndarray:
+        qstep = f16_from_bits(meta["q"])
         c, h, w = meta["hw"]
-        specs = [
-            (h * w, cached_laplacian(meta["s"][channel], support).model)
-            for channel in range(c)
-        ]
-        planes = entropy.decode_segments(payload, specs)
         out = np.empty((c, h, w))
         for channel in range(c):
-            out[channel] = (planes[channel] - support).reshape(h, w) * qstep
+            out[channel] = (planes[channel] - meta["u"]).reshape(h, w) * qstep
         return out
 
     # -- helpers ------------------------------------------------------------
@@ -345,7 +346,7 @@ class CTVCNet:
         motion_feature, _ = self.motion_estimation.estimate(
             self._half_luma(frame), self._half_luma(ref_frame)
         )
-        motion_code = self._encode_latent(
+        motion_code = self._quantize_latent(
             self.motion_compression.analyze(motion_feature)
         )
         motion_hat = self.motion_compression.synthesize(motion_code.reconstruction)
@@ -356,7 +357,7 @@ class CTVCNet:
 
         prediction = self._predict(motion_dec, f_ref)
         residual = f_cur - prediction
-        residual_code = self._encode_latent(
+        residual_code = self._quantize_latent(
             self.residual_compression.analyze(residual)
         )
         residual_hat = self.residual_compression.synthesize(
@@ -368,8 +369,9 @@ class CTVCNet:
         recon = np.clip(self.frame_reconstruction(f_rec), 0.0, 255.0)
 
         packet = FramePacket(frame_type="P")
-        packet.add_chunk("motion", motion_code.payload)
-        packet.add_chunk("residual", residual_code.payload)
+        encode_packet_segments(
+            packet, self.entropy, motion_code.segments + residual_code.segments, "ctvc"
+        )
         packet.meta.update(
             {
                 "am": f16_bits(alpha_m),
@@ -392,23 +394,25 @@ class CTVCNet:
         ``decode_sequence``, which must honour whatever backend the
         stream header names).
         """
-        entropy = entropy or self.entropy
         f_ref = self.feature_extraction(ref_frame)
         latent_shape = self._latent_shape(f_ref)
-        motion_latent = self._decode_latent(
-            packet.chunks["motion"],
-            self._check_latent_meta(packet.meta.get("mm"), latent_shape),
-            entropy,
+        metas = [
+            self._check_latent_meta(packet.meta.get(key), latent_shape)
+            for key in ("mm", "rm")
+        ]
+        groups = [
+            (name, self._latent_specs(meta))
+            for name, meta in zip(("motion", "residual"), metas)
+        ]
+        symbols = decode_packet_segments(packet, entropy or self.entropy, groups)
+        motion_latent, residual_latent = (
+            self._dequantize_latent(planes, meta)
+            for planes, meta in zip(symbols, metas)
         )
         motion_dec = f16_from_bits(packet.meta["am"]) * self.motion_compression.synthesize(
             motion_latent
         )
         prediction = self._predict(motion_dec, f_ref)
-        residual_latent = self._decode_latent(
-            packet.chunks["residual"],
-            self._check_latent_meta(packet.meta.get("rm"), latent_shape),
-            entropy,
-        )
         residual_hat = self.residual_compression.synthesize(residual_latent)
         f_rec = prediction + f16_from_bits(packet.meta["ar"]) * residual_hat
         return np.clip(self.frame_reconstruction(f_rec), 0.0, 255.0)

@@ -393,9 +393,10 @@ class EntropyBackend(Protocol):
     """What the codecs require of an entropy coder.
 
     A *segment* is a maximal run of symbols coded under one static
-    :class:`SymbolModel`; a chunk payload codes an ordered list of
-    segments.  ``decode_segments`` is the exact inverse of
-    ``encode_segments`` given the same (count, model) spec list —
+    :class:`SymbolModel`; a payload codes an ordered list of segments
+    (the codecs write one payload per packet).  ``decode_segments`` is
+    the exact inverse of ``encode_segments`` given the same (count,
+    model) spec list —
     byte-exact round-trips are property-tested for every registered
     backend.  Payload layout is backend-specific; the bitstream header
     records which backend wrote a stream.

@@ -19,12 +19,14 @@ entropy coding.  This module implements the interleaved construction:
   per-symbol ``searchsorted``;
 * encoding walks the stream *in reverse* (rANS is LIFO) emitting 16-bit
   words, which are order-reversed at flush so the decoder reads forward;
-* multi-model chunks (per-channel latent models, per-band DCT models)
-  are coded as one interleaved stream — a single set of lane states
-  per chunk payload keeps the flush overhead independent of the number
-  of segments.  A decode row inside one segment gathers straight from
-  that model's tables; only rows that start a segment, and a short last
-  row, gather part by part.  No table is stacked or copied per call.
+* a multi-model payload (a packet's motion field, per-band DCT models
+  of all three planes, per-channel latent models) is coded as one
+  interleaved stream — a single set of lane states per payload keeps
+  the flush overhead independent of the number of segments, and the
+  codecs write one payload per packet.  A decode row inside one
+  segment gathers straight from that model's tables; only rows that
+  start a segment, and a short last row, gather part by part.  No
+  table is stacked or copied per call.
 
 Per-row budget (NumPy calls; the word branch runs only on rows where a
 lane renormalizes):
@@ -51,9 +53,14 @@ Payload layout::
     u8 lanes | u32 word-count | lanes * 6-byte final states (LE) |
     word-count * u16 stream words (LE)
 
-The lane count adapts to the payload (``count // MIN_SYMBOLS_PER_LANE``
-clamped to [1, DEFAULT_LANES]) so tiny side-info segments don't pay a
-32-lane state flush.
+The lane count adapts to the payload: up to 32 lanes at
+:data:`MIN_SYMBOLS_PER_LANE` symbols each, lanes past 32 at
+:data:`WIDE_SYMBOLS_PER_LANE` each, clamped to [1, DEFAULT_LANES].  So
+a frame-sized payload (131072+ symbols, e.g. a 640x360 packet) runs
+fully 64-lane parallel, and small ones don't pay a 64-lane state
+flush.  The decoder reads the lane count from byte 0, so payloads
+written under an earlier rule (up to 32 lanes, from 2048 symbols)
+decode unchanged.
 """
 
 from __future__ import annotations
@@ -70,15 +77,24 @@ from .entropy import (
     register_entropy_backend,
 )
 
-__all__ = ["DEFAULT_LANES", "MIN_SYMBOLS_PER_LANE", "RansBackend"]
+__all__ = [
+    "DEFAULT_LANES",
+    "MIN_SYMBOLS_PER_LANE",
+    "RansBackend",
+    "WIDE_SYMBOLS_PER_LANE",
+]
 
-DEFAULT_LANES = 32
+DEFAULT_LANES = 64
 #: below this many symbols per lane the 6-byte-per-lane state flush
-#: dominates the payload, so the lane count shrinks (down to plain
-#: single-lane rANS).  64 symbols/lane balances flush overhead on the
-#: small per-latent chunks against Python-loop row count; payloads of
-#: 2048+ symbols run fully 32-lane parallel.
-MIN_SYMBOLS_PER_LANE = 64
+#: weighs on the payload, so the lane count shrinks (down to plain
+#: single-lane rANS); 4096+ symbols run 32 lanes.
+MIN_SYMBOLS_PER_LANE = 128
+#: symbols each lane past the 32nd needs: a lane added to a long
+#: payload saves less loop time than the first 32 did, and its flush
+#: must stay small beside the payload (64 lanes on a 60000-symbol,
+#: 4-bit Laplacian stream would cost 1.1% over the Shannon bound).
+WIDE_SYMBOLS_PER_LANE = 2048
+_NARROW_LANES = 32
 
 _M = 1 << RANS_PRECISION
 _MASK = np.int64(_M - 1)
@@ -89,7 +105,11 @@ _SHIFT32 = np.int64(32)
 
 
 def _lane_count(count: int, max_lanes: int) -> int:
-    return max(1, min(max_lanes, count // MIN_SYMBOLS_PER_LANE))
+    lanes = max(
+        min(count // MIN_SYMBOLS_PER_LANE, _NARROW_LANES),
+        count // WIDE_SYMBOLS_PER_LANE,
+    )
+    return max(1, min(max_lanes, lanes))
 
 
 def _pack_states(states: np.ndarray) -> bytes:
@@ -143,28 +163,30 @@ class RansBackend:
     def encode_segments(
         self, segments: Sequence[tuple[np.ndarray, SymbolModel]]
     ) -> bytes:
-        freqs_parts: list[np.ndarray] = []
-        cums_parts: list[np.ndarray] = []
+        pieces = []
         for symbols, model in segments:
             syms = np.asarray(symbols, dtype=np.int64).ravel()
-            if syms.size == 0:
-                continue
-            tab_freqs, tab_cums, _ = model.rans_table()
-            freqs_parts.append(tab_freqs[syms])
-            cums_parts.append(tab_cums[syms])
-        if not freqs_parts:
+            if syms.size:
+                pieces.append((syms, model.rans_table()))
+        count = sum(syms.size for syms, _ in pieces)
+        if not count:
             return b""
-        count = sum(part.size for part in freqs_parts)
         lanes = _lane_count(count, self.lanes)
         rows = -(-count // lanes)
 
         # Tail positions of the last row get f = M, c = 0: a state below
         # M << 32 never emits, and divmod by M reassembles it unchanged,
         # so every row runs at full width without touching idle lanes.
+        # Segments gather into place one at a time, so a packet-sized
+        # payload holds one segment's temporaries, not every segment's.
         freqs = np.full(rows * lanes, _M, dtype=np.int64)
         cums = np.zeros(rows * lanes, dtype=np.int64)
-        np.concatenate(freqs_parts, out=freqs[:count], casting="unsafe")
-        np.concatenate(cums_parts, out=cums[:count], casting="unsafe")
+        start = 0
+        for syms, (tab_freqs, tab_cums, _) in pieces:
+            end = start + syms.size
+            freqs[start:end] = tab_freqs[syms]
+            cums[start:end] = tab_cums[syms]
+            start = end
         freqs = freqs.reshape(rows, lanes)
         cums = cums.reshape(rows, lanes)
         limits = freqs << _SHIFT32  # states at or above f << 32 emit

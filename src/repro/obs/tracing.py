@@ -277,7 +277,7 @@ def _stage_histogram():
     if cached_registry is not registry:
         histogram = registry.histogram(
             "repro_encode_stage_seconds",
-            "per-plane codec stage time (transform/quantize/entropy)",
+            "codec stage time (entropy per packet, the rest per plane or latent)",
         )
         _STAGE_HIST = (registry, histogram)
     return histogram

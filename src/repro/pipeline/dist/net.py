@@ -312,11 +312,16 @@ class _QueueRequestHandler(BaseHTTPRequestHandler):
         else:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
             content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up before its response: nobody is left
+            # to read it, so it is dropped, and so is the connection.
+            self.close_connection = True
 
     def do_GET(self) -> None:
         self._dispatch("GET")

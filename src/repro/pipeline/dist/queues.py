@@ -252,8 +252,8 @@ class _QueueCore(JobQueue):
     A storage supplies ``_lock`` (held for each verb), ``_clock`` and
     six entry primitives: ``_list(state)``, ``_find(job_id, state)``,
     ``_read(entry)`` (``None`` once the entry is gone), ``_write(entry,
-    document)``, ``_move(entry, target)`` (``False`` when it lost a
-    race) and ``_remove(entry)``.
+    document)``, ``_move(entry, target)`` and ``_remove(entry)`` (both
+    ``False`` when they lost a race).
     """
 
     def __init__(self, *, max_attempts: int = 3):
@@ -311,8 +311,9 @@ class _QueueCore(JobQueue):
             if lease is None:
                 return False
             self._write(_Entry("done", lease.job_id), result)
-            self._remove(lease)
-            return True
+            # Removing the claim is what accepts the ack: of two acks
+            # racing past the ownership check, only one removes it.
+            return self._remove(lease)
 
     def fail(
         self, job_id: str, error: str, *, worker_id: str | None = None
@@ -328,21 +329,39 @@ class _QueueCore(JobQueue):
         with self._lock:
             now = self._clock()
             for lease in self._list("claimed"):
-                if lease.deadline <= now and self._burn(lease):
+                if lease.deadline > now:
+                    continue
+                if self._find(lease.job_id, "done"):
+                    # An ack wrote its result and has not removed the
+                    # claim yet (or died before it could): the job is
+                    # finished, so the claim goes, not the job.
+                    self._remove(lease)
+                    continue
+                burnt = self._burn(lease)
+                if burnt is None:
+                    continue
+                if self._find(lease.job_id, "done"):
+                    # The ack's result landed while this reap moved the
+                    # claim: the result stands, the requeue goes.
+                    self._remove(burnt)
+                else:
                     reaped.append(lease.job_id)
         return reaped
 
-    def _burn(self, lease: _Entry, error: str | None = None) -> bool:
+    def _burn(self, lease: _Entry, error: str | None = None) -> _Entry | None:
         """One attempt lost: attempts + 1, then dead-letter at
-        ``max_attempts`` or requeue.  A reap passes no error."""
+        ``max_attempts`` or requeue.  A reap passes no error.  Returns
+        the entry the job moved to, ``None`` when it lost a race."""
         attempts = lease.attempts + 1
         if attempts < self.max_attempts:
-            return self._move(lease, _Entry("pending", lease.job_id, attempts))
+            target = _Entry("pending", lease.job_id, attempts)
+            return target if self._move(lease, target) else None
         if error is None:
             error = (
                 f"lease expired {attempts} times (last worker: {lease.worker})"
             )
-        return self._bury(lease, error, attempts)
+        target = _Entry("failed", lease.job_id)
+        return target if self._bury(lease, error, attempts) else None
 
     def _bury(
         self, entry: _Entry, error: str, attempts: int, quarantined=False
@@ -530,8 +549,8 @@ class MemoryJobQueue(_QueueCore):
         self._write(target, document)
         return True
 
-    def _remove(self, entry: _Entry) -> None:
-        self._states[entry.state].pop(entry.job_id, None)
+    def _remove(self, entry: _Entry) -> bool:
+        return self._states[entry.state].pop(entry.job_id, None) is not None
 
 
 class DirectoryJobQueue(_QueueCore):
@@ -611,7 +630,7 @@ class DirectoryJobQueue(_QueueCore):
         entries = (
             self._parse(state, name)
             for name in os.listdir(os.path.join(self.root, state))
-            if name.endswith(".json")  # not a half-written ".tmp.{pid}"
+            if name.endswith(".json")  # not a half-written ".tmp.{pid}.{tid}"
         )
         return [entry for entry in entries if entry is not None]
 
@@ -636,9 +655,11 @@ class DirectoryJobQueue(_QueueCore):
 
     def _write(self, entry: _Entry, document: dict) -> None:
         # Write-then-rename so a concurrently listing worker never sees
-        # a half-written JSON document.
+        # a half-written JSON document.  The temporary name is unique
+        # per thread (``repro serve`` handlers share one process) and
+        # never ends in ".json", so no listing picks it up.
         path = self._path(entry)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(document, handle, sort_keys=True)
         os.replace(tmp, path)
@@ -650,8 +671,9 @@ class DirectoryJobQueue(_QueueCore):
             return False  # lost the race; the winner owns the job
         return True
 
-    def _remove(self, entry: _Entry) -> None:
+    def _remove(self, entry: _Entry) -> bool:
         try:
             os.unlink(self._path(entry))
         except FileNotFoundError:
-            pass
+            return False
+        return True

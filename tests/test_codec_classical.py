@@ -10,6 +10,8 @@ from repro.codec import (
     StreamCorruptionError,
     zigzag_indices,
 )
+from repro.codec.classical import PACKET_PAYLOAD, decode_packet_segments
+from repro.codec.modules import block_match
 from repro.metrics import psnr
 from repro.video import SceneConfig, generate_sequence
 
@@ -80,8 +82,20 @@ class TestInterCoding:
         codec = ClassicalCodec(ClassicalCodecConfig(qp=8.0))
         _, ref = codec.encode_intra(frames[0])
         packet, _ = codec.encode_inter(frames[1], ref)
-        assert "mv" in packet.chunks
-        assert len(packet.chunks["mv"]) > 0
+        # the motion field is the first segment group of the packet's
+        # one entropy payload
+        assert list(packet.chunks) == [PACKET_PAYLOAD]
+        assert packet.meta["mvs"] == [2, 8, 12]
+        motion, *planes = decode_packet_segments(
+            packet,
+            codec.entropy,
+            [("mv", [(2 * 8 * 12, codec._motion_model())])]
+            + codec._plane_groups(packet.meta["P"]),
+        )
+        y, ry = codec._planes(frames[1])[0], codec._planes(ref)[0]
+        expected = block_match(y, ry, 8, 8)
+        assert np.array_equal(motion[0] - codec._mv_max_abs, expected.ravel())
+        assert len(planes) == 3
 
 
 class TestSequenceCoding:

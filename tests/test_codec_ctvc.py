@@ -9,6 +9,7 @@ from repro.codec import (
     SequenceBitstream,
     StreamCorruptionError,
 )
+from repro.codec.classical import PACKET_PAYLOAD
 from repro.metrics import psnr
 from repro.video import SceneConfig, generate_sequence
 
@@ -54,7 +55,8 @@ class TestEndToEnd:
     def test_p_frame_packets_structured(self, coded):
         _, stream, _, _ = coded
         packet = stream.packets[1]
-        assert set(packet.chunks) == {"motion", "residual"}
+        # both latents share the packet's one entropy payload
+        assert list(packet.chunks) == [PACKET_PAYLOAD]
         assert {"am", "ar", "mm", "rm"} <= set(packet.meta)
 
     def test_header_contents(self, coded):

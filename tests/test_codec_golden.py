@@ -1,6 +1,7 @@
-"""Golden-bitstream compatibility: version-1 streams still decode.
+"""Golden-bitstream compatibility: version-1 streams and per-chunk
+version-4 streams still decode, and new packets carry one payload.
 
-The two base64 blobs below were produced by the seed (pre-entropy-
+The first two base64 blobs below were produced by the seed (pre-entropy-
 backend) coder at commit 0df5600: format version 1, CACM'87 arithmetic
 coding, and — for the classical codec's DCT planes — the legacy
 block-interleaved band order.  Version 1 is read-only now, but these
@@ -9,6 +10,7 @@ is what pins backward compatibility for archived bitstreams.
 """
 
 import base64
+import hashlib
 
 import pytest
 
@@ -128,3 +130,243 @@ def test_v4_reencode_of_golden_scene_matches_quality():
     )
     for a, b in zip(decoded, golden):
         assert np.array_equal(a, b)
+
+
+# -- version-4 per-chunk goldens ----------------------------------------------
+#
+# Written by the per-chunk encoder (one entropy payload per plane, per
+# motion field and per latent), before packets carried one payload
+# each.  Scene 32x48, 2 frames (I+P), seed 11; ClassicalCodec(qp=12.0)
+# and CTVCNet(channels=8, qstep=8.0, seed=5), each with the backend its
+# name gives.  Per-chunk packets stay read-only: these must keep
+# decoding to the frames they decoded to when they were written.
+
+GOLDEN_CLASSICAL_V4_RANS = (
+    "TlZDQQQAcwAAAHsiaGVhZGVyIjp7ImNvZGVjIjoiY2xhc3NpY2FsLWRjdCIsImVudHJvcHki"
+    "OiJyYW5zIiwiZ29wIjo4LCJoZWlnaHQiOjMyLCJxcCI6MTIuMCwicmF0ZV9jb250cm9sIjoi"
+    "Y3FwIiwid2lkdGgiOjQ4fX2ywbI3HQMAAJ4YNL8CAQAAeyJtIjp7IlAiOlt7Imh3IjpbMzIs"
+    "NDhdLCJwIjoieSIsInNkIjp7InMiOlsyMDEyMCwxNzU4MywxNTAzMCwxMTM1MV0sInUiOjY5"
+    "fX0seyJodyI6WzE2LDI0XSwicCI6ImNiIiwic2QiOnsicyI6WzE1NTMxLDE1ODcyLDEyNTM4"
+    "LDUxNDVdLCJ1IjoxNn19LHsiaHciOlsxNiwyNF0sInAiOiJjciIsInNkIjp7InMiOlsxNTg3"
+    "MiwxNDk1MCwxMjM1Niw1MTQ1XSwidSI6MTZ9fV19LCJuIjpbInkiLCJjYiIsImNyIl0sInQi"
+    "OiJJIiwieiI6WzQyMSw2MSw1M119GIgAAACJ73b7AACytB3z7wr0N0z+XgCieIbaFAomO9Ly"
+    "/Rs+ssEdMADmqcxhAQAy5f59AQBwVNfyDwAPI6JzAACr5m1pbAEjbygiWAO0CJN7AAAHxS+o"
+    "qQEmyIfbAACsUXYWDgBIzCE2rwLFG8xG5QL7BizCVgEEAqJXHwDkA3MIAQB95OQTZAE8+Pqk"
+    "EgCfL0FErQBJEj2qOZNMCuqXxE3PIpaJi/K0WSVo25oDtvMdrOhL233ljMkZcYSYwno1qLSu"
+    "BuZpjfQS0WrvDvn6D6QfbVG8Wp9xwLAdgNOfAC1Uc5EGnFPRi1CcU9umWOLUeaSrAbgv3wOy"
+    "AhlTmKPShaGa18rcqQwtEdyR+AJS3+CkYQUs+A8GtcYfJKcgp1pRq3BeUaNa1nZeFjla8dCC"
+    "rBNeoMYdD/95GXNc88rvVEGIenoigZugQGQQXMACU9EtaMSOJUubDyJGNo3pBKqfigzZs1he"
+    "Nht7xde0h+Ki7EWAKKpJgVRTWXK4v0TAvEAY27sYvD+8QLv/PTafQmVayg8OYFp8W/f/2jEu"
+    "R0DQRkdA1iK7vwYKAAAAZYRReAAAPlIBgAAAvRN2ulEAsbM6CW0AhKN7EgEAVYVmWWkDsNVc"
+    "tcZqJ/9eRTpRzJCwAhemZboGBgAAABD3IAoHAF0mS/ePAOU8/F49P5nW3023ByFyJfcTNcgR"
+    "B2cAC3dDR5NUuHLgxkOkVBkDAAD8DVe6HwEAAHsibSI6eyJQIjpbeyJodyI6WzMyLDQ4XSwi"
+    "cCI6InkiLCJzZCI6eyJzIjpbMTYxMjgsMTU1MTQsMTQyOTAsMTE0MzFdLCJ1IjoxNn19LHsi"
+    "aHciOlsxNiwyNF0sInAiOiJjYiIsInNkIjp7InMiOlsxNTAxOSwxMzM4MCwxMjcyMCw5MjAw"
+    "XSwidSI6MTZ9fSx7Imh3IjpbMTYsMjRdLCJwIjoiY3IiLCJzZCI6eyJzIjpbMTM2NTMsMTMx"
+    "NzUsMTIyNDIsNzE1Ml0sInUiOjE2fX1dLCJocCI6MCwibXZzIjpbMiw0LDZdfSwibiI6WyJt"
+    "diIsInkiLCJjYiIsImNyIl0sInQiOiJQIiwieiI6WzM1LDM1NSw2MSw1MV19AQwAAAB9YiOJ"
+    "BAAWJE0j+p63JHEe8SNKJBCiXeCWJgOkCOUYZwAAABFpKZ3mAdSuA7UVHK4zc8SgB+O2+wXR"
+    "ASs1tYYEAN/GDewBAOb3OZBqCVBo6xMoADiMp30AAJ74x0tJAPX6wJ4CALoRrPZnA35FhU+C"
+    "AqyrOO8dAGGLUQoCADW/HK/SAbVQ44ICAGyqwPwBACjd2OpVAG8RemMCAB9pZyw3AgLpChzF"
+    "AeGXDykCAOxTIZYhACqPHfTD3vpZs6/lrwrtytDu7yFAZH0/sBwUfbZ7LP2a+gedaR+FQvMU"
+    "RoTtPuKZq3xzrNjvoaQ56HOu6Mka04Hw+Iu9mMPJuDvXxdJrHdN+lcDDtW+Stjy9apofzu+O"
+    "9tP9+OyfzuOyK1kq1hhSt8EzQ+/4PNp4QnETDrfTy5/ZOP2aPbJ4zKIpBePrwDChHtkpjmfA"
+    "MIzyJhG9AUnL0fWobqk6czTuvw7A8D8VAPA/IwZd0WShA+W/xROQ3QBlofF2PbLJQwyMR8xx"
+    "70CfBgoAAAB+5vdtAABtLeQGjBT5ZRsANwDyfs9mOwBRTqB8AABKsxKKCAAZlYHGx97uisCo"
+    "KcHbrMvwVYy/QAYFAAAAhR8iYAUA8D6lue8CSWrkYv0uO4bFfWoJlw53XQAAkDUiDlUAPD5f"
+    "gfvXf8DfIAAAAAA="
+)
+GOLDEN_CTVC_V4_RANS = (
+    "TlZDQQQAjAAAAHsiaGVhZGVyIjp7ImNoYW5uZWxzIjo4LCJjb2RlYyI6ImN0dmMtbmV0Iiwi"
+    "ZW50cm9weSI6InJhbnMiLCJnb3AiOjgsImhlaWdodCI6MzIsInFzdGVwIjo4LjAsInJhdGVf"
+    "Y29udHJvbCI6ImNxcCIsInZhcmlhbnQiOiJmcCIsIndpZHRoIjo0OH19AR2ZNt0CAABMW5ct"
+    "AgEAAHsibSI6eyJQIjpbeyJodyI6WzMyLDQ4XSwicCI6InkiLCJzZCI6eyJzIjpbMTk2OTYs"
+    "MTcxODYsMTQ1MTgsMTA1MThdLCJ1Ijo1Mn19LHsiaHciOlsxNiwyNF0sInAiOiJjYiIsInNk"
+    "Ijp7InMiOlsxNTM2MCwxNTQyOCwxMTAzNiw1MTQ1XSwidSI6MTZ9fSx7Imh3IjpbMTYsMjRd"
+    "LCJwIjoiY3IiLCJzZCI6eyJzIjpbMTU1MzEsMTQ0NzMsMTEzMzIsNTE0NV0sInUiOjE2fX1d"
+    "fSwibiI6WyJ5IiwiY2IiLCJjciJdLCJ0IjoiSSIsInoiOlszNjMsNTUsNTNdfRhrAAAAlDBb"
+    "QWEHKzQQPGQAzndKyQEAu/idImsARftklw4A5PF31gUAmOo5vH4/euRgzwQAEpRdgwAAriNb"
+    "UF0HZGVkFzIAR6+CTjwADonL7so448QgIr0AV4gwikQDyFGVRxwASoxrs7cAQJsk8SYaIgfQ"
+    "iSQAKcKG4UMC4wP9FjUAMKRKUqMBU7jb0MkIsO94YgEAUahDkwuEwJkIyjTP8DD6q/i5Wt3f"
+    "StY2yZ56ZUxo9Ae3ol9mxe2/VeXv8RtQCCaWaYMzDhDt+QF3uzdrlWH9GfPPLRLIQKgdCVLS"
+    "jiNzHd4QeQU0at1fLHRDkZY3LYzTVJsl07PPTkDm0isFezowyKc9kH2PgNIB0L3JmQN2YwB5"
+    "hdG/cnoA098BgBQSW4MuJrvizDqfOiSwRQHUS+FPimMFn6II2HernAP47M+yYU50RsRLyEtT"
+    "Yp+yROEzADxBpLvMP2PpvLMzqDwm1GTUZPQohwAzAAYHAAAAZUZJbQoBzBJCXwAAvcjcw4oM"
+    "zHEBFwgAr5OkTtcB7o95w+0F1jWCGugZF1cXHLCuj20GBgAAAP9s1sKwAUGey94GAFL9YkKN"
+    "BU1SE35KADVwDKMAAM7O/cKwAcNFHxRWru13Yi+YyCUBAADZIb3B+QAAAHsibSI6eyJhbSI6"
+    "MTQzNzcsImFyIjoxMzgwOSwibW0iOnsiaHciOls4LDIsM10sInEiOjE4NDMyLCJzIjpbNTE0"
+    "NSwxNTM2MCw1MTQ1LDUxNDUsNTE0NSw1MTQ1LDUxNDUsNTE0NV0sInUiOjJ9LCJybSI6eyJo"
+    "dyI6WzgsMiwzXSwicSI6MTg0MzIsInMiOlsxNzU3OSwxODIxOSwxNjU1NSwxNTAxOSwxNjA0"
+    "MywxNDMzNiwxNTAxOSwxNTM2MF0sInUiOjEyfX0sIm4iOlsibW90aW9uIiwicmVzaWR1YWwi"
+    "XSwidCI6IlAiLCJ6IjpbMTEsMjldfQEAAAAAdY47ht8TAQkAAADp1TWYCwDJBK1l9Y0XzjTO"
+    "dT1TuMaQDxQAAAAA"
+)
+GOLDEN_CLASSICAL_V4_CACM = (
+    "TlZDQQQAcwAAAHsiaGVhZGVyIjp7ImNvZGVjIjoiY2xhc3NpY2FsLWRjdCIsImVudHJvcHki"
+    "OiJjYWNtIiwiZ29wIjo4LCJoZWlnaHQiOjMyLCJxcCI6MTIuMCwicmF0ZV9jb250cm9sIjoi"
+    "Y3FwIiwid2lkdGgiOjQ4fX13QhCzWwIAAHWAj9QCAQAAeyJtIjp7IlAiOlt7Imh3IjpbMzIs"
+    "NDhdLCJwIjoieSIsInNkIjp7InMiOlsyMDEyMCwxNzU4MywxNTAzMCwxMTM1MV0sInUiOjY5"
+    "fX0seyJodyI6WzE2LDI0XSwicCI6ImNiIiwic2QiOnsicyI6WzE1NTMxLDE1ODcyLDEyNTM4"
+    "LDUxNDVdLCJ1IjoxNn19LHsiaHciOlsxNiwyNF0sInAiOiJjciIsInNkIjp7InMiOlsxNTg3"
+    "MiwxNDk1MCwxMjM1Niw1MTQ1XSwidSI6MTZ9fV19LCJuIjpbInkiLCJjYiIsImNyIl0sInQi"
+    "OiJJIiwieiI6WzI5NCwyNSwyMl19wBrUO/XzKz20vgdEkbLQY73Ayq8DAelbQ72QAbiwX/kt"
+    "C/CwOnzGxKHDHY6FKF5dLMBzfPYotIkGHc77xHsCWbxFw9d7Fi/7/3Iu4CGD2fqT9FVRngVH"
+    "pnKWsfxTd9T3AhL/rJle/I0H3inSy6/zWLoXLMMAQ5X2Io45RJ4v0BKUZ6EHhxOYXf3zI+Ko"
+    "L+Nwdac1KyQMdfcxLS4/nxrdlS3tMODUod16k60CGZkpc6uF+z4hIwVklgRYNH/WJIdmLOiY"
+    "3VUtW83Ef6Pj6GbhnROnEapxlpo5CQhbSEUUCHHyY2uZQ/OPjc6zxKHi3cb87XUadaoa9f8b"
+    "wcXLJ4kK4bN6q1Do+567p1VRthl7gZZH4Qo2VP9kbsR/aVsImBH0r25OrfyQEvZJXHHxSbMf"
+    "yqYEFYV7TkxP8RLRcxWSwN9QB+yePCWivX3pLaZHc+qJpLSpWIBMAgAAN+7rrB8BAAB7Im0i"
+    "OnsiUCI6W3siaHciOlszMiw0OF0sInAiOiJ5Iiwic2QiOnsicyI6WzE2MTI4LDE1NTE0LDE0"
+    "MjkwLDExNDMxXSwidSI6MTZ9fSx7Imh3IjpbMTYsMjRdLCJwIjoiY2IiLCJzZCI6eyJzIjpb"
+    "MTUwMTksMTMzODAsMTI3MjAsOTIwMF0sInUiOjE2fX0seyJodyI6WzE2LDI0XSwicCI6ImNy"
+    "Iiwic2QiOnsicyI6WzEzNjUzLDEzMTc1LDEyMjQyLDcxNTJdLCJ1IjoxNn19XSwiaHAiOjAs"
+    "Im12cyI6WzIsNCw2XX0sIm4iOlsibXYiLCJ5IiwiY2IiLCJjciJdLCJ0IjoiUCIsInoiOlsy"
+    "NSwyMzAsMjUsMTddfY////9eBtxrJsaRVqVNUIBQ9QrW0qIn75C/3dysB8WtgsIXJssjwx0c"
+    "piF5keiiH+D2dLavxY89wvZ8QHebNUXn6ODUz4sNyJtLkIFY52OrCbNvKZGrs6rxqFNQ5gPP"
+    "09Zku7X1068+FEmAQ9R+3Qoqlazi4ZXIyu0P0rd4HqshH6qaHDjQnWpIdh4DjF73mqOLzh2I"
+    "7fxFQj7XDBHQtQuoAWT0Y5RrqSvLv7dcFA6NJqLsxsfKz9RPxsbe8kxn2Nnc6wHjN5UcSy8U"
+    "9Mb67q5WQ/qrziFjIyxVeXBr+Ibn3JUzDf2+MJTbPrnBGoDxQf8Qr4PLuSQkQSYxM3elAIs2"
+    "OPbJ36BjSy2sHt4hVavCynuehuwJnyDQOF//zIpCyFuS8iLVE8Nn6AAAAAA="
+)
+GOLDEN_CTVC_V4_CACM = (
+    "TlZDQQQAjAAAAHsiaGVhZGVyIjp7ImNoYW5uZWxzIjo4LCJjb2RlYyI6ImN0dmMtbmV0Iiwi"
+    "ZW50cm9weSI6ImNhY20iLCJnb3AiOjgsImhlaWdodCI6MzIsInFzdGVwIjo4LjAsInJhdGVf"
+    "Y29udHJvbCI6ImNxcCIsInZhcmlhbnQiOiJmcCIsIndpZHRoIjo0OH192hnTpB8CAAArU4wX"
+    "AgEAAHsibSI6eyJQIjpbeyJodyI6WzMyLDQ4XSwicCI6InkiLCJzZCI6eyJzIjpbMTk2OTYs"
+    "MTcxODYsMTQ1MTgsMTA1MThdLCJ1Ijo1Mn19LHsiaHciOlsxNiwyNF0sInAiOiJjYiIsInNk"
+    "Ijp7InMiOlsxNTM2MCwxNTQyOCwxMTAzNiw1MTQ1XSwidSI6MTZ9fSx7Imh3IjpbMTYsMjRd"
+    "LCJwIjoiY3IiLCJzZCI6eyJzIjpbMTU1MzEsMTQ0NzMsMTEzMzIsNTE0NV0sInUiOjE2fX1d"
+    "fSwibiI6WyJ5IiwiY2IiLCJjciJdLCJ0IjoiSSIsInoiOlsyNDEsMjEsMTldfcIAiCdiVZuO"
+    "SkX+XRZlR9ZHnEVXFDUyOhzqIELx7+428jxu3zUjVCtHuhl0uU4RnUzCBtAe5zr4z4BosMNE"
+    "GPOOMBvUTe7gOnl1p8tHuoHWgZPFwnn5Z/eKibVcdFXMi7zx3pPV8H6O00Sf8249JiUdMVGi"
+    "REiHCa+Ku+d0w6m6jVfOyXTYTkWFGQrWacWuR2fZKcbxadFtXj0681Da3xKWiixkhCFFHFUc"
+    "hIc/18B5EoXqY1oahvNWlRiA+1l3QEJcyaKPb4SXwlZVpcQUrCbOKBvfpqreuYXGtubVjNxV"
+    "9ZeVMkuqksjE2MOMkCR345QNg98U9CzOL5eHsxmwZDt9I8Q5ynjMF1PvRbsMfsN3WU4I+G5h"
+    "tcmAEQEAAKyTs8L4AAAAeyJtIjp7ImFtIjoxNDM3NywiYXIiOjEzODA5LCJtbSI6eyJodyI6"
+    "WzgsMiwzXSwicSI6MTg0MzIsInMiOls1MTQ1LDE1MzYwLDUxNDUsNTE0NSw1MTQ1LDUxNDUs"
+    "NTE0NSw1MTQ1XSwidSI6Mn0sInJtIjp7Imh3IjpbOCwyLDNdLCJxIjoxODQzMiwicyI6WzE3"
+    "NTc5LDE4MjE5LDE2NTU1LDE1MDE5LDE2MDQzLDE0MzM2LDE1MDE5LDE1MzYwXSwidSI6MTJ9"
+    "fSwibiI6WyJtb3Rpb24iLCJyZXNpZHVhbCJdLCJ0IjoiUCIsInoiOlsyLDE5XX3chkxjo/tQ"
+    "XYCzhuP5a9k19xYEhcgAAAAA"
+)
+
+#: sha256 (first 16 hex digits) of the decoded float64 frames; the two
+#: backends code the same symbols, so they share a digest per codec.
+V4_PER_CHUNK_FRAMES = {"classical": "164c2894ed9e734c", "ctvc": "0464ff9c44f370d9"}
+
+V4_PER_CHUNK = {
+    ("classical", "rans"): GOLDEN_CLASSICAL_V4_RANS,
+    ("classical", "cacm"): GOLDEN_CLASSICAL_V4_CACM,
+    ("ctvc", "rans"): GOLDEN_CTVC_V4_RANS,
+    ("ctvc", "cacm"): GOLDEN_CTVC_V4_CACM,
+}
+
+PER_CHUNK_NAMES = {
+    "classical": [["y", "cb", "cr"], ["mv", "y", "cb", "cr"]],
+    "ctvc": [["y", "cb", "cr"], ["motion", "residual"]],
+}
+
+
+def _frames_digest(frames) -> str:
+    h = hashlib.sha256()
+    for frame in frames:
+        h.update(frame.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _v4_codec(kind: str, backend: str = "rans"):
+    if kind == "classical":
+        return ClassicalCodec(ClassicalCodecConfig(qp=12.0, entropy_backend=backend))
+    return CTVCNet(CTVCConfig(channels=8, qstep=8.0, seed=5, entropy_backend=backend))
+
+
+@pytest.mark.parametrize("kind,backend", sorted(V4_PER_CHUNK))
+def test_v4_per_chunk_stream_decodes_to_pinned_frames(kind, backend):
+    blob = base64.b64decode(V4_PER_CHUNK[(kind, backend)])
+    stream = SequenceBitstream.parse(blob)
+    assert stream.version == 4
+    assert stream.header["entropy"] == backend
+    assert [list(p.chunks) for p in stream.packets] == PER_CHUNK_NAMES[kind]
+    assert stream.serialize() == blob
+    # the header names the backend, whatever this codec is configured with
+    decoded = _v4_codec(kind, "rans").decode_sequence(stream)
+    assert _frames_digest(decoded) == V4_PER_CHUNK_FRAMES[kind]
+
+
+@pytest.mark.parametrize("kind,backend", sorted(V4_PER_CHUNK))
+def test_v4_per_chunk_stream_decodes_without_a_header(kind, backend):
+    """Headerless sessions and direct decode calls read the packet
+    layout from the packet itself."""
+    packets = SequenceBitstream.parse(
+        base64.b64decode(V4_PER_CHUNK[(kind, backend)])
+    ).packets
+    codec = _v4_codec(kind, backend)
+    headerless = list(codec.open_decoder(None).decode_iter(packets))
+    intra = codec if kind == "classical" else codec.intra_codec
+    first = intra.decode_intra(packets[0])
+    direct = [first, codec.decode_inter(packets[1], first)]
+    assert _frames_digest(headerless) == V4_PER_CHUNK_FRAMES[kind]
+    assert _frames_digest(direct) == V4_PER_CHUNK_FRAMES[kind]
+
+
+# -- the per-packet layout every encoder writes --------------------------------
+
+
+def _count_calls(monkeypatch, backend, name) -> list:
+    calls = []
+    real = getattr(backend, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(backend, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["classical", "ctvc"])
+@pytest.mark.parametrize("backend", ["rans", "cacm"])
+def test_every_packet_carries_one_entropy_payload(monkeypatch, kind, backend):
+    """One ``encode_segments`` call per packet on the way in, one
+    ``decode_segments`` call per packet on the way out."""
+    from repro.codec import get_entropy_backend
+    from repro.codec.classical import PACKET_PAYLOAD
+
+    frames = generate_sequence(SceneConfig(height=32, width=48, frames=3, seed=11))
+    codec = _v4_codec(kind, backend)
+    entropy = get_entropy_backend(backend)
+    encodes = _count_calls(monkeypatch, entropy, "encode_segments")
+    stream = codec.encode_sequence(frames)
+    assert len(encodes) == 3
+    assert [list(p.chunks) for p in stream.packets] == [[PACKET_PAYLOAD]] * 3
+    decodes = _count_calls(monkeypatch, entropy, "decode_segments")
+    assert len(codec.decode_sequence(stream)) == 3
+    assert len(decodes) == 3
+
+
+@pytest.mark.parametrize("kind", ["classical", "ctvc"])
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        {"e": b"", "y": b""},  # both layouts at once
+        {"y": b"", "cb": b""},  # a per-chunk packet short of a group
+        {"E": b""},
+        {},
+    ],
+    ids=["mixed", "missing-group", "unknown", "none"],
+)
+def test_packet_chunks_outside_both_layouts_raise(kind, chunks):
+    from repro.codec import StreamCorruptionError
+
+    frames = generate_sequence(SceneConfig(height=32, width=48, frames=2, seed=11))
+    codec = _v4_codec(kind)
+    stream = codec.encode_sequence(frames)
+    first = stream.packets[0]
+    for packet in stream.packets:
+        packet.chunks = dict(chunks)
+    with pytest.raises(StreamCorruptionError, match="packet chunks"):
+        intra = codec if kind == "classical" else codec.intra_codec
+        intra.decode_intra(first)
+    reference = frames[0]
+    with pytest.raises(StreamCorruptionError, match="packet chunks"):
+        codec.decode_inter(stream.packets[1], reference)

@@ -317,7 +317,7 @@ _REF_SHIFT32 = np.uint64(32)
 _REF_WORD_MASK = np.uint64(0xFFFF)
 
 
-def _reference_encode(segments, max_lanes=32):
+def _reference_encode(segments, max_lanes=64):
     freqs_parts, cums_parts = [], []
     for symbols, model in segments:
         syms = np.asarray(symbols, dtype=np.int64).ravel()
@@ -331,7 +331,7 @@ def _reference_encode(segments, max_lanes=32):
     freqs = np.concatenate(freqs_parts)
     cums = np.concatenate(cums_parts)
     count = int(freqs.size)
-    lanes = max(1, min(max_lanes, count // 64))
+    lanes = max(1, min(max_lanes, max(min(count // 128, 32), count // 2048)))
     rows = -(-count // lanes)
     pad = rows * lanes - count
     if pad:
@@ -467,17 +467,46 @@ class TestRansMatchesReferenceLoops:
             assert np.array_equal(got, want)
             assert np.array_equal(got, syms)
 
-    @pytest.mark.parametrize("count", [1, 127, 128, 129, 2047, 2048, 2049, 5000])
+    @pytest.mark.parametrize(
+        "count",
+        [1, 255, 256, 257, 4095, 4096, 67583, 67584, 131071, 131072, 140000],
+    )
     def test_lane_rule_boundaries(self, rng, count):
-        """Counts on each side of the lane rule's steps: 1 lane below 128
-        symbols, full 32 lanes from 2048, partial last rows between."""
+        """Counts on each side of the lane rule's steps: 1 lane below 256
+        symbols, 32 lanes from 4096, the 33rd lane at 67584 (33 * 2048),
+        full 64 lanes from 131072, partial last rows between."""
         model = LaplacianModel(2.5, 64).model
         syms = rng.choice(model.num_symbols, size=count, p=model.probabilities())
         blob = get_entropy_backend("rans").encode_segments([(syms, model)])
         assert blob == _reference_encode([(syms, model)])
-        assert blob[0] == max(1, min(32, count // 64))
+        assert blob[0] == max(1, min(64, max(min(count // 128, 32), count // 2048)))
         out = get_entropy_backend("rans").decode_segments(blob, [(count, model)])
         assert np.array_equal(out[0], _reference_decode(blob, [(count, model)])[0])
+
+    def test_packet_sized_multi_segment_payload_matches_reference(self, rng):
+        """A payload the size of a 640x360 packet runs 64 lanes with a
+        dozen segments, some shorter than a row and starting mid-row:
+        the shape the property test's small payloads never reach."""
+        models = [
+            LaplacianModel(float(scale), support).model
+            for scale, support in ((40.0, 2048), (2.0, 255), (0.3, 16))
+        ]
+        counts = [2160, 33, 10800, 1, 30240, 92880, 64, 7, 540, 2700, 7560, 23220]
+        segments = []
+        for index, count in enumerate(counts):
+            model = models[index % len(models)]
+            syms = rng.choice(model.num_symbols, size=count, p=model.probabilities())
+            segments.append((syms.astype(np.int64), model))
+        blob = get_entropy_backend("rans").encode_segments(segments)
+        assert blob[0] == 64
+        assert blob == _reference_encode(segments)
+        specs = [(count, model) for (_, model), count in zip(segments, counts)]
+        decoded = get_entropy_backend("rans").decode_segments(blob, specs)
+        for got, want, (syms, _) in zip(
+            decoded, _reference_decode(blob, specs), segments
+        ):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, syms)
 
     def test_hostile_states_decode_like_reference(self, rng):
         """Arbitrary 6-byte states (up to 2**48) and words decode to the
@@ -526,16 +555,18 @@ def _digest(chunks):
 @pytest.mark.parametrize(
     "kind,stream_digest,frames_digest",
     [
-        ("classical", "367ddfbd054b29ac", "b2f5a1a1b5394d31"),
-        ("ctvc", "2f4bc8db344c8840", "14eaf482f6495e22"),
+        ("classical", "c1ae6f5da4003ca1", "b2f5a1a1b5394d31"),
+        ("ctvc", "b6fb31b49edbe5b8", "14eaf482f6495e22"),
     ],
 )
 def test_benchmark_scene_digests_are_pinned(kind, stream_digest, frames_digest):
     """The streams and decoded frames of the benchmark scenes (classical
     at 640x360, six frames; CTVC-Net N=12 at 352x288, three frames;
-    scene seed 1) match the digests recorded before the rANS row loops
-    were rewritten.  Frame digests hash float64 output, so they pin
-    this NumPy/OpenBLAS build; the stream digests do not depend on it."""
+    scene seed 1) match pinned digests.  The frame digests were recorded
+    before the rANS row loops were rewritten and survived the move to
+    one entropy payload per packet; the stream digests are those of
+    that layout.  Frame digests hash float64 output, so they pin this
+    NumPy/OpenBLAS build; the stream digests do not depend on it."""
     if kind == "classical":
         height, width, count = 360, 640, 6
         codec = ClassicalCodec(

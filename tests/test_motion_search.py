@@ -173,18 +173,19 @@ class TestBlockMatchExact:
 
 
 class TestPinnedStreams:
-    """Stream digests from the whole-plane scan; motion search changes
-    must leave them byte-identical."""
+    """Stream digests from the whole-plane scan (re-derived for one
+    entropy payload per packet); motion search changes must leave them
+    byte-identical."""
 
     def test_classical_640x360_two_frames(self):
         frames = generate_sequence(SceneConfig(height=360, width=640, frames=2, seed=1))
         config = ClassicalCodecConfig(qp=8.0, gop=2, entropy_backend="rans")
         codec = ClassicalCodec(config)
-        assert _sha(codec.encode_sequence(frames).serialize()) == "57a191f1c02fbc5e"
+        assert _sha(codec.encode_sequence(frames).serialize()) == "7bfc8a653e1329da"
 
     @pytest.mark.parametrize(
         "half_pel, digest",
-        [(False, "22cc898c18ccc708"), (True, "4a5f22d2019df61b")],
+        [(False, "0844345a385fcc97"), (True, "5787a3dc7b36ad4b")],
     )
     def test_half_pel_small_scene(self, half_pel, digest):
         frames = generate_sequence(SceneConfig(height=48, width=64, frames=3, seed=2))

@@ -7,6 +7,9 @@ worker fleet's scaling decisions."""
 import json
 import multiprocessing
 import os
+import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -329,6 +332,42 @@ class TestObservabilityEndpoints:
         import repro
 
         assert fleet["obs-worker"]["version"] == repro.__version__
+
+
+class TestClientHangUp:
+    def test_response_to_a_closed_socket_is_dropped_quietly(
+        self, monkeypatch, capfd
+    ):
+        """A client that sends a request and hangs up before reading the
+        response costs the server nothing: no traceback on stderr, and
+        the next request is answered."""
+        from repro.pipeline.dist import net
+
+        entered, release = threading.Event(), threading.Event()
+        routes = dict(net._ROUTES)
+
+        def held_stats(server, body):
+            entered.set()
+            release.wait(10)
+            return routes[("GET", "/stats")](server, body)
+
+        monkeypatch.setitem(net._ROUTES, ("GET", "/stats"), held_stats)
+        with QueueServer(MemoryJobQueue()) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            client = socket.create_connection((host, int(port)))
+            client.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert entered.wait(10)
+            # linger 0: close() resets the connection instead of a FIN
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.close()
+            release.set()
+            time.sleep(0.2)
+            assert HttpJobQueue(server.url).stats().total == 0
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err and "ConnectionResetError" not in err
 
 
 class TestStaleAck:

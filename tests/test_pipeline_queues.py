@@ -237,6 +237,10 @@ class QueueModelMachine(RuleBasedStateMachine):
 
     @rule()
     def reap(self):
+        # A model job is never claimed and done at once, so the queues'
+        # rule for a claim whose result is already written (drop the
+        # claim, reap nothing) has no model state here; the race tests
+        # at the end of this file drive it.
         reaped = [
             job_id for job_id in self._in("claimed")
             if self.model[job_id].expired
@@ -518,3 +522,115 @@ def test_threads_racing_claims_run_every_job_once(tmp_path, make_queue, rounds):
         assert queue.stats() == QueueStats(
             pending=0, claimed=0, done=200, failed=0
         )
+
+
+# -- ack races on the directory queue ----------------------------------------
+def test_reap_between_ack_write_and_claim_unlink_keeps_the_job_done(
+    tmp_path, monkeypatch
+):
+    """A reap (here: another process's queue over the same directory)
+    that runs after ``ack`` wrote the result but before it removed the
+    claim drops the claim instead of requeueing a finished job."""
+    queue = DirectoryJobQueue(tmp_path / "q")
+    reaper = DirectoryJobQueue(tmp_path / "q")
+    queue.submit({"i": 0}, job_id="job-0")
+    queue.claim_batch("w", lease_seconds=0.0)  # expired at once
+    real_unlink = os.unlink
+    reaped = []
+
+    def reap_first(path, *args, **kwargs):
+        if not reaped and f"{os.sep}claimed{os.sep}" in os.fspath(path):
+            reaped.append(None)
+            reaped[0] = reaper.reap_expired()
+        return real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", reap_first)
+    # the reap removed the claim, so this ack's removal lost the race
+    assert queue.ack("job-0", {"ok": 1}, worker_id="w") is False
+    monkeypatch.undo()
+    assert reaped == [[]]
+    assert queue.stats() == QueueStats(pending=0, claimed=0, done=1, failed=0)
+    assert queue.results() == {"job-0": {"ok": 1}}
+    assert queue.claim("w2", lease_seconds=60.0) is None
+
+
+def test_reap_drops_a_claim_left_by_an_ack_that_died_mid_way(tmp_path):
+    queue = DirectoryJobQueue(tmp_path / "q")
+    queue.submit({"i": 0}, job_id="job-0")
+    queue.claim_batch("w", lease_seconds=0.0)
+    # the ack's first half only: the result is written, the claim stays
+    (tmp_path / "q" / "done" / "job-0.json").write_text('{"ok": 1}')
+    assert queue.reap_expired() == []
+    assert queue.stats() == QueueStats(pending=0, claimed=0, done=1, failed=0)
+
+
+def test_two_threads_acking_one_job_accept_exactly_one(tmp_path, monkeypatch):
+    """``repro serve`` handler threads share one directory queue: two
+    acks of one job racing through the result write (both held at a
+    barrier before ``os.replace``) give one acceptance, not an error."""
+    queue = DirectoryJobQueue(tmp_path / "q")
+    queue.submit({"i": 0}, job_id="job-0")
+    queue.claim_batch("w", lease_seconds=60.0)
+    barrier = threading.Barrier(2, timeout=10)
+    real_replace = os.replace
+    temp_names = []
+
+    def replace_together(src, dst):
+        temp_names.append(os.path.basename(src))
+        barrier.wait()
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_together)
+    answers, errors = [], []
+
+    def ack():
+        try:
+            answers.append(queue.ack("job-0", {"ok": 1}, worker_id="w"))
+        except Exception as exc:  # pragma: no cover - the bug under test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=ack) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    assert errors == []
+    assert sorted(answers) == [False, True]
+    assert len(set(temp_names)) == 2
+    assert not any(name.endswith(".json") for name in temp_names)
+    assert queue.stats() == QueueStats(pending=0, claimed=0, done=1, failed=0)
+
+
+def test_ack_landing_while_a_reap_moves_the_claim_keeps_the_job_done(
+    tmp_path, monkeypatch
+):
+    """The other order of the same race: the reap finds no result, the
+    ack writes one, the reap requeues the claim, and the ack's claim
+    removal finds nothing.  The reap withdraws its requeue."""
+    queue = DirectoryJobQueue(tmp_path / "q")
+    reaper = DirectoryJobQueue(tmp_path / "q")
+    queue.submit({"i": 0}, job_id="job-0")
+    queue.claim_batch("w", lease_seconds=0.0)
+    real_rename, real_unlink = os.rename, os.unlink
+    held = []  # the ack's claim removal, held until the reap is done
+
+    def hold_unlink(path, *args, **kwargs):
+        if f"{os.sep}claimed{os.sep}" in os.fspath(path):
+            held.append(path)
+            return None
+        return real_unlink(path, *args, **kwargs)
+
+    def ack_then_rename(src, dst):
+        if not held and f"{os.sep}claimed{os.sep}" in os.fspath(src):
+            assert queue.ack("job-0", {"ok": 1}, worker_id="w")
+        return real_rename(src, dst)
+
+    monkeypatch.setattr(os, "unlink", hold_unlink)
+    monkeypatch.setattr(os, "rename", ack_then_rename)
+    assert reaper.reap_expired() == []
+    monkeypatch.undo()
+    with pytest.raises(FileNotFoundError):
+        os.unlink(held[0])  # the ack's removal, released: the claim is gone
+    assert queue.stats() == QueueStats(pending=0, claimed=0, done=1, failed=0)
+    assert queue.claim("w2", lease_seconds=60.0) is None
