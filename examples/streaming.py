@@ -7,8 +7,9 @@ example drives the streaming redesign end to end:
    as frames arrive, into an incremental version-4 container file;
 2. ``open_decoder()`` + ``StreamReader`` — packets in, frames pulled
    out, never holding more than one frame;
-3. the ``Pipeline`` facade's streaming mode with per-frame progress
-   callbacks;
+3. the ``Pipeline`` facade writing a container file, with per-frame
+   progress callbacks: the same encode and decode loops an in-memory
+   ``run()`` uses, only the sink differs;
 4. the registered ``rd-model`` pseudo-codec sweeping a published RD
    curve through the exact same surface.
 
@@ -58,8 +59,8 @@ def raw_session_round_trip(path: str) -> None:
     )
 
 
-def facade_streaming(path: str) -> None:
-    print("\nPipeline facade streaming mode (with progress callbacks):")
+def facade_to_file(path: str) -> None:
+    print("\nPipeline facade to a container file (with progress callbacks):")
     session = Pipeline("ctvc", {"channels": 12, "seed": 1}, scene=SCENE).session()
     report = session.run(
         output=path,
@@ -86,7 +87,7 @@ def rd_model_sweep() -> None:
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         raw_session_round_trip(os.path.join(tmp, "classical.nvca"))
-        facade_streaming(os.path.join(tmp, "ctvc.nvca"))
+        facade_to_file(os.path.join(tmp, "ctvc.nvca"))
     rd_model_sweep()
 
 

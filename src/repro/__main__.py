@@ -156,75 +156,48 @@ def _cmd_encode(args) -> int:
     if args.input is not None and not args.stream:
         print("repro encode: --input needs --stream", file=sys.stderr)
         return 2
-    if args.stream:
-        if not args.output:
-            print(
-                "repro encode: --stream needs --output (the container file)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.input is not None:
-            return _encode_stream_yuv(args, config)
-        # Synthetic scene through the facade's streaming mode: the
-        # container is written incrementally and quality is scored
-        # frame by frame against the regenerated scene.
-        pipeline = Pipeline(
-            args.codec,
-            config,
-            scene={
-                "height": args.height,
-                "width": args.width,
-                "frames": args.frames,
-            },
-            compute_msssim=args.msssim,
+    if args.stream and not args.output:
+        print(
+            "repro encode: --stream needs --output (the container file)",
+            file=sys.stderr,
         )
-        report = pipeline.session().run(
-            output=args.output, progress=_progress_printer(args.progress)
-        )
-        payload = report.to_dict()
-        payload["container"] = args.output
-        print(json.dumps(payload, indent=2, sort_keys=True) if args.json
-              else f"{report.render()}\n  container: {args.output}")
-        return 0
+        return 2
+    progress = _progress_printer(args.progress)
+    if args.input is not None:
+        return _encode_yuv(args, config, progress)
     pipeline = Pipeline(
         args.codec,
         config,
         scene={"height": args.height, "width": args.width, "frames": args.frames},
         compute_msssim=args.msssim,
     )
-    report = pipeline.run()
-    return _emit(args, report.render(), report.to_dict())
+    if not args.stream:
+        report = pipeline.session().run(progress=progress)
+        return _emit(args, report.render(), report.to_dict())
+    # The container is written frame by frame and quality is scored
+    # against the regenerated scene.
+    report = pipeline.session().run(output=args.output, progress=progress)
+    payload = report.to_dict()
+    payload["container"] = args.output
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json
+          else f"{report.render()}\n  container: {args.output}")
+    return 0
 
 
-def _encode_stream_yuv(args, config) -> int:
-    """File-to-file transcode: raw YUV in, v4 container out, one frame
-    in memory at a time (the zero-copy path long sequences use)."""
-    import time
-
-    from repro.codec import StreamWriter
+def _encode_yuv(args, config, progress) -> int:
+    """Raw YUV in, v4 container out, one frame in memory at a time."""
     from repro.pipeline import create_codec
+    from repro.pipeline.facade import encode_loop
     from repro.video import read_yuv420
 
-    source = read_yuv420(args.input, args.height, args.width)
     codec = create_codec(args.codec, config)
-    progress = _progress_printer(args.progress)
-    start = time.perf_counter()
-    count = 0
-    with open(args.output, "wb") as out:
-        session = codec.open_encoder()
-        writer = StreamWriter(out)
-        for packet in session.encode_iter(iter(source)):
-            if writer.header is None:
-                header = dict(session.header)
-                header["registry"] = args.codec
-                header["config"] = codec.config.to_dict()
-                writer.write_header(header)
-            nbytes = writer.write_packet(packet)
-            count += 1
-            if progress is not None:
-                progress(count, nbytes)
-        total = writer.finalize()
-    seconds = time.perf_counter() - start
+    count, total, _, seconds = encode_loop(
+        codec,
+        read_yuv420(args.input, args.height, args.width),
+        args.output,
+        header={"registry": args.codec, "config": codec.config.to_dict()},
+        progress=progress,
+    )
     payload = {
         "codec": args.codec,
         "codec_config": codec.config.to_dict(),
@@ -234,7 +207,7 @@ def _encode_stream_yuv(args, config) -> int:
         "height": args.height,
         "width": args.width,
         "stream_bytes": total,
-        "bpp": 8.0 * total / (max(count, 1) * args.height * args.width),
+        "bpp": 8.0 * total / (count * args.height * args.width),
         "encode_seconds": seconds,
     }
     text = (
@@ -245,36 +218,37 @@ def _encode_stream_yuv(args, config) -> int:
     return 0
 
 
-def _cmd_decode(args) -> int:
-    """Round-trip a container file through a streaming decoder session."""
-    import time
+class _UnknownStreamCodec(LookupError):
+    """The stream header names no codec and ``--codec`` was not given."""
 
-    import numpy as np
 
-    from repro.codec import StreamReader
-    from repro.metrics import psnr
-    from repro.pipeline import create_codec
-    from repro.video import SceneConfig, iter_sequence, read_yuv420, write_yuv420
-
+def _stream_codec(args, header: dict) -> str:
+    """The registry name to decode ``header``'s stream with."""
     #: headers written before the "registry" field name codecs by their
     #: on-wire name; map them back to registry names.
     wire_names = {"ctvc-net": "ctvc", "classical-dct": "classical"}
-    start = time.perf_counter()
-    with open(args.bitstream, "rb") as handle:
-        reader = StreamReader(handle, on_error=args.on_error)
-        header = reader.header
-        codec_name = args.codec or header.get("registry")
-        if codec_name is None:
-            codec_name = wire_names.get(header.get("codec"))
-        if codec_name is None:
-            print(
-                f"repro decode: cannot infer the codec from the stream header "
-                f"({header.get('codec')!r}); pass --codec",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.pipeline import codec_spec
+    name = args.codec or header.get("registry")
+    if name is None:
+        name = wire_names.get(header.get("codec"))
+    if name is None:
+        raise _UnknownStreamCodec(header.get("codec"))
+    return name
 
+
+def _cmd_decode(args) -> int:
+    """Decode a container file through the facade's decode loop; this
+    command only picks the codec, config and reference from the header
+    and its flags, and writes the reconstruction."""
+    import itertools
+
+    import numpy as np
+
+    from repro.pipeline import codec_spec, create_codec
+    from repro.pipeline.facade import DecodeLoop
+    from repro.video import SceneConfig, iter_sequence, read_yuv420, write_yuv420
+
+    def setup(header):
+        codec_name = _stream_codec(args, header)
         config = header.get("config")
         if config is None:
             # Pre-v3 headers record operating parameters inline (qp,
@@ -291,70 +265,77 @@ def _cmd_decode(args) -> int:
                 config["entropy_backend"] = header["entropy"]
         if args.config:
             config = {**(config or {}), **json.loads(args.config)}
-        codec = create_codec(codec_name, config)
-        session = codec.open_decoder(header, version=reader.version)
-        height = int(header.get("height", 0))
-        width = int(header.get("width", 0))
-
         # Reference frames for quality scoring: an explicit YUV file,
         # or the scene the facade embedded in a streaming header.
-        originals = None
+        reference = None
         if args.reference:
-            originals = iter(read_yuv420(args.reference, height, width))
+            reference = read_yuv420(
+                args.reference,
+                int(header.get("height", 0)),
+                int(header.get("width", 0)),
+            )
         elif "scene" in header:
-            originals = iter_sequence(SceneConfig.from_dict(header["scene"]))
+            reference = iter_sequence(SceneConfig.from_dict(header["scene"]))
+        return create_codec(codec_name, config), reference
 
-        psnrs: list[float] = []
-        count = 0
-        progress = _progress_printer(args.progress)
-
-        def frames():
-            nonlocal count
-            for decoded in session.decode_iter(reader):
-                count += 1
-                if originals is not None:
-                    try:
-                        original = next(originals)
-                    except StopIteration:
-                        raise ValueError(
-                            f"reference has fewer frames than the bitstream "
-                            f"(ran out at frame {count})"
-                        ) from None
-                    psnrs.append(float(psnr(original, decoded)))
-                if progress is not None:
-                    progress(count, psnrs[-1] if psnrs else "-")
-                yield decoded
-
+    loop = DecodeLoop(
+        args.bitstream,
+        setup,
+        progress=_progress_printer(args.progress),
+        on_error=args.on_error,
+    )
+    try:
+        # Read the header and the first frame before -o creates a file,
+        # so a stream that cannot be decoded leaves no output behind.
+        frames = iter(loop)
+        first = next(frames, None)
+        if first is not None:
+            frames = itertools.chain([first], frames)
         if args.output:
-            write_yuv420(args.output, frames())
+            write_yuv420(args.output, frames)
         else:
-            for _ in frames():
+            for _ in frames:
                 pass
-    seconds = time.perf_counter() - start
-    stream_bytes = os.path.getsize(args.bitstream)
+    except _UnknownStreamCodec as exc:
+        print(
+            f"repro decode: cannot infer the codec from the stream header "
+            f"({exc.args[0]!r}); pass --codec",
+            file=sys.stderr,
+        )
+        return 2
+    codec_name = _stream_codec(args, loop.header)
+    height = int(loop.header.get("height", 0))
+    width = int(loop.header.get("width", 0))
+    count, psnrs = loop.frames, loop.psnrs
+    bpp = (
+        8.0 * loop.stream_bytes / (count * max(height * width, 1))
+        if count else None
+    )
     payload = {
         "codec": codec_name,
-        "container_version": reader.version,
+        "container_version": loop.version,
         "bitstream": args.bitstream,
-        "packets_skipped": reader.packets_skipped,
+        "packets_skipped": loop.packets_skipped,
         "frames": count,
         "height": height,
         "width": width,
-        "stream_bytes": stream_bytes,
-        "bpp": 8.0 * stream_bytes / (max(count, 1) * max(height * width, 1)),
+        "stream_bytes": loop.stream_bytes,
+        "bpp": bpp,
         "psnr_per_frame": psnrs,
         "mean_psnr": float(np.mean(psnrs)) if psnrs else None,
-        "decode_seconds": seconds,
+        "decode_seconds": loop.seconds,
         "output": args.output,
     }
     text = (
         f"{codec_name}: {count} frames @ {width}x{height} from "
-        f"{args.bitstream} (v{reader.version}), {payload['bpp']:.3f} bpp"
+        f"{args.bitstream} (v{loop.version})"
     )
+    if bpp is not None:
+        text += f", {bpp:.3f} bpp"
     if psnrs:
         text += f", {payload['mean_psnr']:.2f} dB PSNR"
-    if reader.packets_skipped:
-        text += f"\n  WARNING: {reader.packets_skipped} corrupt packet(s) skipped"
+    if loop.packets_skipped:
+        text += f"\n  WARNING: {loop.packets_skipped} corrupt packet(s) skipped"
     if args.output:
         text += f"\n  reconstruction: {args.output}"
     print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
@@ -1044,7 +1025,7 @@ def main(argv=None) -> int:
     enc.add_argument(
         "--progress",
         action="store_true",
-        help="print per-frame progress to stderr (streaming mode)",
+        help="print per-frame progress to stderr",
     )
     enc.add_argument(
         "-o",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codec.bitstream import SequenceBitstream
+from repro.pipeline import Pipeline
 from repro.pipeline.registry import create_codec
 from repro.codec.layergraph import decoder_graph, encoder_graph
 from repro.core.ops import multiplications
@@ -31,7 +31,6 @@ from repro.hw.area import area_report
 from repro.hw.dataflow import compare_traffic
 from repro.hw.energy import EnergyUnits, energy_report
 from repro.hw.perf import analyze_graph
-from repro.metrics import psnr
 from repro.video import SceneConfig, generate_sequence
 
 from .tables import render_table
@@ -48,6 +47,19 @@ __all__ = [
 ]
 
 import dataclasses
+
+
+def round_trip(codec_name, codec, scene, frames, *, compute_msssim=False):
+    """Run an already-built (pruned, quantized, ablated) codec over
+    in-memory ``frames`` through the facade's container round trip,
+    injected the way warm workers inject theirs.  Returns the decoded
+    :class:`~repro.pipeline.facade.EncodeSession`; its ``report()``
+    holds rate and quality, its ``stream`` the packets."""
+    session = Pipeline(
+        codec_name, codec.config, scene, compute_msssim=compute_msssim
+    ).session()
+    session.codec, session.frames = codec, frames
+    return session.decode()
 
 
 @dataclass
@@ -77,9 +89,8 @@ def sparsity_sweep(
     each rho (the SCU multiplier budget is 64*(1-sparsity density)...
     i.e. sized to the surviving weights, as the paper's design is).
     """
-    sequence = generate_sequence(
-        SceneConfig(height=64, width=96, frames=frames, seed=seed)
-    )
+    scene = SceneConfig(height=64, width=96, frames=frames, seed=seed)
+    sequence = generate_sequence(scene)
     points = []
     for rho in rhos:
         net = create_codec("ctvc", channels=channels, qstep=qstep, seed=1)
@@ -87,10 +98,7 @@ def sparsity_sweep(
             net.apply_sparse(rho=rho)
         else:
             net.apply_fxp()
-        stream = net.encode_sequence(sequence)
-        decoded = net.decode_sequence(SequenceBitstream.parse(stream.serialize()))
-        quality = float(np.mean([psnr(a, b) for a, b in zip(sequence, decoded)]))
-        bpp = stream.num_bits() / (len(sequence) * 64 * 96)
+        measured = round_trip("ctvc", net, scene, sequence).report()
 
         config = dataclasses.replace(NVCAConfig(), rho=rho)
         graph = decoder_graph(1080, 1920, config.channels)
@@ -101,8 +109,8 @@ def sparsity_sweep(
         points.append(
             SparsityPoint(
                 rho=rho,
-                psnr_db=quality,
-                bpp=bpp,
+                psnr_db=measured.mean_psnr,
+                bpp=measured.bpp,
                 multipliers_per_scu=config.multipliers_per_scu,
                 chip_power_w=energy.chip_power_w,
                 gate_count_m=area.total_mgates,
@@ -179,9 +187,8 @@ def attention_ablation(
         layer.macs() for layer in with_attn if ".swinam" in layer.name
     )
 
-    sequence = generate_sequence(
-        SceneConfig(height=64, width=96, frames=frames, seed=seed)
-    )
+    scene = SceneConfig(height=64, width=96, frames=frames, seed=seed)
+    sequence = generate_sequence(scene)
 
     def run(disable_attention: bool) -> float:
         net = create_codec("ctvc", channels=channels, qstep=qstep, seed=1)
@@ -191,9 +198,7 @@ def attention_ablation(
                     # Slam the mask shut: branch 2 contributes nothing.
                     am.mask_conv.weight.data[:] = 0.0
                     am.mask_conv.bias.data[:] = -1e3
-        stream = net.encode_sequence(sequence)
-        decoded = net.decode_sequence(SequenceBitstream.parse(stream.serialize()))
-        return float(np.mean([psnr(a, b) for a, b in zip(sequence, decoded)]))
+        return round_trip("ctvc", net, scene, sequence).report().mean_psnr
 
     return {
         "swinatten_gmacs": attn_macs / 1e9,
@@ -326,22 +331,21 @@ def gop_size_ablation(
     P-frames (lower rate) at some quality drift risk — the classic
     structure choice every deployment makes.
     """
-    sequence = generate_sequence(
-        SceneConfig(height=64, width=96, frames=frames, seed=seed)
-    )
+    scene = SceneConfig(height=64, width=96, frames=frames, seed=seed)
+    sequence = generate_sequence(scene)
     results = []
     for gop in gops:
         net = create_codec("ctvc", channels=channels, qstep=qstep, gop=gop, seed=1)
-        stream = net.encode_sequence(sequence)
-        decoded = net.decode_sequence(SequenceBitstream.parse(stream.serialize()))
+        session = round_trip("ctvc", net, scene, sequence)
+        measured = session.report()
         results.append(
             {
                 "gop": gop,
-                "bpp": stream.bits_per_pixel(64, 96),
-                "psnr_db": float(
-                    np.mean([psnr(a, b) for a, b in zip(sequence, decoded)])
+                "bpp": measured.bpp,
+                "psnr_db": measured.mean_psnr,
+                "i_frames": sum(
+                    1 for p in session.stream.packets if p.frame_type == "I"
                 ),
-                "i_frames": sum(1 for p in stream.packets if p.frame_type == "I"),
             }
         )
     return results

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codec.bitstream import SequenceBitstream
 from repro.codec.rd_models import all_method_curves
-from repro.metrics import RDCurve, ms_ssim, psnr
-from repro.video import load_dataset
+from repro.metrics import RDCurve
+from repro.video import SceneConfig, load_dataset
 
+from .ablations import round_trip
 from .tables import render_series
 
 __all__ = ["Fig8Panel", "measured_rd_curve", "generate_fig8"]
@@ -88,6 +88,7 @@ def measured_rd_curve(
     corpus sequence; returns a measured RD curve."""
     sequence = load_dataset(dataset).sequences()[0][:frames]
     _, height, width = sequence[0].shape
+    scene = SceneConfig(height=height, width=width, frames=len(sequence))
     from repro.pipeline import create_codec
 
     curve = RDCurve(name=f"{codec}-{variant}-measured", metric=metric, dataset=dataset)
@@ -106,16 +107,13 @@ def measured_rd_curve(
             coder.apply_fxp()
         elif variant == "sparse" and hasattr(coder, "apply_sparse"):
             coder.apply_sparse(rho=0.5)
-        stream = coder.encode_sequence(sequence)
-        decoded = coder.decode_sequence(SequenceBitstream.parse(stream.serialize()))
-        bpp = stream.num_bits() / (len(sequence) * height * width)
-        if metric == "psnr":
-            quality = float(np.mean([psnr(a, b) for a, b in zip(sequence, decoded)]))
-        else:
-            quality = float(
-                np.mean([ms_ssim(a, b) for a, b in zip(sequence, decoded)])
-            )
-        curve.add(bpp, quality)
+        measured = round_trip(
+            codec, coder, scene, sequence, compute_msssim=metric != "psnr"
+        ).report()
+        curve.add(
+            measured.bpp,
+            measured.mean_psnr if metric == "psnr" else measured.mean_msssim,
+        )
     return curve
 
 

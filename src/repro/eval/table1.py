@@ -30,9 +30,10 @@ from repro.codec.rd_models import (
     all_method_curves,
     anchor_curve,
 )
-from repro.metrics import bd_rate, psnr
+from repro.metrics import bd_rate
 from repro.video import SceneConfig, generate_sequence
 
+from .ablations import round_trip
 from .tables import render_table
 
 __all__ = ["Table1Result", "measured_variant_deltas", "generate_table1"]
@@ -96,9 +97,8 @@ def measured_variant_deltas(
     Returns quality deltas in dB at matched rate for the "fxp" and
     "sparse" variants (non-negative values = quality loss).
     """
-    sequence = generate_sequence(
-        SceneConfig(height=size[0], width=size[1], frames=frames, seed=seed)
-    )
+    scene = SceneConfig(height=size[0], width=size[1], frames=frames, seed=seed)
+    sequence = generate_sequence(scene)
 
     from repro.pipeline import create_codec
 
@@ -108,11 +108,7 @@ def measured_variant_deltas(
             net.apply_fxp()
         elif variant == "sparse":
             net.apply_sparse(rho=0.5)
-        stream = net.encode_sequence(sequence)
-        decoded = net.decode_sequence(stream)
-        return float(
-            np.mean([psnr(a, b) for a, b in zip(sequence, decoded)])
-        )
+        return round_trip("ctvc", net, scene, sequence).report().mean_psnr
 
     fp = run("fp")
     return {"fxp": max(0.0, fp - run("fxp")), "sparse": max(0.0, fp - run("sparse"))}

@@ -2,7 +2,7 @@
 
 A :class:`Pipeline` is a fully serializable job description — codec
 name, codec config, scene config, and options — and ``run()`` composes
-source → codec → serialize/parse round-trip → metrics → optional NVCA
+source → codec → container round trip → metrics → optional NVCA
 hardware analysis, returning typed reports instead of printed strings.
 Because the job spec is a plain dict under the hood, it ships across
 process boundaries unchanged, which is what :func:`run_many`'s queue
@@ -12,14 +12,18 @@ backend and its worker processes rely on.
 >>> report = Pipeline("ctvc", {"channels": 12}, scene={"frames": 4}).run()
 >>> report.bpp, report.mean_psnr  # doctest: +SKIP
 
-The encode path is numerically identical to the pre-facade CLI: same
-frame source, same serialize/parse round trip, same rate (container
-bits per pixel) and mean-PSNR quality.
+The round trip is written once here: :func:`encode_loop` (encoder
+session → ``StreamWriter``) and :class:`DecodeLoop` (``StreamReader``
+→ decoder session → per-frame quality).  Every ``EncodeSession`` mode,
+``repro encode``/``repro decode`` and the evaluation harness run
+through these two loops; rate is container bits per pixel, quality the
+mean per-frame PSNR.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import os
 import time
@@ -62,28 +66,209 @@ def analyze_hardware(
     return create_platform("nvca", config).hardware_report(height, width)
 
 
+def _open(target, mode: str):
+    """``(handle, owned)`` for a path (opened here) or a file object."""
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, mode), True
+    return target, False
+
+
+def encode_loop(codec, frames, sink, *, header=None, progress=None):
+    """The one encode loop: ``frames`` through an encoder session into a
+    version-4 container on ``sink`` (a path or a binary file object).
+
+    Returns ``(frames, stream_bytes, frame_bits, seconds)``: frames in,
+    container bytes out, wire bits per packet, and the seconds spent in
+    the codec and the container only — never in the frame source (scene
+    synthesis, YUV reads) or the callback.  ``header`` entries extend
+    the session's stream header; the first packet fixes the geometry,
+    so the container header is written then.  ``progress(frame_index,
+    packet_bytes)`` fires per frame.  Frames are consumed one at a
+    time, so a lazy source keeps frame memory O(1).
+    """
+    handle, owned = _open(sink, "wb")
+    frame_bits: list[int] = []
+    count = 0
+    try:
+        start = time.perf_counter()
+        session = codec.open_encoder()
+        writer = StreamWriter(handle)
+
+        def write(packets) -> int:
+            nbytes = 0
+            for packet in packets:
+                if writer.header is None:
+                    writer.write_header({**session.header, **(header or {})})
+                size = writer.write_packet(packet)
+                frame_bits.append(8 * (size - 8))  # minus size and CRC words
+                nbytes += size
+            return nbytes
+
+        seconds = time.perf_counter() - start
+        for frame in frames:
+            start = time.perf_counter()
+            nbytes = write(session.push(frame))
+            seconds += time.perf_counter() - start
+            del frame  # the session owns what it needs; stay O(1)
+            count += 1
+            if progress is not None:
+                progress(count, nbytes)
+        start = time.perf_counter()
+        write(session.flush())
+        if writer.header is None:
+            raise ConfigError("no frames to encode")
+        total = writer.finalize()
+        seconds += time.perf_counter() - start
+    finally:
+        if owned:
+            handle.close()
+    return count, total, frame_bits, seconds
+
+
+class DecodeLoop:
+    """The one decode loop: a container (a path or a readable binary
+    file object) through a decoder session, scored frame by frame.
+
+    ``setup(header)`` returns ``(codec, reference)`` once the stream
+    header is read: the codec to decode with and the source frames to
+    score against (``None`` scores nothing).  A list ``reference`` is
+    in memory already, so the decoded frames are kept too
+    (``decoded``); any other iterable is consumed lazily and the loop
+    holds one frame at a time.  PSNR (and MS-SSIM with
+    ``compute_msssim``) lands in ``psnrs``/``msssims``; ``frame_bits``
+    records each packet's wire bits; ``progress(frame_index, psnr)``
+    fires per frame.
+
+    Iterating yields the decoded frames (``repro decode`` writes them
+    to YUV as they come); :meth:`run` just drains the loop.  A loop is
+    iterated once: its tallies accumulate.
+    ``seconds`` times the container and the codec only, never the
+    setup, the reference source, quality scoring or the consumer.
+    """
+
+    def __init__(self, source, setup, *, compute_msssim=False, progress=None,
+                 on_error="raise"):
+        self.source = source
+        self._setup = setup
+        self._compute_msssim = compute_msssim
+        self._progress = progress
+        self._on_error = on_error
+        self.header: dict | None = None
+        self.version: int | None = None
+        self.packets_skipped = 0
+        self.frames = 0
+        self.psnrs: list[float] = []
+        self.msssims: list[float] = []
+        self.frame_bits: list[int] = []
+        self.decoded: list[np.ndarray] | None = None
+        self.stream_bytes: int | None = None
+        self.seconds = 0.0
+
+    @staticmethod
+    def _recorded(reader, read: list):
+        for packet in reader:
+            read.append(packet)
+            yield packet
+
+    def __iter__(self):
+        handle, owned = _open(self.source, "rb")
+        try:
+            start_pos = _tell(handle)
+            start = time.perf_counter()
+            reader = StreamReader(handle, on_error=self._on_error)
+            self.seconds += time.perf_counter() - start
+            self.header, self.version = reader.header, reader.version
+            codec, reference = self._setup(reader.header)
+            originals = None if reference is None else iter(reference)
+            if isinstance(reference, list):
+                self.decoded = []
+            start = time.perf_counter()
+            session = codec.open_decoder(reader.header, version=reader.version)
+            read: list = []
+            frames = session.decode_iter(self._recorded(reader, read))
+            self.seconds += time.perf_counter() - start
+            while True:
+                start = time.perf_counter()
+                decoded = next(frames, None)
+                self.seconds += time.perf_counter() - start
+                # packet accounting stays outside the timed region
+                self.frame_bits += [8 * len(p.serialize()) for p in read]
+                read.clear()
+                if decoded is None:
+                    break
+                self.frames += 1
+                if originals is not None:
+                    original = next(originals, None)
+                    if original is None:
+                        raise ValueError(
+                            f"container has more frames than its reference: "
+                            f"the reference has fewer frames (ran out at "
+                            f"frame {self.frames})"
+                        )
+                    self.psnrs.append(float(psnr(original, decoded)))
+                    if self._compute_msssim:
+                        self.msssims.append(float(ms_ssim(original, decoded)))
+                if self.decoded is not None:
+                    self.decoded.append(decoded)
+                if self._progress is not None:
+                    self._progress(self.frames, self.psnrs[-1] if self.psnrs else "-")
+                yield decoded
+            self.packets_skipped = reader.packets_skipped
+            # The reader stops right after the end sentinel (v1/v2: at
+            # the end of the file), so the position delta is the
+            # container size.
+            end_pos = _tell(handle)
+            if start_pos is not None and end_pos is not None:
+                self.stream_bytes = end_pos - start_pos
+        finally:
+            if owned:
+                handle.close()
+
+    def run(self) -> "DecodeLoop":
+        for _ in self:
+            pass
+        return self
+
+
+def _tell(handle) -> int | None:
+    try:
+        return handle.tell()
+    except (AttributeError, OSError):
+        return None
+
+
 class EncodeSession:
     """One encode run with inspectable intermediates.
 
-    The facade's unit of work: ``prepare()`` builds the codec and (in
-    batch mode) renders the source, ``encode()``/``decode()`` run the
-    codec through a real serialize/parse round trip, ``report()``
-    measures rate and quality.  ``run()`` chains all of it.  After any
-    stage the intermediates (``frames``, ``stream``, ``payload``,
-    ``decoded``) are attributes, so notebooks can poke at the actual
-    bitstream.
+    The facade's unit of work: ``prepare()`` builds the codec and
+    renders the source, ``encode()``/``decode()`` run the codec through
+    a real container round trip, ``report()`` measures rate and
+    quality.  ``run()`` chains all of it.  After any stage the
+    intermediates (``frames``, ``payload``, ``stream`` — the payload
+    parsed — and ``decoded``) are attributes, so notebooks can poke at
+    the actual bitstream.
 
-    **Streaming mode** — ``encode(output=...)`` switches the session to
-    the codec's frame-at-a-time API: frames come from a lazy scene
-    generator, each packet is written to ``output`` (a path or binary
-    file object) through the incremental version-4 container as it is
-    produced, and ``progress(frame_index, packet_bytes)`` fires per
-    frame.  Peak frame memory is O(1) in sequence length; the batch
-    intermediates stay ``None``.  ``decode()`` then reads the container
-    packet by packet, folding per-frame quality against a regenerated
-    scene source instead of materializing either side.  The two modes
-    are bit-identical per packet (the batch API is itself a wrapper
-    over the sessions).
+    Every mode goes through the same two loops, :func:`encode_loop` and
+    :class:`DecodeLoop`; only the sink differs:
+
+    * **in memory** (no ``output``) — the materialized (or injected,
+      e.g. warm-cached) frames are written to an in-memory container
+      whose header is the codec's session header alone, kept as
+      ``payload``.  Decoding scores against ``frames`` and keeps
+      ``decoded``.
+    * **to a file** (``encode(output=...)``, a path or binary file
+      object) — frames come from a lazy scene generator and the header
+      also records the registry name, full config and scene, so ``repro
+      decode`` can rebuild the decoder and score quality unaided.
+      ``decode()`` reads the container back, scoring against a
+      regenerated scene: O(1) frame memory on both sides.
+
+    Both modes write the same packets and take per-frame
+    ``progress(frame_index, packet_bytes)`` on encode and
+    ``progress(frame_index, psnr)`` on decode.  One timing rule holds in
+    every mode: ``encode_seconds`` and ``decode_seconds`` time the codec
+    and the container only — never scene synthesis, YUV reads or
+    quality scoring.
 
     **Simulated codecs** — a registered pseudo-codec exposing
     ``simulate()`` (the calibrated ``rd-model``) skips the byte path
@@ -94,22 +279,27 @@ class EncodeSession:
         self.pipeline = pipeline
         self.codec: VideoCodec | None = None
         self.frames: list[np.ndarray] | None = None
-        self.stream: SequenceBitstream | None = None
         self.payload: bytes | None = None
         self.decoded: list[np.ndarray] | None = None
         self.encode_seconds: float | None = None
         self.decode_seconds: float | None = None
-        # -- streaming-mode state ----------------------------------------
+        #: the container file a streamed encode wrote (``None`` for a
+        #: file object or in memory)
         self.stream_path: str | None = None
         self.stream_bytes: int | None = None
         self.frames_encoded: int | None = None
-        self._streamed_psnrs: list[float] | None = None
-        self._streamed_msssims: list[float] | None = None
-        #: per-frame serialized packet bits (streaming mode records them
-        #: on whichever side of the round trip runs first).
+        #: per-packet wire bits, from whichever side of the round trip
+        #: ran first
         self._frame_bits: list[int] | None = None
+        self._scores: DecodeLoop | None = None
         # -- simulated (rd-model) state ----------------------------------
         self.simulated: dict | None = None
+
+    @property
+    def stream(self) -> SequenceBitstream | None:
+        """The in-memory container, parsed (``None`` until an in-memory
+        encode)."""
+        return None if self.payload is None else SequenceBitstream.parse(self.payload)
 
     @property
     def _is_simulated(self) -> bool:
@@ -124,114 +314,60 @@ class EncodeSession:
         return self
 
     def encode(self, *, output=None, progress=None) -> "EncodeSession":
-        """Encode the scene.
-
-        Batch (default): one ``encode_sequence`` call, intermediates
-        kept.  Streaming (``output`` given): frame-at-a-time sessions
-        writing the version-4 container to ``output`` incrementally,
-        with an optional per-frame ``progress(index, packet_bytes)``
-        callback.
-        """
+        """Encode the scene into an in-memory container, or (``output``
+        given) into a container file written frame by frame."""
+        spec = self.pipeline
         if self.codec is None:
-            spec = self.pipeline
             self.codec = create_codec(spec.codec, spec.codec_config)
         if self._is_simulated:
             if output is not None:
                 raise ConfigError(
-                    f"codec {self.pipeline.codec!r} is a simulated RD model; "
+                    f"codec {spec.codec!r} is a simulated RD model; "
                     "it produces no bitstream to stream to a file"
                 )
-            scene = self.pipeline.scene
+            scene = spec.scene
             self.simulated = self.codec.simulate(
                 scene.frames,
                 scene.height,
                 scene.width,
-                compute_msssim=self.pipeline.compute_msssim,
+                compute_msssim=spec.compute_msssim,
             )
             self.encode_seconds = 0.0
             return self
         if output is None:
-            if progress is not None:
-                raise ValueError(
-                    "per-frame progress callbacks need streaming mode "
-                    "(pass output=...)"
-                )
-            if self.frames is None:
-                self.prepare()
-            start = time.perf_counter()
-            self.stream = self.codec.encode_sequence(self.frames)
-            self.payload = self.stream.serialize()
-            self.encode_seconds = time.perf_counter() - start
-            return self
-        return self._encode_streaming(output, progress)
-
-    def _stream_header(self, session_header: dict) -> dict:
-        """The streaming file header: the codec's stream header plus enough
-        context (registry name, full config, scene) for ``repro
-        decode`` to rebuild the decoder and score quality unaided."""
-        spec = self.pipeline
-        header = dict(session_header)
-        header["registry"] = spec.codec
-        header["config"] = self.codec.config.to_dict()
-        header["scene"] = spec.scene.to_dict()
-        return header
-
-    def _encode_streaming(self, output, progress) -> "EncodeSession":
-        spec = self.pipeline
-        owns_handle = isinstance(output, (str, os.PathLike))
-        handle = open(output, "wb") if owns_handle else output
-        start = time.perf_counter()
-        try:
-            session = self.codec.open_encoder()
-            writer = StreamWriter(handle)
-            count = 0
-            frame_bits: list[int] = []
-            for frame in iter_sequence(spec.scene):
-                packets = session.push(frame)
-                del frame  # the session owns what it needs; stay O(1)
-                nbytes = 0
-                for packet in packets:
-                    if writer.header is None:
-                        writer.write_header(self._stream_header(session.header))
-                    nbytes += writer.write_packet(packet)
-                    frame_bits.append(8 * len(packet.serialize()))
-                count += 1
-                if progress is not None:
-                    progress(count, nbytes)
-            for packet in session.flush():
-                if writer.header is None:
-                    writer.write_header(self._stream_header(session.header))
-                writer.write_packet(packet)
-                frame_bits.append(8 * len(packet.serialize()))
-            if writer.header is None:
-                raise ConfigError("no frames to encode")
-            total = writer.finalize()
-        finally:
-            if owns_handle:
-                handle.close()
-        self.encode_seconds = time.perf_counter() - start
-        self.frames_encoded = count
-        self.stream_bytes = total
-        self._frame_bits = frame_bits
-        self.stream_path = os.fspath(output) if owns_handle else None
+            sink, frames, header = io.BytesIO(), self.prepare().frames, None
+        else:
+            sink, frames = output, iter_sequence(spec.scene)
+            header = {
+                "registry": spec.codec,
+                "config": self.codec.config.to_dict(),
+                "scene": spec.scene.to_dict(),
+            }
+        (self.frames_encoded, self.stream_bytes, self._frame_bits,
+         self.encode_seconds) = encode_loop(
+            self.codec, frames, sink, header=header, progress=progress
+        )
+        self.payload = sink.getvalue() if output is None else None
+        self.stream_path = (
+            os.fspath(output) if isinstance(output, (str, os.PathLike)) else None
+        )
         return self
 
     def decode(self, *, source=None, progress=None) -> "EncodeSession":
-        """Decode and (in streaming mode) score against the scene.
+        """Decode a container and score it frame by frame.
 
-        Batch: parse the in-memory payload, keep the frames.
-        Streaming (``source`` given, or after a streamed ``encode``):
-        read the container packet by packet, pull frames from a decoder
-        session, and fold per-frame PSNR (and MS-SSIM when configured)
-        against a regenerated scene source — O(1) frame memory, with an
-        optional ``progress(frame_index, psnr)`` callback.
+        The container is ``source`` (a path or readable binary file
+        object) if given, else what ``encode`` wrote (encoding first
+        if nothing was).  Frames are scored against ``frames`` when the
+        session holds them (and ``decoded`` is kept), else against a
+        regenerated scene in O(1) frame memory.
         """
         if self.simulated is not None:
             return self
         if source is None and self.stream_path is None and self.payload is None:
             if self.frames_encoded is not None:
                 # A streamed encode went to a caller-owned file object;
-                # re-encoding in batch here would silently discard it.
+                # re-encoding in memory here would silently discard it.
                 raise ValueError(
                     "this session streamed to a file object; pass "
                     "decode(source=...) to read that container back"
@@ -239,81 +375,39 @@ class EncodeSession:
             self.encode()
             if self.simulated is not None:  # encode() chose the rd-model path
                 return self
-        if source is None and self.stream_path is None:
-            start = time.perf_counter()
-            self.decoded = self.codec.decode_sequence(
-                SequenceBitstream.parse(self.payload)
-            )
-            self.decode_seconds = time.perf_counter() - start
-            return self
-        return self._decode_streaming(source or self.stream_path, progress)
-
-    def _decode_streaming(self, source, progress) -> "EncodeSession":
+        if source is None:
+            source = self.stream_path or io.BytesIO(self.payload)
         spec = self.pipeline
-        owns_handle = isinstance(source, (str, os.PathLike))
-        handle = open(source, "rb") if owns_handle else source
-        try:
-            start_pos = handle.tell()
-        except (AttributeError, OSError):
-            start_pos = None
-        start = time.perf_counter()
-        try:
-            reader = StreamReader(handle)
-            if self.codec is None:
-                self.codec = create_codec(spec.codec, spec.codec_config)
-            session = self.codec.open_decoder(reader.header, version=reader.version)
-            if self._frame_bits is None:
-                # Decode-only sessions (repro decode) still report rate
-                # accuracy: record packet sizes as the reader yields them.
-                bits: list[int] = []
-
-                def recording(packets=reader, record=bits):
-                    for packet in packets:
-                        record.append(8 * len(packet.serialize()))
-                        yield packet
-
-                reader = recording()
-                self._frame_bits = bits
-            originals = iter_sequence(spec.scene)
-            psnrs: list[float] = []
-            msssims: list[float] = []
-            for decoded in session.decode_iter(reader):
-                try:
-                    original = next(originals)
-                except StopIteration:
-                    raise ValueError(
-                        f"container has more frames than the configured "
-                        f"scene ({spec.scene.frames})"
-                    ) from None
-                psnrs.append(float(psnr(original, decoded)))
-                if spec.compute_msssim:
-                    msssims.append(float(ms_ssim(original, decoded)))
-                if progress is not None:
-                    progress(len(psnrs), psnrs[-1])
-        finally:
-            if owns_handle:
-                handle.close()
-        self.decode_seconds = time.perf_counter() - start
-        self._streamed_psnrs = psnrs
-        self._streamed_msssims = msssims
+        if self.codec is None:
+            self.codec = create_codec(spec.codec, spec.codec_config)
+        # The loop is kept on the session, so its setup must not hold
+        # the session: that cycle would keep every decoded frame alive
+        # until the next garbage collection.
+        codec = self.codec
+        reference = (
+            self.frames if self.frames is not None else iter_sequence(spec.scene)
+        )
+        scores = DecodeLoop(
+            source,
+            lambda header: (codec, reference),
+            compute_msssim=spec.compute_msssim,
+            progress=progress,
+        ).run()
+        if not scores.frames:
+            raise ValueError("container holds no frames")
+        self.decode_seconds = scores.seconds
+        self.decoded = scores.decoded
+        self._scores = scores
+        if self._frame_bits is None:
+            self._frame_bits = scores.frame_bits
         if self.stream_bytes is None:
-            if owns_handle:
-                self.stream_bytes = os.path.getsize(source)
-            elif start_pos is not None:
-                # The reader stops exactly after the end sentinel, so
-                # the position delta is the container size.
-                try:
-                    self.stream_bytes = handle.tell() - start_pos
-                except OSError:
-                    pass
+            self.stream_bytes = scores.stream_bytes
         return self
 
     def report(self) -> EncodeReport:
         spec = self.pipeline
         scene = spec.scene
-        if self.simulated is None and self.decoded is None and (
-            self._streamed_psnrs is None
-        ):
+        if self.simulated is None and self._scores is None:
             self.decode()
         if self.simulated is not None:
             sim = self.simulated
@@ -328,28 +422,13 @@ class EncodeSession:
                 decode_seconds=0.0,
                 **sim,
             )
-        if self._streamed_psnrs is not None:
-            psnrs = self._streamed_psnrs
-            msssims = self._streamed_msssims or []
-            num_frames = len(psnrs)
-            stream_bytes = self.stream_bytes or 0
-            frame_bits = self._frame_bits or []
-        else:
-            psnrs = [float(psnr(a, b)) for a, b in zip(self.frames, self.decoded)]
-            msssims = (
-                [float(ms_ssim(a, b)) for a, b in zip(self.frames, self.decoded)]
-                if spec.compute_msssim
-                else []
-            )
-            num_frames = len(self.frames)
-            stream_bytes = len(self.payload)
-            frame_bits = [8 * len(p.serialize()) for p in self.stream.packets]
-        bpp = 8.0 * stream_bytes / (max(num_frames, 1) * scene.height * scene.width)
+        scores = self._scores
+        num_frames = scores.frames
+        stream_bytes = self.stream_bytes or 0
+        frame_bits = self._frame_bits
         fps = float(self.codec.config.to_dict().get("fps", 30.0) or 30.0)
         achieved_kbps = (
-            sum(frame_bits) * fps / (num_frames * 1000.0)
-            if frame_bits and num_frames
-            else None
+            sum(frame_bits) * fps / (num_frames * 1000.0) if frame_bits else None
         )
         return EncodeReport(
             codec=spec.codec,
@@ -359,11 +438,11 @@ class EncodeSession:
             height=scene.height,
             width=scene.width,
             stream_bytes=stream_bytes,
-            bpp=bpp,
-            psnr_per_frame=psnrs,
-            mean_psnr=float(np.mean(psnrs)),
-            msssim_per_frame=msssims,
-            mean_msssim=float(np.mean(msssims)) if msssims else None,
+            bpp=8.0 * stream_bytes / (num_frames * scene.height * scene.width),
+            psnr_per_frame=scores.psnrs,
+            mean_psnr=float(np.mean(scores.psnrs)),
+            msssim_per_frame=scores.msssims,
+            mean_msssim=float(np.mean(scores.msssims)) if scores.msssims else None,
             frame_bits=frame_bits,
             achieved_kbps=achieved_kbps,
             encode_seconds=self.encode_seconds,
@@ -371,14 +450,12 @@ class EncodeSession:
         )
 
     def run(self, *, output=None, progress=None) -> EncodeReport:
-        """Chain the stages.  With ``output`` the whole round trip runs
-        in streaming mode through the container — a path, or a
-        readable+seekable binary file object (rewound and decoded in
-        place; for write-only streams use ``encode``/``decode``
-        separately)."""
-        if output is None:
-            return self.prepare().encode().decode().report()
-        if not isinstance(output, (str, os.PathLike)):
+        """Chain the stages.  With ``output`` the round trip goes
+        through a container file — a path, or a readable+seekable
+        binary file object (rewound and decoded in place; for
+        write-only streams use ``encode``/``decode`` separately)."""
+        source = None
+        if output is not None and not isinstance(output, (str, os.PathLike)):
             if not (
                 getattr(output, "readable", lambda: False)()
                 and getattr(output, "seekable", lambda: False)()
@@ -388,10 +465,11 @@ class EncodeSession:
                     "binary file object; with a write-only stream call "
                     "encode(output=...) and decode(source=...) yourself"
                 )
-            self.encode(output=output, progress=progress)
-            output.seek(0)
-            return self.decode(source=output).report()
-        return self.encode(output=output, progress=progress).decode().report()
+            source = output
+        self.encode(output=output, progress=progress)
+        if source is not None:
+            source.seek(0)
+        return self.decode(source=source).report()
 
 
 class Pipeline:

@@ -190,7 +190,7 @@ class WorkerContext:
     ratio).
 
     Reuse is only sound because codecs are deterministic and
-    stateless across ``encode_sequence`` calls — a property the
+    stateless across encoder and decoder sessions — a property the
     distributed parity tests pin (serial runs build fresh codecs, warm
     workers reuse them, and the aggregated results must stay
     byte-identical).  Cached frames are returned as per-frame copies so

@@ -411,7 +411,15 @@ class TestFacadeStreamingMode:
         with pytest.raises(ValueError, match="more frames than"):
             short.decode(source=path)
 
-    def test_progress_needs_streaming(self):
-        session = Pipeline("classical", scene=self.SCENE).session()
-        with pytest.raises(ValueError, match="streaming"):
-            session.encode(progress=lambda i, n: None)
+    def test_progress_fires_in_memory_mode(self):
+        encoded, decoded = [], []
+        session = Pipeline("classical", {"qp": 16.0}, scene=self.SCENE).session()
+        session.encode(progress=lambda i, nbytes: encoded.append((i, nbytes)))
+        session.decode(progress=lambda i, quality: decoded.append((i, quality)))
+        assert session.payload is not None and session.stream_path is None
+        assert [i for i, _ in encoded] == [1, 2, 3]
+        # per-frame packet bytes add up to the container minus its
+        # header and end sentinel
+        assert 0 < sum(n for _, n in encoded) < len(session.payload)
+        report = session.report()
+        assert [q for _, q in decoded] == report.psnr_per_frame

@@ -781,10 +781,10 @@ class TestFailureTolerance:
                 raise RuntimeError("injected decode failure")
 
             def open_encoder(self):
-                raise RuntimeError("injected session failure")
+                raise RuntimeError("injected encode failure")
 
             def open_decoder(self, header=None, version=2):
-                raise RuntimeError("injected session failure")
+                raise RuntimeError("injected decode failure")
 
         register_codec("boom", _BoomCodec, ClassicalCodecConfig,
                        "always fails", overwrite=True)
