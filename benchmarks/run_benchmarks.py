@@ -54,6 +54,13 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   whether the distributed transport beats the standalone baseline
   (``x_vs_inline``) and how close it sits to the warm serial floor
   (``x_vs_inline_warm``).
+* **cold_start** — time to first use from a fresh interpreter, the
+  median over 5 interpreters per row: ``import repro.codec``,
+  ``import repro.pipeline``, building both codecs (``codec_stack``:
+  ``from repro.codec import CTVCNet, ClassicalCodec``) and ``python -m
+  repro serve --port 0`` up to its "serving on" line (``serve``).
+  The ``interpreter`` row (``python -c pass``) is the floor every row
+  includes.
 * **hardware** — hardware-analysis throughput (design points/s) of a
   fixed NVCA geometry grid through the inline ``repro.hw.dse`` sweep;
   the same points drained once through the task-typed work queue
@@ -94,7 +101,7 @@ from repro.codec.entropy import ArithmeticEncoder
 from repro.metrics import psnr
 from repro.video import SceneConfig, generate_sequence
 
-#: the canonical bench_codec scene (matches benchmarks/bench_codec.py).
+#: the canonical codec benchmark scene (the codec tests encode it too).
 BENCH_SCENE = dict(height=64, width=96, frames=3, seed=7)
 
 
@@ -668,12 +675,9 @@ def bench_sweep(repeats: int) -> dict:
     The ``context`` entries record the runner-process WorkerContext
     hit/miss split where the workers share it.
     """
-    import os
     import subprocess
     import tempfile
-    from pathlib import Path
 
-    import repro
     from repro.pipeline import SweepRunner, run_many
     from repro.pipeline.dist import auto_bundle
     from repro.pipeline.tasks import get_worker_context, reset_worker_context
@@ -692,11 +696,7 @@ def bench_sweep(repeats: int) -> dict:
     bundle = auto_bundle(num_jobs, 2)
     report: dict = {"num_jobs": num_jobs, "bundle": bundle}
 
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p
-    )
+    env = _src_env()
     script = (
         "from repro.pipeline import run_many\n"
         f"reports = run_many(**{grid!r})\n"
@@ -779,6 +779,74 @@ def bench_sweep(repeats: int) -> dict:
         "bundle": bundle,
         "share_frames": True,
     }
+    return report
+
+
+def _src_env() -> dict:
+    """This process's environment with the ``repro`` it imported first
+    on ``PYTHONPATH``, for child interpreters."""
+    import os
+    from pathlib import Path
+
+    import repro
+
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+#: fresh interpreters per ``cold_start`` row
+COLD_START_SAMPLES = 5
+
+
+def bench_cold_start(samples: int = COLD_START_SAMPLES) -> dict:
+    """Seconds from spawning a fresh interpreter to first use, median
+    over ``samples`` interpreters per row (see the module docstring)."""
+    import signal
+    import statistics
+    import subprocess
+
+    env = _src_env()
+    scripts = {
+        "interpreter": "pass",
+        "import_codec": "import repro.codec",
+        "import_pipeline": "import repro.pipeline",
+        "codec_stack": "from repro.codec import CTVCNet, ClassicalCodec",
+    }
+
+    def run_script(code: str) -> float:
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        return time.perf_counter() - t0
+
+    def serve_ready() -> float:
+        t0 = time.perf_counter()
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+             "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            line = daemon.stdout.readline()
+            elapsed = time.perf_counter() - t0
+            if not line.startswith("serving on "):
+                raise RuntimeError(f"repro serve did not start: {line!r}")
+        finally:
+            daemon.send_signal(signal.SIGINT)
+            daemon.wait(timeout=30)
+            daemon.stdout.close()
+        return elapsed
+
+    def row(timer, *args) -> dict:
+        runs = [timer(*args) for _ in range(samples)]
+        return {"median_s": statistics.median(runs), "samples": samples}
+
+    report = {name: row(run_script, code) for name, code in scripts.items()}
+    report["serve"] = row(serve_ready)
     return report
 
 
@@ -959,6 +1027,11 @@ def main(argv=None) -> int:
                 f"{row['jobs_per_s']:6.1f} jobs/s{extra}"
             )
 
+        print(f"== cold start (median of {COLD_START_SAMPLES} fresh interpreters) ==")
+        cold_start = bench_cold_start()
+        for name, row in cold_start.items():
+            print(f"  {name:20s} {row['median_s'] * 1e3:8.1f} ms")
+
         print("== hardware analysis (5-point NVCA geometry grid) ==")
         hardware = bench_hardware(repeats)
         row = hardware["inline"]
@@ -984,6 +1057,7 @@ def main(argv=None) -> int:
         "rate_control": rate_control,
         "observability": observability,
         "sweep": sweep,
+        "cold_start": cold_start,
         "hardware": hardware,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

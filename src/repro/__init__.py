@@ -43,47 +43,21 @@ directly, and ``register_codec`` adds new variants without touching
 any caller.
 """
 
-# Defined before the imports below so the build is identifiable even
-# from modules imported during package initialization (e.g. the
-# observability layer stamping trace files and heartbeats).
+from ._lazy import lazy_exports
+
 __version__ = "1.2.0"
 
-from .codec import CTVCConfig, CTVCNet, ClassicalCodec, ClassicalCodecConfig
-from .core import NVCACodesign, SparseStrategy
-from .hw import NVCAConfig
-from .metrics import bd_rate, ms_ssim, psnr
-from .pipeline import (
-    EncodeReport,
-    HardwareReport,
-    Pipeline,
-    available_codecs,
-    create_codec,
-    register_codec,
-    run_many,
-)
-from .serialization import ConfigError, SerializableConfig
-from .video import SceneConfig
-
-__all__ = [
-    "CTVCConfig",
-    "CTVCNet",
-    "ClassicalCodec",
-    "ClassicalCodecConfig",
-    "ConfigError",
-    "EncodeReport",
-    "HardwareReport",
-    "NVCACodesign",
-    "NVCAConfig",
-    "Pipeline",
-    "SceneConfig",
-    "SerializableConfig",
-    "SparseStrategy",
-    "available_codecs",
-    "bd_rate",
-    "create_codec",
-    "ms_ssim",
-    "psnr",
-    "register_codec",
-    "run_many",
-    "__version__",
-]
+# Names resolve on first use: ``import repro`` loads no NumPy.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".codec": ("CTVCConfig", "CTVCNet", "ClassicalCodec", "ClassicalCodecConfig"),
+    ".core": ("NVCACodesign", "SparseStrategy"),
+    ".hw": ("NVCAConfig",),
+    ".metrics": ("bd_rate", "ms_ssim", "psnr"),
+    ".pipeline": (
+        "EncodeReport", "HardwareReport", "Pipeline", "available_codecs",
+        "create_codec", "register_codec", "run_many",
+    ),
+    ".serialization": ("ConfigError", "SerializableConfig"),
+    ".video": ("SceneConfig",),
+})
+__all__.append("__version__")

@@ -1469,15 +1469,14 @@ def main(argv=None) -> int:
     trc.add_argument("--json", action="store_true", help="emit structured JSON")
     trc.set_defaults(func=_cmd_trace)
 
-    from repro.pipeline import CodecRegistryError
-    from repro.pipeline.dist import HttpQueueError
-    from repro.serialization import ConfigError
+    # ValueError covers ConfigError and CodecRegistryError; the HTTP
+    # module loads no NumPy, so the light commands stay light
+    from repro.pipeline.dist.net import HttpQueueError
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CodecRegistryError, HttpQueueError,
-            ValueError, OSError) as exc:
+    except (HttpQueueError, ValueError, OSError) as exc:
         # User-input errors get a clean one-liner; genuine internal
         # failures still traceback so they stay diagnosable.
         print(f"repro {args.command or 'reproduce'}: {exc}", file=sys.stderr)

@@ -2,156 +2,49 @@
 the classical baseline codec, calibrated literature RD models, and the
 decoder layer graph consumed by the hardware model."""
 
-from .bitstream import (
-    FramePacket,
-    SequenceBitstream,
-    StreamCorruptionError,
-    StreamReader,
-    StreamWriter,
-    as_f32,
-    f16_bits,
-    f16_from_bits,
-    f32_bits,
-    f32_from_bits,
-)
-from .classical import ClassicalCodec, ClassicalCodecConfig, zigzag_indices
-from .ctvc import CTVCConfig, CTVCNet
-from .entropy import (
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-    CacmBackend,
-    EntropyBackend,
-    EntropyBackendError,
-    LaplacianModel,
-    SymbolModel,
-    available_entropy_backends,
-    cached_laplacian,
-    cached_uniform_model,
-    decode_symbols,
-    encode_symbols,
-    estimate_bits,
-    get_entropy_backend,
-    register_entropy_backend,
-    unregister_entropy_backend,
-)
-from .rans import RansBackend
-from .rate_control import (
-    ABRController,
-    BudgetState,
-    CQPController,
-    CalibratedController,
-    QPBitsTable,
-    RateControlError,
-    RateController,
-    RateControllerSpec,
-    available_rate_controllers,
-    calibrate_tables,
-    create_rate_controller,
-    rate_controller_spec,
-    register_rate_controller,
-    unregister_rate_controller,
-    validate_rate_fields,
-)
-from .layergraph import analysis_layers, decoder_graph, encoder_graph, synthesis_layers
-from .modules import (
-    CompressionAE,
-    DeformableCompensation,
-    FeatureExtraction,
-    FrameReconstruction,
-    MotionEstimation,
-    block_match,
-    dense_motion_field,
-)
-from .rd_models import (
-    DATASETS,
-    LITERATURE_BDBR,
-    METHODS,
-    RDModelCodec,
-    RDModelConfig,
-    all_method_curves,
-    anchor_curve,
-    model_curve,
-)
-from .sessions import (
-    DecoderSession,
-    EncoderSession,
-    GopDecoderSession,
-    GopEncoderSession,
-    SessionError,
-)
-from .swin_am import SwinAM
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ABRController",
-    "ArithmeticDecoder",
-    "ArithmeticEncoder",
-    "BudgetState",
-    "CQPController",
-    "CTVCConfig",
-    "CTVCNet",
-    "CacmBackend",
-    "CalibratedController",
-    "ClassicalCodec",
-    "ClassicalCodecConfig",
-    "CompressionAE",
-    "EntropyBackend",
-    "EntropyBackendError",
-    "QPBitsTable",
-    "RansBackend",
-    "RateControlError",
-    "RateController",
-    "RateControllerSpec",
-    "DATASETS",
-    "DecoderSession",
-    "DeformableCompensation",
-    "EncoderSession",
-    "FeatureExtraction",
-    "FramePacket",
-    "FrameReconstruction",
-    "GopDecoderSession",
-    "GopEncoderSession",
-    "LITERATURE_BDBR",
-    "LaplacianModel",
-    "METHODS",
-    "MotionEstimation",
-    "RDModelCodec",
-    "RDModelConfig",
-    "SequenceBitstream",
-    "SessionError",
-    "StreamCorruptionError",
-    "StreamReader",
-    "StreamWriter",
-    "SwinAM",
-    "SymbolModel",
-    "all_method_curves",
-    "analysis_layers",
-    "anchor_curve",
-    "as_f32",
-    "available_entropy_backends",
-    "available_rate_controllers",
-    "block_match",
-    "cached_laplacian",
-    "calibrate_tables",
-    "create_rate_controller",
-    "cached_uniform_model",
-    "decode_symbols",
-    "decoder_graph",
-    "dense_motion_field",
-    "encode_symbols",
-    "encoder_graph",
-    "estimate_bits",
-    "f16_bits",
-    "f16_from_bits",
-    "f32_bits",
-    "f32_from_bits",
-    "get_entropy_backend",
-    "model_curve",
-    "rate_controller_spec",
-    "register_entropy_backend",
-    "register_rate_controller",
-    "synthesis_layers",
-    "unregister_entropy_backend",
-    "unregister_rate_controller",
-    "validate_rate_fields",
-    "zigzag_indices",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bitstream": (
+        "FramePacket", "SequenceBitstream", "StreamCorruptionError",
+        "StreamReader", "StreamWriter", "as_f32", "f16_bits", "f16_from_bits",
+        "f32_bits", "f32_from_bits",
+    ),
+    ".classical": ("ClassicalCodec", "ClassicalCodecConfig", "zigzag_indices"),
+    ".ctvc": ("CTVCConfig", "CTVCNet"),
+    ".entropy": (
+        "ArithmeticDecoder", "ArithmeticEncoder", "CacmBackend",
+        "EntropyBackend", "EntropyBackendError", "LaplacianModel",
+        "SymbolModel", "available_entropy_backends", "cached_laplacian",
+        "cached_uniform_model", "decode_symbols", "encode_symbols",
+        "estimate_bits", "get_entropy_backend", "register_entropy_backend",
+        "unregister_entropy_backend",
+    ),
+    ".rans": ("RansBackend",),
+    ".rate_control": (
+        "ABRController", "BudgetState", "CQPController",
+        "CalibratedController", "QPBitsTable", "RateControlError",
+        "RateController", "RateControllerSpec", "available_rate_controllers",
+        "calibrate_tables", "create_rate_controller", "rate_controller_spec",
+        "register_rate_controller", "unregister_rate_controller",
+        "validate_rate_fields",
+    ),
+    ".layergraph": (
+        "analysis_layers", "decoder_graph", "encoder_graph",
+        "synthesis_layers",
+    ),
+    ".modules": (
+        "CompressionAE", "DeformableCompensation", "FeatureExtraction",
+        "FrameReconstruction", "MotionEstimation", "block_match",
+        "dense_motion_field",
+    ),
+    ".rd_models": (
+        "DATASETS", "LITERATURE_BDBR", "METHODS", "RDModelCodec",
+        "RDModelConfig", "all_method_curves", "anchor_curve", "model_curve",
+    ),
+    ".sessions": (
+        "DecoderSession", "EncoderSession", "GopDecoderSession",
+        "GopEncoderSession", "SessionError",
+    ),
+    ".swin_am": ("SwinAM",),
+})

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.tracing import encode_stage_timer
-from repro.serialization import SerializableConfig
+from repro.serialization import ConfigError, SerializableConfig
 from repro.video.yuv import rgb_to_ycbcr
 
 from .bitstream import (
@@ -107,6 +107,16 @@ class CTVCConfig(SerializableConfig):
     fps: float = 30.0
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        if self.channels < 2:
+            raise ConfigError(f"channels must be >= 2, got {self.channels}")
+        if 2 * self.channels % self.heads:
+            # the Swin attention modules run on 2N channels split over heads
+            raise ConfigError(
+                f"2*channels must be divisible by heads={self.heads}, "
+                f"got channels={self.channels}"
+            )
         get_entropy_backend(self.entropy_backend)  # fail fast on unknown names
         validate_rate_fields(self.rate_control, self.target_kbps, self.fps)
         validate_motion_fields(self.block_size, self.search_range, 1)

@@ -7,63 +7,28 @@ co-design orchestration that ties the algorithm to the NVCA hardware
 model.
 """
 
-from .codesign import CodesignReport, NVCACodesign
-from .importance import importance_matrix, importance_matrix_naive, importance_tensor_h
-from .layerspec import LayerGraph, LayerSpec
-from .ops import (
-    SparseExecutor,
-    extract_tiles,
-    fast_conv2d,
-    fast_deconv2d,
-    multiplications,
-    spec_for_layer,
-)
-from .pruning import PrunedKernel, prune_transform_weights, sparsity_of_mask
-from .sparse import CompressedKernel, compress_kernel
-from .strategy import (
-    LayerSparsityInfo,
-    SparseStrategy,
-    SparsityReport,
-    compressed_kernels,
-    pruned_kernels,
-)
-from .transforms import (
-    DEFAULT_POINTS,
-    PAPER_F23,
-    PAPER_T3_64,
-    TransformSpec,
-    cook_toom_conv,
-    fta_deconv,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_POINTS",
-    "PAPER_F23",
-    "PAPER_T3_64",
-    "CodesignReport",
-    "CompressedKernel",
-    "LayerGraph",
-    "LayerSparsityInfo",
-    "LayerSpec",
-    "NVCACodesign",
-    "PrunedKernel",
-    "SparseExecutor",
-    "SparseStrategy",
-    "SparsityReport",
-    "TransformSpec",
-    "compress_kernel",
-    "compressed_kernels",
-    "cook_toom_conv",
-    "extract_tiles",
-    "fast_conv2d",
-    "fast_deconv2d",
-    "fta_deconv",
-    "importance_matrix",
-    "importance_matrix_naive",
-    "importance_tensor_h",
-    "multiplications",
-    "prune_transform_weights",
-    "pruned_kernels",
-    "spec_for_layer",
-    "sparsity_of_mask",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".codesign": ("CodesignReport", "NVCACodesign"),
+    ".importance": (
+        "importance_matrix", "importance_matrix_naive", "importance_tensor_h",
+    ),
+    ".layerspec": ("LayerGraph", "LayerSpec"),
+    ".ops": (
+        "SparseExecutor", "extract_tiles", "fast_conv2d", "fast_deconv2d",
+        "multiplications", "spec_for_layer",
+    ),
+    ".pruning": (
+        "PrunedKernel", "prune_transform_weights", "sparsity_of_mask",
+    ),
+    ".sparse": ("CompressedKernel", "compress_kernel"),
+    ".strategy": (
+        "LayerSparsityInfo", "SparseStrategy", "SparsityReport",
+        "compressed_kernels", "pruned_kernels",
+    ),
+    ".transforms": (
+        "DEFAULT_POINTS", "PAPER_F23", "PAPER_T3_64", "TransformSpec",
+        "cook_toom_conv", "fta_deconv",
+    ),
+})

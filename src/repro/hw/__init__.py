@@ -2,98 +2,32 @@
 performance/energy/area analysis, platform comparisons, and the
 event-driven pipeline simulator."""
 
-from .arch import BufferSpec, NVCAConfig
-from .buffers import (
-    BufferModel,
-    BufferOverflowError,
-    max_stripe_width,
-    required_chain_rows,
-    validate_chain_capacity,
-)
-from .area import AreaReport, GateUnits, area_report
-from .dataflow import (
-    ChainLayer,
-    InputBufferScheduler,
-    ModuleTraffic,
-    ScheduleStep,
-    TrafficReport,
-    compare_traffic,
-)
-from .dcc import DCCLayerCost, dcc_layer_cost
-from .dse import (
-    DesignPoint,
-    evaluate_point,
-    pareto_front,
-    sweep_array_geometry,
-    sweep_frequency,
-    sweep_sparsity,
-)
-from .energy import EnergyReport, EnergyUnits, energy_report
-from .perf import PerformanceReport, analyze_graph
-from .platforms import (
-    ALCHEMIST,
-    CPU_I9_9900X,
-    GPU_RTX3090,
-    REFERENCE_PLATFORMS,
-    REFERENCE_PLATFORM_SPECS,
-    SHAO_TCAS22,
-    PlatformSpec,
-    nvca_spec,
-    scale_frequency,
-    scale_platform,
-    scale_power,
-)
-from .scheduler import GraphSchedule, LayerSchedule, schedule_graph
-from .sftc import SFTCLayerCost, sftc_layer_cost
-from .simulator import SimResult, simulate_graph, simulate_layer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALCHEMIST",
-    "AreaReport",
-    "BufferModel",
-    "BufferOverflowError",
-    "BufferSpec",
-    "CPU_I9_9900X",
-    "ChainLayer",
-    "DCCLayerCost",
-    "DesignPoint",
-    "EnergyReport",
-    "EnergyUnits",
-    "GPU_RTX3090",
-    "GateUnits",
-    "GraphSchedule",
-    "InputBufferScheduler",
-    "LayerSchedule",
-    "ModuleTraffic",
-    "NVCAConfig",
-    "PerformanceReport",
-    "PlatformSpec",
-    "REFERENCE_PLATFORMS",
-    "REFERENCE_PLATFORM_SPECS",
-    "SFTCLayerCost",
-    "SHAO_TCAS22",
-    "ScheduleStep",
-    "SimResult",
-    "TrafficReport",
-    "analyze_graph",
-    "area_report",
-    "max_stripe_width",
-    "required_chain_rows",
-    "validate_chain_capacity",
-    "compare_traffic",
-    "dcc_layer_cost",
-    "energy_report",
-    "evaluate_point",
-    "nvca_spec",
-    "pareto_front",
-    "scale_frequency",
-    "scale_platform",
-    "scale_power",
-    "schedule_graph",
-    "sftc_layer_cost",
-    "simulate_graph",
-    "simulate_layer",
-    "sweep_array_geometry",
-    "sweep_frequency",
-    "sweep_sparsity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".arch": ("BufferSpec", "NVCAConfig"),
+    ".buffers": (
+        "BufferModel", "BufferOverflowError", "max_stripe_width",
+        "required_chain_rows", "validate_chain_capacity",
+    ),
+    ".area": ("AreaReport", "GateUnits", "area_report"),
+    ".dataflow": (
+        "ChainLayer", "InputBufferScheduler", "ModuleTraffic", "ScheduleStep",
+        "TrafficReport", "compare_traffic",
+    ),
+    ".dcc": ("DCCLayerCost", "dcc_layer_cost"),
+    ".dse": (
+        "DesignPoint", "evaluate_point", "pareto_front",
+        "sweep_array_geometry", "sweep_frequency", "sweep_sparsity",
+    ),
+    ".energy": ("EnergyReport", "EnergyUnits", "energy_report"),
+    ".perf": ("PerformanceReport", "analyze_graph"),
+    ".platforms": (
+        "ALCHEMIST", "CPU_I9_9900X", "GPU_RTX3090", "REFERENCE_PLATFORMS",
+        "REFERENCE_PLATFORM_SPECS", "SHAO_TCAS22", "PlatformSpec", "nvca_spec",
+        "scale_frequency", "scale_platform", "scale_power",
+    ),
+    ".scheduler": ("GraphSchedule", "LayerSchedule", "schedule_graph"),
+    ".sftc": ("SFTCLayerCost", "sftc_layer_cost"),
+    ".simulator": ("SimResult", "simulate_graph", "simulate_layer"),
+})

@@ -6,21 +6,10 @@ scene) :class:`RDCurve` objects and :func:`bd_rate_table` scores them
 against an anchor codec — see ``docs/distributed.md``.
 """
 
-from .bd import bd_quality, bd_rate, bd_rate_table
-from .quality import MS_SSIM_WEIGHTS, ms_ssim, mse, psnr, ssim
-from .rd import RDCurve, RDPoint, curves_from_reports, scene_label
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MS_SSIM_WEIGHTS",
-    "RDCurve",
-    "RDPoint",
-    "bd_quality",
-    "bd_rate",
-    "bd_rate_table",
-    "curves_from_reports",
-    "ms_ssim",
-    "mse",
-    "psnr",
-    "scene_label",
-    "ssim",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bd": ("bd_quality", "bd_rate", "bd_rate_table"),
+    ".quality": ("MS_SSIM_WEIGHTS", "ms_ssim", "mse", "psnr", "ssim"),
+    ".rd": ("RDCurve", "RDPoint", "curves_from_reports", "scene_label"),
+})

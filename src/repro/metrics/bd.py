@@ -17,7 +17,6 @@ mapped onto a dB-like axis first (see ``RDCurve.quality_axis_db``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .rd import RDCurve
 
@@ -54,6 +53,9 @@ def _poly_integral(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
 
 
 def _pchip_integral(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    # imported here: scipy.interpolate costs ~0.3 s and only BD-rate uses it
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(x, y)
     return float(interp.integrate(lo, hi))
 

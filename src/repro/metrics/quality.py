@@ -14,7 +14,6 @@ literature the paper compares against.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve, uniform_filter
 
 __all__ = [
     "mse",
@@ -71,6 +70,8 @@ def _gaussian_kernel_1d(sigma: float, radius: int) -> np.ndarray:
 
 def _filter2(plane: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     """Separable Gaussian filter with reflective boundary handling."""
+    from scipy.ndimage import convolve  # only (MS-)SSIM needs scipy.ndimage
+
     kernel = _gaussian_kernel_1d(sigma, radius)
     out = convolve(plane, kernel[:, None], mode="reflect")
     return convolve(out, kernel[None, :], mode="reflect")
@@ -98,6 +99,7 @@ def _ssim_components(
             return _filter2(x, sigma, radius)
 
     else:
+        from scipy.ndimage import uniform_filter
 
         def smooth(x: np.ndarray) -> np.ndarray:
             return uniform_filter(x, size=win_size, mode="reflect")

@@ -54,126 +54,38 @@ job document, and the chosen backend is recorded in every bitstream
 header so decode always follows the stream, not the local config.
 """
 
-from repro.codec import available_entropy_backends
+from repro._lazy import lazy_exports
 
-from .configs import CONFIG_TYPES, ConfigError, load_config
-from .facade import (
-    EncodeSession,
-    Pipeline,
-    analyze_hardware,
-    build_jobs,
-    run_many,
-)
-from .dist import (
-    HttpJobQueue,
-    QueueRunner,
-    QueueServer,
-    SweepResult,
-    SweepRunner,
-    WorkerFleet,
-    spawn_worker,
-)
-from .dse import DSEResult, DSERunner, dse_grid, dse_point_spec
-from .ladder import (
-    LadderReport,
-    LadderRunner,
-    LadderSpec,
-    Rendition,
-    RenditionReport,
-)
-from .platforms import (
-    AcceleratorModel,
-    NVCAModel,
-    PlatformEntry,
-    PlatformRegistryError,
-    ReferencePlatform,
-    ReferencePlatformConfig,
-    available_platforms,
-    create_platform,
-    platform_entry,
-    register_platform,
-    unregister_platform,
-)
-from .registry import (
-    CodecRegistryError,
-    CodecSpec,
-    VideoCodec,
-    available_codecs,
-    codec_spec,
-    create_codec,
-    register_codec,
-    unregister_codec,
-)
-from .reports import EncodeReport, HardwareReport, PlatformReport
-from .tasks import (
-    TaskKind,
-    TaskRegistryError,
-    available_tasks,
-    hydrate_result,
-    normalize_spec,
-    register_task,
-    run_task,
-    spec_kind,
-    task_kind,
-    unregister_task,
-)
-
-__all__ = [
-    "CONFIG_TYPES",
-    "AcceleratorModel",
-    "CodecRegistryError",
-    "CodecSpec",
-    "ConfigError",
-    "DSEResult",
-    "DSERunner",
-    "EncodeReport",
-    "EncodeSession",
-    "HardwareReport",
-    "HttpJobQueue",
-    "LadderReport",
-    "LadderRunner",
-    "LadderSpec",
-    "NVCAModel",
-    "Pipeline",
-    "PlatformEntry",
-    "PlatformRegistryError",
-    "PlatformReport",
-    "QueueRunner",
-    "QueueServer",
-    "ReferencePlatform",
-    "ReferencePlatformConfig",
-    "Rendition",
-    "RenditionReport",
-    "SweepResult",
-    "SweepRunner",
-    "TaskKind",
-    "TaskRegistryError",
-    "VideoCodec",
-    "WorkerFleet",
-    "analyze_hardware",
-    "available_codecs",
-    "available_entropy_backends",
-    "available_platforms",
-    "available_tasks",
-    "build_jobs",
-    "codec_spec",
-    "create_codec",
-    "create_platform",
-    "dse_grid",
-    "dse_point_spec",
-    "hydrate_result",
-    "load_config",
-    "normalize_spec",
-    "platform_entry",
-    "register_codec",
-    "register_platform",
-    "register_task",
-    "run_many",
-    "run_task",
-    "spawn_worker",
-    "spec_kind",
-    "task_kind",
-    "unregister_codec",
-    "unregister_platform",
-    "unregister_task",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.codec": ("available_entropy_backends",),
+    ".configs": ("CONFIG_TYPES", "ConfigError", "load_config"),
+    ".facade": (
+        "EncodeSession", "Pipeline", "analyze_hardware", "build_jobs",
+        "run_many",
+    ),
+    ".dist": (
+        "HttpJobQueue", "QueueRunner", "QueueServer", "SweepResult",
+        "SweepRunner", "WorkerFleet", "spawn_worker",
+    ),
+    ".dse": ("DSEResult", "DSERunner", "dse_grid", "dse_point_spec"),
+    ".ladder": (
+        "LadderReport", "LadderRunner", "LadderSpec", "Rendition",
+        "RenditionReport",
+    ),
+    ".platforms": (
+        "AcceleratorModel", "NVCAModel", "PlatformEntry",
+        "PlatformRegistryError", "ReferencePlatform",
+        "ReferencePlatformConfig", "available_platforms", "create_platform",
+        "platform_entry", "register_platform", "unregister_platform",
+    ),
+    ".registry": (
+        "CodecRegistryError", "CodecSpec", "VideoCodec", "available_codecs",
+        "codec_spec", "create_codec", "register_codec", "unregister_codec",
+    ),
+    ".reports": ("EncodeReport", "HardwareReport", "PlatformReport"),
+    ".tasks": (
+        "TaskKind", "TaskRegistryError", "available_tasks", "hydrate_result",
+        "normalize_spec", "register_task", "run_task", "spec_kind",
+        "task_kind", "unregister_task",
+    ),
+})

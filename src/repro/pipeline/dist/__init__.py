@@ -55,78 +55,31 @@ subcommands.  Protocol semantics, the job-spec schema, and the HTTP
 wire schema are documented in ``docs/distributed.md``.
 """
 
-from .chaos import (
-    POISON_KIND,
-    ChaosPlan,
-    ChaosQueue,
-    ChaosTransport,
-    CrashPlan,
-    InjectedCrash,
-    poison_spec,
-    register_poison_task,
-)
-from .fleet import WorkerFleet, spawn_worker
-from .net import HttpJobQueue, HttpQueueError, QueueServer, http_worker_entry
-from .queues import DirectoryJobQueue, Job, JobQueue, MemoryJobQueue, QueueStats
-from .shm import (
-    active_segments,
-    attach_frames,
-    publish_frames,
-    unlink_segments,
-)
-from .sweep import (
-    QueueRunner,
-    SweepResult,
-    SweepRunner,
-    auto_bundle,
-    job_id_for_spec,
-)
-from .worker import (
-    Heartbeat,
-    JobTimeoutError,
-    attach_result_checksum,
-    default_worker_id,
-    result_checksum,
-    run_worker,
-    verify_result_checksum,
-    worker_entry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosPlan",
-    "ChaosQueue",
-    "ChaosTransport",
-    "CrashPlan",
-    "DirectoryJobQueue",
-    "Heartbeat",
-    "HttpJobQueue",
-    "HttpQueueError",
-    "InjectedCrash",
-    "Job",
-    "JobQueue",
-    "JobTimeoutError",
-    "MemoryJobQueue",
-    "POISON_KIND",
-    "QueueRunner",
-    "QueueServer",
-    "QueueStats",
-    "SweepResult",
-    "SweepRunner",
-    "WorkerFleet",
-    "active_segments",
-    "attach_frames",
-    "attach_result_checksum",
-    "auto_bundle",
-    "default_worker_id",
-    "http_worker_entry",
-    "job_id_for_spec",
-    "poison_spec",
-    "publish_frames",
-    "register_poison_task",
-    "result_checksum",
-    "run_worker",
-    "spawn_worker",
-    "unlink_segments",
-    "verify_result_checksum",
-    "worker_entry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos": (
+        "POISON_KIND", "ChaosPlan", "ChaosQueue", "ChaosTransport",
+        "CrashPlan", "InjectedCrash", "poison_spec", "register_poison_task",
+    ),
+    ".fleet": ("WorkerFleet", "spawn_worker"),
+    ".net": (
+        "HttpJobQueue", "HttpQueueError", "QueueServer", "http_worker_entry",
+    ),
+    ".queues": (
+        "DirectoryJobQueue", "Job", "JobQueue", "MemoryJobQueue", "QueueStats",
+    ),
+    ".shm": (
+        "active_segments", "attach_frames", "publish_frames",
+        "unlink_segments",
+    ),
+    ".sweep": (
+        "QueueRunner", "SweepResult", "SweepRunner", "auto_bundle",
+        "job_id_for_spec",
+    ),
+    ".worker": (
+        "Heartbeat", "JobTimeoutError", "attach_result_checksum",
+        "default_worker_id", "result_checksum", "run_worker",
+        "verify_result_checksum", "worker_entry",
+    ),
+})

@@ -511,10 +511,6 @@ class Pipeline:
         if isinstance(scene, dict):
             scene = SceneConfig.from_dict(scene)
         self.scene = scene or SceneConfig()
-        if self.scene.frames < 1:
-            raise ConfigError(
-                f"scene.frames must be >= 1, got {self.scene.frames}"
-            )
         self.compute_msssim = compute_msssim
         if hardware is True:
             hardware = NVCAConfig()

@@ -21,9 +21,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.serialization import SerializableConfig
+from repro.serialization import ConfigError, SerializableConfig
 
 __all__ = ["SceneConfig", "VideoGenerator", "generate_sequence", "iter_sequence"]
+
+#: Smallest sprite side; a sprite is placed inside the frame, so a scene
+#: with sprites needs at least this many rows and columns.
+_MIN_SPRITE = 8
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,17 @@ class SceneConfig(SerializableConfig):
     grain_sigma: float = 1.0
     #: RNG seed — sequences are fully deterministic given the config.
     seed: int = 0
+
+    def __post_init__(self):
+        if self.frames < 1:
+            raise ConfigError(f"frames must be >= 1, got {self.frames}")
+        least, why = (1, "")
+        if self.num_objects > 0:
+            least, why = _MIN_SPRITE, " with num_objects > 0"
+        for name in ("height", "width"):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}{why}, got {value}")
 
 
 def _smooth_noise(rng: np.random.Generator, h: int, w: int, period: int) -> np.ndarray:
@@ -155,7 +170,7 @@ class VideoGenerator:
         for _ in range(cfg.num_objects):
             sh = int(self._rng.integers(cfg.height // 8, cfg.height // 3))
             sw = int(self._rng.integers(cfg.width // 8, cfg.width // 3))
-            sh, sw = max(sh, 8), max(sw, 8)
+            sh, sw = max(sh, _MIN_SPRITE), max(sw, _MIN_SPRITE)
             tex = _fractal_texture(self._rng, sh, sw, 3)
             color = self._rng.uniform(-60, 60, size=3)
             texture = np.stack([color[c] + 30.0 * tex for c in range(3)])

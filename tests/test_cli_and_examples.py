@@ -60,6 +60,20 @@ class TestCLI:
         assert result.returncode == 0
         assert "Table I" in result.stdout
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--channels", "0"], "CTVCConfig: channels must be >= 2"),
+            (["--height", "4"], "SceneConfig: height must be >= 8"),
+            (["--frames", "0"], "SceneConfig: frames must be >= 1"),
+        ],
+    )
+    def test_invalid_encode_config_is_one_clean_line(self, flags, message):
+        result = run_cli("encode", *flags)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"repro encode: {message}")
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_unknown_codec_is_clean_error(self):
         result = run_cli("encode", "--codec", "nosuch", "--frames", "1")
         assert result.returncode == 2

@@ -108,6 +108,16 @@ class TestSequenceCoding:
         for orig, rec in zip(frames, decoded):
             assert psnr(orig, rec) > 28.0
 
+    @pytest.mark.parametrize("backend", ["cacm", "rans"])
+    def test_benchmark_scene_quality(self, backend):
+        """The codec benchmark scene (64x96, 3 frames, seed 7) at QP 8."""
+        scene = generate_sequence(SceneConfig(height=64, width=96, frames=3, seed=7))
+        codec = ClassicalCodec(ClassicalCodecConfig(qp=8.0, entropy_backend=backend))
+        stream = codec.encode_sequence(scene)
+        assert len(stream.packets) == 3
+        decoded = codec.decode_sequence(SequenceBitstream.parse(stream.serialize()))
+        assert np.mean([psnr(a, b) for a, b in zip(scene, decoded)]) > 28.0
+
     def test_gop_structure(self, frames):
         codec = ClassicalCodec(ClassicalCodecConfig(qp=8.0, gop=2))
         stream = codec.encode_sequence(frames)

@@ -127,6 +127,7 @@ class TestVariants:
             decoded = net.decode_sequence(
                 SequenceBitstream.parse(stream.serialize())
             )
+            assert len(decoded) == len(frames)
             out[variant] = float(
                 np.mean([psnr(a, b) for a, b in zip(frames, decoded)])
             )

@@ -265,6 +265,7 @@ class TestCodecsAcrossBackends:
             blob = codec.encode_sequence(frames).serialize()
             streams[backend] = blob
             recons[backend] = codec.decode_sequence(SequenceBitstream.parse(blob))
+            assert len(recons[backend]) == len(frames)
         # entropy coding is lossless: reconstructions are bit-identical
         for a, b in zip(recons["cacm"], recons["rans"]):
             assert np.array_equal(a, b)
@@ -281,7 +282,9 @@ class TestCodecsAcrossBackends:
             stream = SequenceBitstream.parse(blob)
             assert stream.header["entropy"] == backend
             assert stream.version == 4
+            assert len(stream.packets) == len(frames)
             recons[backend] = net.decode_sequence(stream)
+            assert len(recons[backend]) == len(frames)
         for a, b in zip(recons["cacm"], recons["rans"]):
             assert np.array_equal(a, b)
 

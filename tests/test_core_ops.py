@@ -182,3 +182,35 @@ class TestMultiplicationAccounting:
         counts = multiplications(PAPER_T3_64, 2, 2, 12, 12, density=0.5)
         assert counts["direct"] / counts["fast"] == pytest.approx(2.25)
         assert counts["direct"] / counts["sparse"] == pytest.approx(4.5)
+
+
+class TestLayerScale:
+    """A 36-channel layer at 64x96 output: the paper's complexity claims
+    (36 -> 16 per conv tile, 2x more from 50% sparsity) and every
+    kernel's output geometry at that scale."""
+
+    def test_reductions(self):
+        conv = multiplications(PAPER_F23, 36, 36, 64, 96, density=0.5)
+        deconv = multiplications(PAPER_T3_64, 36, 36, 64, 96, density=0.5)
+        assert conv["direct"] / conv["fast"] == pytest.approx(2.25)
+        assert deconv["direct"] / deconv["sparse"] == pytest.approx(4.5)
+
+    def test_output_shapes(self):
+        rng = np.random.default_rng(0)
+        x_conv = rng.standard_normal((36, 64, 96))
+        w_conv = rng.standard_normal((36, 36, 3, 3))
+        x_deconv = rng.standard_normal((36, 32, 48))
+        w_deconv = rng.standard_normal((36, 36, 4, 4))
+        pruned_conv = prune_transform_weights(w_conv, PAPER_F23, rho=0.5)
+        pruned_deconv = prune_transform_weights(w_deconv, PAPER_T3_64, rho=0.5)
+        outputs = [
+            F.conv2d(x_conv, w_conv, None, 1, 1),
+            fast_conv2d(x_conv, w_conv, None, PAPER_F23, 1),
+            fast_conv2d(x_conv, w_conv, None, PAPER_F23, 1, pruned_conv.values),
+            F.conv_transpose2d(x_deconv, w_deconv, None, 2, 1),
+            fast_deconv2d(x_deconv, w_deconv, None, PAPER_T3_64, 1),
+            fast_deconv2d(
+                x_deconv, w_deconv, None, PAPER_T3_64, 1, pruned_deconv.values
+            ),
+        ]
+        assert [out.shape for out in outputs] == [(36, 64, 96)] * 6

@@ -12,6 +12,7 @@ from repro.eval import (
     generate_fig9b,
     generate_table1,
     generate_table2,
+    measured_rd_curve,
     render_bars,
     render_series,
     render_table,
@@ -54,6 +55,16 @@ class TestTable1:
     def test_close_to_paper(self, table):
         """Every regenerated BDBR within 2 points of Table I."""
         assert table.max_abs_deviation() < 2.0
+
+    def test_hybrid_measured_rows_keep_paper_order(self):
+        """Table I with measured FXP/Sparse degradation from the real
+        pipeline: FP best, sparse within 8 BDBR points of FP."""
+        computed = generate_table1(mode="hybrid").computed
+        fp = computed[("ctvc-fp", "uvg", "psnr")]
+        fxp = computed[("ctvc-fxp", "uvg", "psnr")]
+        sparse = computed[("ctvc-sparse", "uvg", "psnr")]
+        assert fp <= fxp <= sparse
+        assert sparse - fp < 8.0
 
     def test_headline_value(self, table):
         """'35.19% bit rate savings over the H.265 standard ... on the
@@ -122,6 +133,21 @@ class TestFig8:
         compression quality.'"""
         for panel in panels:
             assert panel.best_method_at_low_rate() == "ctvc-fp"
+
+    @pytest.mark.parametrize(
+        "codec,options",
+        [
+            ("classical", {"qps": (4.0, 16.0, 64.0)}),
+            ("ctvc", {"qps": (2.0, 8.0, 32.0), "channels": 12, "frames": 3}),
+        ],
+    )
+    def test_measured_overlay_monotone(self, codec, options):
+        """The measured RD curves of the real codecs on the UVG stand-in."""
+        curve = measured_rd_curve(
+            codec=codec, dataset="uvg-sim", metric="psnr", **options
+        )
+        assert len(curve) == 3
+        assert curve.validate_monotone()
 
     def test_series_and_render(self, panels):
         panel = panels[0]

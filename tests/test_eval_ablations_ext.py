@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval import attention_ablation, tile_size_exploration
+from repro.eval import attention_ablation, sparsity_sweep, tile_size_exploration
 
 
 class TestTileSizeExploration:
@@ -63,3 +63,26 @@ class TestAttentionAblation:
             result["psnr_with_attention"] - result["psnr_without_attention"]
         )
         assert delta < 0.5
+
+    def test_measured_effect_bounded_at_defaults(self):
+        result = attention_ablation()
+        delta = abs(
+            result["psnr_with_attention"] - result["psnr_without_attention"]
+        )
+        assert delta < 0.5
+
+
+class TestSparsitySweep:
+    """Quality vs hardware cost across rho (the design-space ablation)."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return sparsity_sweep(rhos=(0.0, 0.25, 0.5, 0.75))
+
+    def test_quality_falls_weakly_and_cost_shrinks(self, points):
+        assert points[0].psnr_db >= points[-1].psnr_db - 0.2
+        assert points[0].gate_count_m > points[-1].gate_count_m
+
+    def test_paper_rho_costs_little_quality(self, points):
+        rho50 = next(p for p in points if p.rho == 0.5)
+        assert points[0].psnr_db - rho50.psnr_db < 0.5

@@ -28,6 +28,7 @@ class TestResolutionSweep:
         decoding'."""
         by_res = {r["resolution"]: r for r in results}
         assert by_res["1920x1080"]["fps"] == pytest.approx(25.0, rel=0.05)
+        assert by_res["1920x1080"]["fps"] > 24.0
         assert by_res["960x540"]["fps"] > 60.0
         assert by_res["3840x2160"]["fps"] < 10.0
 

@@ -51,6 +51,26 @@ class TestSparsitySweep:
         assert gates == sorted(gates, reverse=True)
 
 
+class TestPaperOperatingPoint:
+    """The full-HD frontier that justifies Pif=Pof=12 and rho=50%."""
+
+    @pytest.fixture(scope="class")
+    def hd_graph(self):
+        return decoder_graph(1080, 1920, 36)
+
+    def test_12x12_is_realtime_at_1080p(self, hd_graph):
+        points = sweep_array_geometry(hd_graph)
+        assert next(p for p in points if p.label == "12x12").fps > 24.0
+
+    def test_half_sparsity_saves_a_quarter_at_equal_fps(self, hd_graph):
+        points = sweep_sparsity(hd_graph)
+        dense = next(p for p in points if p.rho == 0.0)
+        sparse = next(p for p in points if p.rho == 0.5)
+        assert abs(sparse.fps - dense.fps) / dense.fps < 0.05
+        assert sparse.chip_power_w < 0.75 * dense.chip_power_w
+        assert sparse.gate_count_m < 0.75 * dense.gate_count_m
+
+
 class TestFrequencySweep:
     def test_labels_and_monotone_throughput(self, graph):
         points = sweep_frequency(graph, (200.0, 400.0, 800.0))

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from repro.codec import ClassicalCodecConfig, CTVCConfig
+from repro.codec import ClassicalCodecConfig, CTVCConfig, CTVCNet
 from repro.hw import NVCAConfig
 from repro.hw.arch import BufferSpec
 from repro.pipeline import CONFIG_TYPES, ConfigError, load_config
-from repro.video import SceneConfig
+from repro.video import SceneConfig, generate_sequence
 
 ALL_CONFIGS = [
     CTVCConfig(channels=8, qstep=16.0, intra_qp=12.0),
@@ -85,6 +85,50 @@ class TestValidation:
     def test_domain_validation_propagates(self):
         with pytest.raises(ConfigError, match="rho"):
             NVCAConfig.from_dict({"rho": 1.5})
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"channels": 0}, "channels must be >= 2, got 0"),
+            ({"channels": 1, "heads": 1}, "channels must be >= 2, got 1"),
+            ({"channels": 5}, "2\\*channels must be divisible by heads=4"),
+            ({"channels": 6, "heads": 0}, "heads must be >= 1"),
+        ],
+    )
+    def test_ctvc_geometry_fails_at_construction(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            CTVCConfig(**fields)
+        with pytest.raises(ConfigError, match="CTVCConfig: " + message):
+            CTVCConfig.from_dict(fields)
+
+    def test_ctvc_smallest_geometry_builds(self):
+        CTVCNet(CTVCConfig(channels=2))
+        CTVCNet(CTVCConfig(channels=3, heads=2))
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"frames": 0}, "frames must be >= 1, got 0"),
+            ({"height": 7}, "height must be >= 8 with num_objects > 0, got 7"),
+            ({"width": 4}, "width must be >= 8 with num_objects > 0, got 4"),
+            ({"height": 0, "num_objects": 0}, "height must be >= 1, got 0"),
+        ],
+    )
+    def test_scene_geometry_fails_at_construction(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            SceneConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"height": 8, "width": 8},
+            {"height": 8, "width": 200},
+            {"height": 1, "width": 1, "num_objects": 0},
+        ],
+    )
+    def test_smallest_scenes_render(self, fields):
+        frames = generate_sequence(SceneConfig(frames=2, **fields))
+        assert [f.shape for f in frames] == [(3, fields["height"], fields["width"])] * 2
 
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
