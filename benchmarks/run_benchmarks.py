@@ -24,6 +24,10 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   classical codec and CTVC-Net (N=12), with the entropy payloads per
   packet and each rANS payload's lane count beside them (the lane
   states' flush is what the gap pays for).
+* **substrate** — CTVC-Net (N=12) P-frame encode and decode ms at
+  352x288 with the float64 ``reference`` nets and the float32 ``fast``
+  ones, plus ``fast``'s ``x_vs_reference``, ``psnr_delta_db`` and
+  ``bytes_delta`` (relative packet-size change).
 * **kernels** — conv2d / conv_transpose2d / deformable conv /
   block-match / 8x8 DCT timings of the NumPy substrate.  The
   deformable conv runs twice: with dense random weights (every tap
@@ -289,6 +293,8 @@ def bench_entropy(num_symbols: int, repeats: int, backends) -> dict:
 
 #: the rate-gap scene: one CIF GOP, as ROADMAP's rans-vs-cacm table.
 RATE_GAP_SCENE = dict(height=288, width=352, frames=3, seed=1)
+#: the substrate scene: an I-frame and the P-frame the rows time, at CIF.
+SUBSTRATE_SCENE = dict(height=288, width=352, frames=2, seed=1)
 
 
 def bench_rate_gap() -> dict:
@@ -321,6 +327,38 @@ def bench_rate_gap() -> dict:
                 ]
         row["rans_extra"] = row["rans_bytes"] / row["cacm_bytes"] - 1.0
         report[codec_name] = row
+    return report
+
+
+def bench_substrate(repeats: int) -> dict:
+    """CTVC-Net (N=12) P-frame encode and decode per numeric substrate
+    at 352x288: the float64 ``reference`` nets against the float32
+    ``fast`` ones, on one P-frame coded against the intra frame.  Each
+    decode must return the encoder's reconstruction byte for byte;
+    ``fast`` also carries its speedup (``x_vs_reference``, encode plus
+    decode), its PSNR change in dB and its relative packet-size change."""
+    frames = generate_sequence(SceneConfig(**SUBSTRATE_SCENE))
+    report: dict = {"scene": SUBSTRATE_SCENE, "channels": 12}
+    for substrate in ("reference", "fast"):
+        net = CTVCNet(CTVCConfig(channels=12, seed=1, substrate=substrate))
+        _, intra = net.intra_codec.encode_intra(frames[0])
+        encode_s, (packet, recon) = _time(
+            lambda: net.encode_inter(frames[1], intra), repeats
+        )
+        decode_s, decoded = _time(lambda: net.decode_inter(packet, intra), repeats)
+        assert decoded.tobytes() == recon.tobytes(), f"{substrate}: closed loop broke"
+        report[substrate] = {
+            "encode_ms": encode_s * 1e3,
+            "decode_ms": decode_s * 1e3,
+            "packet_bytes": len(packet.serialize()),
+            "psnr_db": float(psnr(frames[1], decoded)),
+        }
+    reference, fast = report["reference"], report["fast"]
+    fast["x_vs_reference"] = (reference["encode_ms"] + reference["decode_ms"]) / (
+        fast["encode_ms"] + fast["decode_ms"]
+    )
+    fast["psnr_delta_db"] = fast["psnr_db"] - reference["psnr_db"]
+    fast["bytes_delta"] = fast["packet_bytes"] / reference["packet_bytes"] - 1.0
     return report
 
 
@@ -954,6 +992,22 @@ def main(argv=None) -> int:
                 f"lanes {row['rans_lanes']}"
             )
 
+        print("== substrate (CTVC-Net N=12 P-frame at 352x288) ==")
+        substrate = bench_substrate(repeats)
+        for name in ("reference", "fast"):
+            row = substrate[name]
+            extra = (
+                f"  x_vs_reference={row['x_vs_reference']:.2f} "
+                f"dpsnr {row['psnr_delta_db']:+.2e} dB "
+                f"dbytes {100 * row['bytes_delta']:+.2f}%"
+                if name == "fast"
+                else ""
+            )
+            print(
+                f"  {name:10s} enc {row['encode_ms']:7.1f}ms "
+                f"dec {row['decode_ms']:7.1f}ms {row['packet_bytes']:6d}B{extra}"
+            )
+
         print("== kernels ==")
         kernels = bench_kernels(repeats)
         for name, row in kernels.items():
@@ -1052,6 +1106,7 @@ def main(argv=None) -> int:
         "codecs": codecs,
         "entropy": entropy,
         "rate_gap": rate_gap,
+        "substrate": substrate,
         "kernels": kernels,
         "container": container,
         "rate_control": rate_control,

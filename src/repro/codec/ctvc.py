@@ -74,7 +74,12 @@ from .modules import (
     validate_motion_fields,
 )
 
-__all__ = ["CTVCConfig", "CTVCNet"]
+__all__ = ["CTVCConfig", "CTVCNet", "SUBSTRATES"]
+
+#: numeric tier of the nets -> the float dtype their activations run in.
+#: ``reference`` is the exact float64 path every stream before the tier
+#: existed was written with; ``fast`` runs the same nets in float32.
+SUBSTRATES = {"reference": np.float64, "fast": np.float32}
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,10 @@ class CTVCConfig(SerializableConfig):
     target_kbps: float | None = None
     #: frame rate the bitrate budget is measured against.
     fps: float = 30.0
+    #: numeric tier of the nets (:data:`SUBSTRATES`): "fast" (float32,
+    #: the default) or "reference" (float64, byte-identical to streams
+    #: written before the tier existed).  Recorded in the stream header.
+    substrate: str = "fast"
 
     def __post_init__(self):
         if self.heads < 1:
@@ -118,6 +127,11 @@ class CTVCConfig(SerializableConfig):
                 f"got channels={self.channels}"
             )
         get_entropy_backend(self.entropy_backend)  # fail fast on unknown names
+        if self.substrate not in SUBSTRATES:
+            raise ConfigError(
+                f"unknown substrate {self.substrate!r}; "
+                f"available: {', '.join(sorted(SUBSTRATES))}"
+            )
         validate_rate_fields(self.rate_control, self.target_kbps, self.fps)
         validate_motion_fields(self.block_size, self.search_range, 1)
 
@@ -266,7 +280,7 @@ class CTVCNet:
             "s": scale_bits,
             "hw": list(latent.shape),
         }
-        return _LatentCode(segments, meta, q.astype(np.float64) * qstep)
+        return _LatentCode(segments, meta, self._dequantize(q, qstep, latent.dtype))
 
     def _latent_shape(self, feature: np.ndarray) -> tuple[int, int, int]:
         """Latent shape the analysis transform gives for a feature map:
@@ -311,13 +325,17 @@ class CTVCNet:
         return [(h * w, cached_laplacian(bits, meta["u"]).model) for bits in meta["s"]]
 
     @staticmethod
-    def _dequantize_latent(planes: list[np.ndarray], meta: dict) -> np.ndarray:
-        qstep = f16_from_bits(meta["q"])
-        c, h, w = meta["hw"]
-        out = np.empty((c, h, w))
-        for channel in range(c):
-            out[channel] = (planes[channel] - meta["u"]).reshape(h, w) * qstep
-        return out
+    def _dequantize(q: np.ndarray, qstep: float, dtype) -> np.ndarray:
+        """Latent from its integer symbols: one expression for encoder
+        and decoder, so both sides hold the same bytes in any dtype."""
+        return q.astype(dtype) * qstep
+
+    @classmethod
+    def _dequantize_latent(
+        cls, planes: list[np.ndarray], meta: dict, dtype
+    ) -> np.ndarray:
+        q = np.stack(planes).reshape(meta["hw"]) - meta["u"]
+        return cls._dequantize(q, f16_from_bits(meta["q"]), dtype)
 
     # -- helpers ------------------------------------------------------------
     @staticmethod
@@ -348,13 +366,15 @@ class CTVCNet:
         """Code one P-frame against the decoded reference frame.
 
         Returns (packet, decoded reconstruction) — the reconstruction is
-        byte-for-byte what the decoder will produce.
+        byte-for-byte what the decoder will produce.  The nets run in
+        the configured substrate's dtype; the reconstruction is float64.
         """
-        f_cur = self.feature_extraction(frame)
-        f_ref = self.feature_extraction(ref_frame)
+        dtype = SUBSTRATES[self.config.substrate]
+        f_cur = self.feature_extraction(frame, dtype)
+        f_ref = self.feature_extraction(ref_frame, dtype)
 
         motion_feature, _ = self.motion_estimation.estimate(
-            self._half_luma(frame), self._half_luma(ref_frame)
+            self._half_luma(frame), self._half_luma(ref_frame), dtype
         )
         motion_code = self._quantize_latent(
             self.motion_compression.analyze(motion_feature)
@@ -376,7 +396,7 @@ class CTVCNet:
         alpha_r = f16_from_bits(f16_bits(self._ls_gain(residual, residual_hat)))
 
         f_rec = prediction + alpha_r * residual_hat
-        recon = np.clip(self.frame_reconstruction(f_rec), 0.0, 255.0)
+        recon = self._to_pixels(f_rec)
 
         packet = FramePacket(frame_type="P")
         encode_packet_segments(
@@ -397,14 +417,16 @@ class CTVCNet:
         packet: FramePacket,
         ref_frame: np.ndarray,
         entropy: EntropyBackend | None = None,
+        substrate: str | None = None,
     ) -> np.ndarray:
         """Decode one P-frame — exactly the five decoder modules.
 
-        ``entropy`` overrides the configured backend (used by
-        ``decode_sequence``, which must honour whatever backend the
-        stream header names).
+        ``entropy`` and ``substrate`` override the configured backend
+        and numeric tier (decoder sessions pass what the stream header
+        names).  Returns a float64 frame.
         """
-        f_ref = self.feature_extraction(ref_frame)
+        dtype = SUBSTRATES[substrate or self.config.substrate]
+        f_ref = self.feature_extraction(ref_frame, dtype)
         latent_shape = self._latent_shape(f_ref)
         metas = [
             self._check_latent_meta(packet.meta.get(key), latent_shape)
@@ -416,7 +438,7 @@ class CTVCNet:
         ]
         symbols = decode_packet_segments(packet, entropy or self.entropy, groups)
         motion_latent, residual_latent = (
-            self._dequantize_latent(planes, meta)
+            self._dequantize_latent(planes, meta, dtype)
             for planes, meta in zip(symbols, metas)
         )
         motion_dec = f16_from_bits(packet.meta["am"]) * self.motion_compression.synthesize(
@@ -425,7 +447,13 @@ class CTVCNet:
         prediction = self._predict(motion_dec, f_ref)
         residual_hat = self.residual_compression.synthesize(residual_latent)
         f_rec = prediction + f16_from_bits(packet.meta["ar"]) * residual_hat
-        return np.clip(self.frame_reconstruction(f_rec), 0.0, 255.0)
+        return self._to_pixels(f_rec)
+
+    def _to_pixels(self, f_rec: np.ndarray) -> np.ndarray:
+        """The reconstructed frame, clipped to 8-bit range in the nets'
+        dtype and handed on as float64 whatever the substrate."""
+        frame = np.clip(self.frame_reconstruction(f_rec), 0.0, 255.0)
+        return frame.astype(np.float64, copy=False)
 
     # -- streaming sessions -------------------------------------------------
     def open_encoder(self) -> EncoderSession:
@@ -448,6 +476,10 @@ class CTVCNet:
                 "entropy": self.entropy.name,
                 "rate_control": cfg.rate_control or "cqp",
             }
+            if cfg.substrate != "reference":
+                # absent means reference, so reference streams keep the
+                # bytes they had before the tier existed
+                header["substrate"] = cfg.substrate
             if cfg.target_kbps is not None:
                 header["target_kbps"] = cfg.target_kbps
                 header["fps"] = cfg.fps
@@ -478,19 +510,32 @@ class CTVCNet:
 
         The header names the entropy backend that wrote the chunks
         (absent on version-1 streams, which are always CACM with the
-        legacy block-interleaved intra layout); without a header the
-        session trusts this codec's configured backend.
+        legacy block-interleaved intra layout) and the nets' substrate
+        (absent means ``reference``); without a header the session
+        trusts this codec's configured backend and substrate.
         """
         entropy = stream_entropy(header, version, self.entropy)
+        substrate = self._stream_substrate(header)
         geometry = header_geometry(header)
         return GopDecoderSession(
             intra=lambda packet: self.intra_codec.decode_intra(
                 packet, entropy=entropy, geometry=geometry
             ),
             inter=lambda packet, reference: self.decode_inter(
-                packet, reference, entropy=entropy
+                packet, reference, entropy=entropy, substrate=substrate
             ),
         )
+
+    def _stream_substrate(self, header: dict | None) -> str:
+        """The substrate a stream's P-frames decode in: the configured
+        one without a header, else the one the header names (absent
+        means ``"reference"``, every stream written before the tier)."""
+        if header is None:
+            return self.config.substrate
+        substrate = header.get("substrate", "reference")
+        if not isinstance(substrate, str) or substrate not in SUBSTRATES:
+            raise StreamCorruptionError(f"unknown substrate {substrate!r} in header")
+        return substrate
 
     # -- sequence (thin wrappers over the sessions) -------------------------
     def encode_sequence(self, frames: list[np.ndarray]) -> SequenceBitstream:

@@ -127,11 +127,13 @@ class FeatureExtraction(Module):
             ]
         )
 
-    def forward(self, frame: np.ndarray) -> np.ndarray:
+    def forward(self, frame: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """Features of a pixel frame, computed in ``dtype`` (the
+        substrate's; the nets run in the dtype of their input)."""
         # Level shift (the JPEG convention): remove the 128 pedestal so
         # feature magnitudes track texture rather than absolute level,
         # keeping the near-identity blocks' perturbation proportionate.
-        shifted = frame - 128.0
+        shifted = (frame - 128.0).astype(dtype, copy=False)
         if self.mode == "structured":
             x = self.head(_reflect_pad(shifted, 1))
         else:
@@ -393,14 +395,20 @@ class MotionEstimation(Module):
         x = F.relu(self.conv_mid(x))
         return self.conv_out(x)
 
-    def estimate(self, cur_luma_half: np.ndarray, ref_luma_half: np.ndarray):
-        """Structured motion: block matching -> N-channel motion feature."""
+    def estimate(
+        self, cur_luma_half: np.ndarray, ref_luma_half: np.ndarray, dtype=np.float64
+    ):
+        """Structured motion: block matching -> N-channel motion feature.
+
+        Matching runs on the luma planes as given; the motion feature
+        (integer vectors, exact in any float dtype) is built in
+        ``dtype`` for the nets downstream."""
         mv = block_match(
             cur_luma_half, ref_luma_half, self.block_size, self.search_range
         )
         h, w = cur_luma_half.shape
         dense = dense_motion_field(mv, h, w, self.block_size)
-        motion_feature = np.zeros((self.channels, h, w))
+        motion_feature = np.zeros((self.channels, h, w), dtype=dtype)
         motion_feature[:2] = dense
         return motion_feature, mv
 

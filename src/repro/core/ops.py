@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn.layers import as_activation
+
 from .pruning import PrunedKernel
 from .transforms import PAPER_F23, PAPER_T3_64, TransformSpec
 
@@ -106,13 +108,14 @@ def fast_conv2d(
             (padding, need_w - w - padding),
         ),
     )
-    xt = spec.transform_input_2d(
-        extract_tiles(padded, spec.p, spec.m, tiles_y, tiles_x)
-    )
     e = (
         transform_weights
         if transform_weights is not None
         else spec.transform_kernel_2d(weight)
+    )
+    spec = spec.astype(np.result_type(x, e))
+    xt = spec.transform_input_2d(
+        extract_tiles(padded, spec.p, spec.m, tiles_y, tiles_x)
     )
     u = _hadamard_reduce(e, xt)
     out_tiles = spec.inverse_transform_2d(u)
@@ -165,13 +168,14 @@ def fast_deconv2d(
             (left, max(0, need_w - w - left)),
         ),
     )
-    xt = spec.transform_input_2d(
-        extract_tiles(padded, spec.p, r, tiles_y, tiles_x)
-    )
     e = (
         transform_weights
         if transform_weights is not None
         else spec.transform_kernel_2d(weight)
+    )
+    spec = spec.astype(np.result_type(x, e))
+    xt = spec.transform_input_2d(
+        extract_tiles(padded, spec.p, r, tiles_y, tiles_x)
     )
     u = _hadamard_reduce(e, xt)
     out_tiles = spec.inverse_transform_2d(u)
@@ -208,23 +212,15 @@ class SparseExecutor:
     pruned: PrunedKernel
 
     def __call__(self, layer, x: np.ndarray) -> np.ndarray:
-        bias = layer.bias.data if layer.bias is not None else None
-        if self.pruned.spec.kind == "conv":
-            return fast_conv2d(
-                x,
-                layer.weight.data,
-                bias,
-                spec=self.pruned.spec,
-                padding=layer.padding,
-                transform_weights=self.pruned.values,
-            )
-        return fast_deconv2d(
+        kernel = fast_conv2d if self.pruned.spec.kind == "conv" else fast_deconv2d
+        # Weights in the activation's dtype, as the dense layers run.
+        return kernel(
             x,
-            layer.weight.data,
-            bias,
+            as_activation(layer.weight, x),
+            as_activation(layer.bias, x),
             spec=self.pruned.spec,
             padding=layer.padding,
-            transform_weights=self.pruned.values,
+            transform_weights=as_activation(self.pruned.values, x),
         )
 
 

@@ -26,7 +26,7 @@ with transform-domain size mu (= rows of G = rows of B^T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +95,16 @@ class TransformSpec:
             raise ValueError(f"B shape {self.b.shape}, expected {(self.p, self.mu)}")
         if self.g.shape != (self.mu, self.k):
             raise ValueError(f"G shape {self.g.shape}, expected {(self.mu, self.k)}")
+
+    def astype(self, dtype) -> "TransformSpec":
+        """This spec with A, B and G in ``dtype`` (itself when they are
+        already): the kernels run their transforms in the dtype of
+        their operands, so float32 activations stay float32."""
+        if self.a.dtype == dtype:
+            return self
+        return replace(
+            self, a=self.a.astype(dtype), b=self.b.astype(dtype), g=self.g.astype(dtype)
+        )
 
     # -- 1-D reference execution (used by tests and by the 2-D kernels)
     def transform_input_1d(self, x: np.ndarray) -> np.ndarray:

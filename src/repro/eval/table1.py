@@ -10,11 +10,12 @@ Two regeneration modes:
 
 * ``hybrid``: the CTVC-Net FXP and Sparse rows are derived from
   *measured* degradation of this repository's real pipeline — encode a
-  synthetic sequence with the FP, FXP, and sparse variants, convert the
-  PSNR deltas at matched rate into BDBR deltas via the anchor curve's
-  RD slope, and add them to the calibrated FP row.  This is the honest
-  re-test of the paper's claim that quantization and 50 % sparsity cost
-  almost nothing.
+  synthetic sequence with the FP, FXP, and sparse variants at one
+  qstep, convert their signed PSNR deltas into BDBR deltas via the
+  anchor curve's RD slope, and add them to the calibrated FP row.  The
+  variants run at equal qstep, not at matched rate, so this is a
+  first-order re-test of the paper's claim that quantization and 50 %
+  sparsity cost almost nothing, not a Bjøntegaard one.
 """
 
 from __future__ import annotations
@@ -94,8 +95,10 @@ def measured_variant_deltas(
 ) -> dict[str, float]:
     """Measure the FP -> FXP -> Sparse PSNR drop of the real pipeline.
 
-    Returns quality deltas in dB at matched rate for the "fxp" and
-    "sparse" variants (non-negative values = quality loss).
+    Returns the mean-PSNR drop in dB of the "fxp" and "sparse" variants
+    from FP, each run at the same ``qstep`` (so at nearby, not matched,
+    rates).  The sign is kept: positive is a quality loss, negative a
+    gain.
     """
     scene = SceneConfig(height=size[0], width=size[1], frames=frames, seed=seed)
     sequence = generate_sequence(scene)
@@ -111,7 +114,7 @@ def measured_variant_deltas(
         return round_trip("ctvc", net, scene, sequence).report().mean_psnr
 
     fp = run("fp")
-    return {"fxp": max(0.0, fp - run("fxp")), "sparse": max(0.0, fp - run("sparse"))}
+    return {"fxp": fp - run("fxp"), "sparse": fp - run("sparse")}
 
 
 def _delta_psnr_to_delta_bdbr(delta_db: float, slope_db_per_decade: float) -> float:

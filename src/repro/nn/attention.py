@@ -11,11 +11,13 @@ original Swin Transformer formulation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import functional as F
 from .init import xavier_uniform
-from .layers import Module, Parameter
+from .layers import Module, Parameter, as_activation
 
 __all__ = ["window_partition", "window_merge", "SwinAttention"]
 
@@ -109,9 +111,9 @@ class SwinAttention(Module):
         tokens, padded = window_partition(shifted, self.window)
         n_windows, t, _ = tokens.shape
 
-        q = tokens @ self.w_q.data.T
-        k = tokens @ self.w_k.data.T
-        v = tokens @ self.w_v.data.T
+        q = tokens @ as_activation(self.w_q, x).T
+        k = tokens @ as_activation(self.w_k, x).T
+        v = tokens @ as_activation(self.w_v, x).T
         # (nW, P, T, d)
         def split_heads(m: np.ndarray) -> np.ndarray:
             return m.reshape(n_windows, t, self.heads, self.head_dim).transpose(
@@ -119,14 +121,16 @@ class SwinAttention(Module):
             )
 
         qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
-        scale = 1.0 / np.sqrt(self.head_dim)
+        # A Python float scales in the logits' dtype (a NumPy float64
+        # scalar would promote float32 logits).
+        scale = 1.0 / math.sqrt(self.head_dim)
         logits = np.einsum("wptd,wpsd->wpts", qh, kh) * scale
-        bias = self.position_bias.data[:, self._rel_index]  # (P, T, T)
+        bias = as_activation(self.position_bias, x)[:, self._rel_index]  # (P, T, T)
         logits = logits + bias[None]
         attn = F.softmax(logits, axis=-1)
         mixed = np.einsum("wpts,wpsd->wptd", attn, vh)
         merged = mixed.transpose(0, 2, 1, 3).reshape(n_windows, t, self.channels)
-        out_tokens = merged @ self.w_o.data.T
+        out_tokens = merged @ as_activation(self.w_o, x).T
         out = window_merge(out_tokens, self.window, padded, (h, w))
         if self.shift:
             out = np.roll(out, (self.shift, self.shift), axis=(1, 2))

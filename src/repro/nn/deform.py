@@ -28,7 +28,7 @@ import numpy as np
 
 from . import functional as F
 from .init import he_normal
-from .layers import Module, Parameter
+from .layers import Module, Parameter, as_activation
 
 __all__ = ["DeformConv2d", "deform_conv2d"]
 
@@ -61,11 +61,14 @@ def deform_conv2d(
         raise ValueError(f"offsets shape {offsets.shape}, expected {expected}")
 
     off = offsets.reshape(groups, kh, kw, 2, ho, wo)
-    base_y = (np.arange(ho) * stride - padding)[:, None]
-    base_x = (np.arange(wo) * stride - padding)[None, :]
+    # Integer grid positions in the offsets' dtype (exact for any
+    # feature map size), so float32 offsets keep float32 coordinates.
+    grid_dtype = np.result_type(offsets, 1.0)
+    base_y = (np.arange(ho) * stride - padding).astype(grid_dtype)[:, None]
+    base_x = (np.arange(wo) * stride - padding).astype(grid_dtype)[None, :]
     group_size = c_in // groups
 
-    out = np.zeros((c_out, ho, wo))
+    out = np.zeros((c_out, ho, wo), dtype=np.result_type(x, offsets, weight))
     for g in range(groups):
         x_group = x[g * group_size : (g + 1) * group_size]
         w_group = weight[:, g * group_size : (g + 1) * group_size]
@@ -75,8 +78,10 @@ def deform_conv2d(
             continue
         # Gather only the live taps, in one batched bilinear lookup
         # (coordinates shaped (taps, ho, wo)).
-        ys = base_y + tap_i[:, None, None] + off[g, tap_i, tap_j, 0]
-        xs = base_x + tap_j[:, None, None] + off[g, tap_i, tap_j, 1]
+        taps_y = tap_i.astype(grid_dtype)[:, None, None]
+        taps_x = tap_j.astype(grid_dtype)[:, None, None]
+        ys = base_y + taps_y + off[g, tap_i, tap_j, 0]
+        xs = base_x + taps_x + off[g, tap_i, tap_j, 1]
         sampled = F.bilinear_sample(x_group, ys, xs)
         if nonzero.sum(axis=(1, 2, 3)).max() == 1:
             # Each output row is a single product w * s: exact in any
@@ -90,7 +95,9 @@ def deform_conv2d(
             # Zero-fill the skipped taps and contract every tap, in the
             # channel-innermost layout a (C, H*W)[:, index] gather
             # returns, so einsum sums in the order it always has.
-            full = np.zeros((kh, kw, ho, wo, group_size)).transpose(4, 0, 1, 2, 3)
+            full = np.zeros(
+                (kh, kw, ho, wo, group_size), dtype=sampled.dtype
+            ).transpose(4, 0, 1, 2, 3)
             full[:, tap_i, tap_j] = sampled
             out += np.einsum("ocij,cijhw->ohw", w_group, full)
     if bias is not None:
@@ -141,8 +148,8 @@ class DeformConv2d(Module):
         out = deform_conv2d(
             x,
             offsets,
-            self.weight.data,
-            self.bias.data if self.bias is not None else None,
+            as_activation(self.weight, x),
+            as_activation(self.bias, x),
             self.stride,
             self.padding,
             self.groups,

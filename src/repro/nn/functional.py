@@ -3,8 +3,14 @@
 These are the inference-grade primitives every network module in
 ``repro.codec`` is built from.  Conventions:
 
-* activations are float64 arrays shaped ``(C, H, W)`` (no batch axis —
+* activations are float arrays shaped ``(C, H, W)`` (no batch axis —
   the codec processes one frame at a time, as the paper's decoder does);
+* every kernel is dtype-generic: it computes in the dtype NumPy gives
+  its operands and allocates its buffers in that dtype, so float64
+  operands give float64 (the ``reference`` substrate) and float32
+  operands float32 (``fast``), never a silent upcast.  Layers keep
+  float64 master parameters and cast them to the activation's dtype on
+  each call;
 * convolution weights are ``(C_out, C_in, kH, kW)``;
 * transposed-convolution weights are also ``(C_out, C_in, kH, kW)``
   where ``C_out`` is the number of *produced* channels (the layer-level
@@ -19,8 +25,9 @@ Like the accelerator's sparse computing core, and like
 :func:`repro.nn.deform.deform_conv2d`, :func:`conv2d` and
 :func:`conv_transpose2d` spend no work on zero weights where that
 cannot change a bit: for finite inputs the output is bit-for-bit that
-of the dense kernel.  The sparsity is read from the weight on every
-call, so weights that are reassigned need no cache.
+of the dense kernel, in float64 and float32 alike.  The sparsity is
+read from the weight on every call, so weights that are reassigned
+need no cache.
 
 * ``conv2d`` with at most one nonzero weight per output row (the
   codec's offset head and latent head) skips the GEMM: each output
@@ -183,7 +190,7 @@ def conv_transpose2d(
     # GEMM formulation: stamps = W^T X, then col2im scatter.
     x_mat = x.reshape(c_in, -1)  # (C_in, H*W)
     w_mat = weight.reshape(c_out, c_in, kh * kw)
-    out = np.zeros((c_out, full_h, full_w))
+    out = np.zeros((c_out, full_h, full_w), dtype=np.result_type(x, weight))
 
     def scatter(tap: int, stamp: np.ndarray) -> None:
         dy, dx = divmod(tap, kw)
@@ -267,7 +274,7 @@ def leaky_relu(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # Numerically stable split over sign.
-    out = np.empty_like(x, dtype=np.float64)
+    out = np.empty_like(x, dtype=np.result_type(x, 1.0))
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     expx = np.exp(x[~pos])
@@ -296,12 +303,16 @@ def bilinear_sample(x: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray
     c, h, w = x.shape
     ys = np.clip(ys, 0.0, h - 1.0)
     xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
+    floor_y = np.floor(ys)
+    floor_x = np.floor(xs)
+    y0 = floor_y.astype(int)
+    x0 = floor_x.astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = ys - y0
-    fx = xs - x0
+    # Subtract the floor in the coordinates' dtype: an int64 floor
+    # would promote float32 coordinates to float64.
+    fy = ys - floor_y
+    fx = xs - floor_x
     gy = 1 - fy
     gx = 1 - fx
     # Gather the four corners through flat indices on a (C, H*W) view,

@@ -39,6 +39,7 @@ __all__ = [
     "LeakyReLU",
     "Sigmoid",
     "Identity",
+    "as_activation",
 ]
 
 
@@ -57,6 +58,23 @@ class Parameter:
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.data.shape})"
+
+
+def as_activation(
+    param: Parameter | np.ndarray | None, x: np.ndarray
+) -> np.ndarray | None:
+    """A float64 master (a ``Parameter``'s data, or an array) in the
+    dtype of a floating activation ``x``: a no-op for float64, a cast
+    for the ``fast`` substrate's float32.  Any other input gets the
+    master itself.  Cast on every call, so no copy can go stale when
+    the master is reassigned (quantization, pruning).  ``None`` (no
+    bias) passes through."""
+    if param is None:
+        return None
+    data = param.data if isinstance(param, Parameter) else param
+    if np.issubdtype(x.dtype, np.floating):
+        return data.astype(x.dtype, copy=False)
+    return data
 
 
 class Module:
@@ -217,8 +235,8 @@ class Conv2d(_KernelLayer):
         else:
             out = F.conv2d(
                 x,
-                self.weight.data,
-                self.bias.data if self.bias is not None else None,
+                as_activation(self.weight, x),
+                as_activation(self.bias, x),
                 self.stride,
                 self.padding,
             )
@@ -262,8 +280,8 @@ class ConvTranspose2d(_KernelLayer):
         else:
             out = F.conv_transpose2d(
                 x,
-                self.weight.data,
-                self.bias.data if self.bias is not None else None,
+                as_activation(self.weight, x),
+                as_activation(self.bias, x),
                 self.stride,
                 self.padding,
             )

@@ -61,13 +61,17 @@ class QuantSpec:
         codes = np.clip(np.round(x / scale), self.qmin, self.qmax).astype(np.int64)
         return codes, scale
 
-    def dequantize(self, codes: np.ndarray, scale: float) -> np.ndarray:
-        return codes.astype(np.float64) * scale
+    def dequantize(
+        self, codes: np.ndarray, scale: float, dtype=np.float64
+    ) -> np.ndarray:
+        return codes.astype(dtype) * scale
 
     def fake_quant(self, x: np.ndarray) -> np.ndarray:
-        """Quantize-dequantize round trip (the simulation workhorse)."""
+        """Quantize-dequantize round trip (the simulation workhorse),
+        in ``x``'s dtype when that is a float dtype."""
         codes, scale = self.quantize(x)
-        return self.dequantize(codes, scale)
+        dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
+        return self.dequantize(codes, scale, dtype)
 
     def quant_error(self, x: np.ndarray) -> float:
         """RMS quantization error of this spec on a tensor."""

@@ -296,17 +296,38 @@ def test_v4_per_chunk_stream_decodes_to_pinned_frames(kind, backend):
 @pytest.mark.parametrize("kind,backend", sorted(V4_PER_CHUNK))
 def test_v4_per_chunk_stream_decodes_without_a_header(kind, backend):
     """Headerless sessions and direct decode calls read the packet
-    layout from the packet itself."""
+    layout from the packet itself.  Nothing names the substrate without
+    a header: CTVC-Net packets written before the ``substrate`` field
+    were coded in float64 and need a ``substrate="reference"`` config."""
     packets = SequenceBitstream.parse(
         base64.b64decode(V4_PER_CHUNK[(kind, backend)])
     ).packets
     codec = _v4_codec(kind, backend)
+    if kind == "ctvc":
+        codec = CTVCNet(codec.config.replace(substrate="reference"))
     headerless = list(codec.open_decoder(None).decode_iter(packets))
     intra = codec if kind == "classical" else codec.intra_codec
     first = intra.decode_intra(packets[0])
     direct = [first, codec.decode_inter(packets[1], first)]
     assert _frames_digest(headerless) == V4_PER_CHUNK_FRAMES[kind]
     assert _frames_digest(direct) == V4_PER_CHUNK_FRAMES[kind]
+
+
+@pytest.mark.parametrize("backend", ["rans", "cacm"])
+def test_headerless_float64_ctvc_packets_miss_under_the_default_substrate(backend):
+    """The compatibility break of the ``fast`` default: a headerless
+    session runs the configured substrate, so a default config decodes
+    float64-coded packets in float32 and does not rebuild the encoder's
+    reference frames.  With a header the tier comes from the stream."""
+    blob = base64.b64decode(V4_PER_CHUNK[("ctvc", backend)])
+    codec = _v4_codec("ctvc", backend)
+    assert codec.config.substrate == "fast"
+    headerless = list(
+        codec.open_decoder(None).decode_iter(SequenceBitstream.parse(blob).packets)
+    )
+    assert _frames_digest(headerless) != V4_PER_CHUNK_FRAMES["ctvc"]
+    decoded = codec.decode_sequence(SequenceBitstream.parse(blob))
+    assert _frames_digest(decoded) == V4_PER_CHUNK_FRAMES["ctvc"]
 
 
 # -- the per-packet layout every encoder writes --------------------------------

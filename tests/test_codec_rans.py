@@ -569,7 +569,9 @@ def test_benchmark_scene_digests_are_pinned(kind, stream_digest, frames_digest):
     before the rANS row loops were rewritten and survived the move to
     one entropy payload per packet; the stream digests are those of
     that layout.  Frame digests hash float64 output, so they pin this
-    NumPy/OpenBLAS build; the stream digests do not depend on it."""
+    NumPy/OpenBLAS build; the stream digests do not depend on it.
+    CTVC-Net runs the float64 ``reference`` substrate these digests
+    were recorded with."""
     if kind == "classical":
         height, width, count = 360, 640, 6
         codec = ClassicalCodec(
@@ -577,7 +579,9 @@ def test_benchmark_scene_digests_are_pinned(kind, stream_digest, frames_digest):
         )
     else:
         height, width, count = 288, 352, 3
-        codec = CTVCNet(CTVCConfig(channels=12, gop=count, entropy_backend="rans"))
+        codec = CTVCNet(CTVCConfig(
+            channels=12, gop=count, entropy_backend="rans", substrate="reference"
+        ))
     frames = generate_sequence(
         SceneConfig(height=height, width=width, frames=count, seed=1)
     )

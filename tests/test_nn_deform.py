@@ -316,7 +316,9 @@ class TestCodecParity:
     def test_streams_and_frames_byte_identical(
         self, frames, channels, variant, monkeypatch
     ):
-        net = CTVCNet(CTVCConfig(channels=channels, qstep=8.0, gop=8, seed=1))
+        net = CTVCNet(CTVCConfig(
+            channels=channels, qstep=8.0, gop=8, seed=1, substrate="reference"
+        ))
         if variant == "fxp":
             net.apply_fxp()
         elif variant == "sparse":

@@ -221,7 +221,7 @@ def _frozen_conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     w_mat = weight.reshape(c_out, c_in, kh * kw)
     # stamps: (C_out, kH*kW, H*W)
     stamps = np.einsum("oik,il->okl", w_mat, x_mat)
-    out = np.zeros((c_out, full_h, full_w))
+    out = np.zeros((c_out, full_h, full_w), dtype=stamps.dtype)
     stamps = stamps.reshape(c_out, kh, kw, h, w)
     for dy in range(kh):
         for dx in range(kw):
@@ -316,6 +316,28 @@ class TestZeroWeightExactness:
                 case = (c_out, c_in, k, stride, padding)
                 assert ours.tobytes() == frozen.tobytes(), case
 
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    def test_float32_byte_identical(self, kind):
+        """The rule holds in the ``fast`` substrate's float32 too: the
+        kernels compute in their operands' dtype, never upcasting."""
+        rng = np.random.default_rng(200)
+        for n in (8, 12, 36):
+            for c_out, c_in in ((n, n), (3, n), (2 * n, n), (n, 2 * n)):
+                x = _signed_input(c_in, 9, 11, rng).astype(np.float32)
+                bias = rng.standard_normal(c_out).astype(np.float32)
+                for k, stride, padding in GEOMETRIES:
+                    weight = _sparse_weight(kind, c_out, c_in, k, rng)
+                    weight = weight.astype(np.float32)
+                    case = (n, c_out, c_in, k, stride, padding)
+                    for ours, frozen in (
+                        (F.conv2d, _frozen_conv2d),
+                        (F.conv_transpose2d, _frozen_conv_transpose2d),
+                    ):
+                        got = ours(x, weight, bias, stride, padding)
+                        want = frozen(x, weight, bias, stride, padding)
+                        assert got.dtype == want.dtype == np.float32, case
+                        assert got.tobytes() == want.tobytes(), case
+
     @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
     @pytest.mark.parametrize("kind", ["every_third_input", "diagonal", "one_per_row"])
     def test_input_layouts_and_single_pixel_byte_identical(self, kind, layout):
@@ -384,7 +406,9 @@ class TestCodecParity:
     def test_streams_and_frames_byte_identical(
         self, frames, channels, variant, monkeypatch
     ):
-        net = CTVCNet(CTVCConfig(channels=channels, qstep=8.0, gop=8, seed=1))
+        net = CTVCNet(CTVCConfig(
+            channels=channels, qstep=8.0, gop=8, seed=1, substrate="reference"
+        ))
         if variant == "fxp":
             net.apply_fxp()
         elif variant == "sparse":

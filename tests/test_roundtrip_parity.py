@@ -7,7 +7,9 @@ file (report and container sha256), ``repro encode --stream --input`` and
 ``repro decode --json`` (streamed, transcoded and version-2 containers),
 and the measured numbers of the evaluation harness at small sizes.
 Wall-clock fields (``*_seconds``) and temporary paths are dropped before
-comparing; floats match to 1e-9, everything else exactly.
+comparing; floats match to 1e-9, everything else exactly.  Every CTVC-Net
+run is pinned to the float64 ``reference`` substrate, whose bytes these
+goldens prove; ``tests/test_substrate.py`` bounds ``fast`` against it.
 
 Regenerate the goldens (only for a deliberate, named output change):
 
@@ -34,6 +36,7 @@ from repro.eval.ablations import (
 from repro.eval.fig8 import measured_rd_curve
 from repro.eval.table1 import measured_variant_deltas
 from repro.pipeline import Pipeline
+from repro.pipeline.registry import codec_spec, register_codec
 from repro.video import SceneConfig, generate_sequence, write_yuv420
 
 from legacy_container import legacy_bytes
@@ -65,7 +68,10 @@ def _pipeline_reports() -> dict:
         )
         runs[f"ctvc-{backend}"] = Pipeline(
             "ctvc",
-            {"channels": 8, "qstep": 8.0, "entropy_backend": backend},
+            {
+                "channels": 8, "qstep": 8.0, "entropy_backend": backend,
+                "substrate": "reference",
+            },
             scene=SCENE,
             compute_msssim=True,
         )
@@ -134,29 +140,52 @@ def _cli_round_trips(tmp: Path) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def _reference_ctvc():
+    """Build every registry CTVC-Net at the float64 ``reference``
+    substrate, so the eval harness (which takes no substrate) runs the
+    tier whose outputs these goldens pin."""
+    spec = codec_spec("ctvc")
+
+    def reference(config):
+        return spec.factory(config.replace(substrate="reference"))
+
+    register_codec(
+        "ctvc", reference, spec.config_cls, spec.description, overwrite=True
+    )
+    try:
+        yield
+    finally:
+        register_codec(
+            "ctvc", spec.factory, spec.config_cls, spec.description,
+            overwrite=True,
+        )
+
+
 def _eval_outputs() -> dict:
-    return _clean({
-        "sparsity_sweep": [
-            dataclasses.asdict(point)
-            for point in sparsity_sweep(rhos=(0.0, 0.5), channels=4, frames=2)
-        ],
-        "gop_size_ablation": gop_size_ablation(
-            gops=(2, 4), channels=4, frames=4
-        ),
-        "attention_ablation": attention_ablation(channels=4, frames=2),
-        "rd_classical_psnr": dataclasses.asdict(
-            measured_rd_curve("classical", qps=(8.0, 16.0), frames=2)
-        ),
-        "rd_ctvc_msssim": dataclasses.asdict(
-            measured_rd_curve(
-                "ctvc", metric="ms-ssim", qps=(8.0,), channels=4, frames=2,
-                variant="fxp",
-            )
-        ),
-        "table1_deltas": measured_variant_deltas(
-            channels=4, frames=2, size=(32, 48)
-        ),
-    })
+    with _reference_ctvc():
+        return _clean({
+            "sparsity_sweep": [
+                dataclasses.asdict(point)
+                for point in sparsity_sweep(rhos=(0.0, 0.5), channels=4, frames=2)
+            ],
+            "gop_size_ablation": gop_size_ablation(
+                gops=(2, 4), channels=4, frames=4
+            ),
+            "attention_ablation": attention_ablation(channels=4, frames=2),
+            "rd_classical_psnr": dataclasses.asdict(
+                measured_rd_curve("classical", qps=(8.0, 16.0), frames=2)
+            ),
+            "rd_ctvc_msssim": dataclasses.asdict(
+                measured_rd_curve(
+                    "ctvc", metric="ms-ssim", qps=(8.0,), channels=4, frames=2,
+                    variant="fxp",
+                )
+            ),
+            "table1_deltas": measured_variant_deltas(
+                channels=4, frames=2, size=(32, 48)
+            ),
+        })
 
 
 def _assert_matches(actual, expected, where="golden"):
