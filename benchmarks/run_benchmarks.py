@@ -10,15 +10,13 @@ No pytest-benchmark required — run directly and get a JSON report::
 Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
 
 * **codecs** — end-to-end encode/decode wall time of ``CTVCNet`` and
-  ``ClassicalCodec`` per entropy backend, plus a ``seed`` row that
-  times a faithful replica of the pre-backend coder (per-symbol
-  ``symbol_of`` calls, per-bit Python list I/O, per-frame model
-  rebuilds — the seed commit's hot loops) so speedups are tracked
-  against a fixed reference.  Reconstructions are asserted identical
-  across backends (the entropy stage is lossless) and round-trips are
-  byte-exact.
+  ``ClassicalCodec`` per entropy backend (``cacm``, ``rans``), with
+  ``rans``'s ``x_vs_cacm`` speedup.  Reconstructions are asserted
+  identical across backends (the entropy stage is lossless) and
+  round-trips are byte-exact.
 * **entropy** — symbols/sec of each backend on a long Laplacian
-  stream, round-trip verified.
+  stream, round-trip verified, with its ``overhead_vs_ideal`` (coded
+  bits over the model's ideal bits, minus one).
 * **rate_gap** — the rANS rate gap: stream bytes of a 3-frame I-P-P
   GOP at 352x288 (seed 1) coded by ``cacm`` and by ``rans``, for the
   classical codec and CTVC-Net (N=12), with the entropy payloads per
@@ -72,8 +70,8 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   front.
 
 The report lands in ``BENCH_codec.json`` (override with ``-o``): one
-entry per benchmark with per-stage milliseconds, plus speedup ratios
-(``x_vs_seed``, ``x_vs_cacm``) per codec.
+entry per benchmark with per-stage milliseconds, plus the ``x_vs_cacm``
+speedup per codec.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ import time
 import numpy as np
 
 from repro.codec import (
-    ArithmeticDecoder,
     ClassicalCodec,
     ClassicalCodecConfig,
     CTVCConfig,
@@ -98,90 +95,12 @@ from repro.codec import (
     cached_laplacian,
     estimate_bits,
     get_entropy_backend,
-    register_entropy_backend,
-    unregister_entropy_backend,
 )
-from repro.codec.entropy import ArithmeticEncoder
 from repro.metrics import psnr
 from repro.video import SceneConfig, generate_sequence
 
 #: the canonical codec benchmark scene (the codec tests encode it too).
 BENCH_SCENE = dict(height=64, width=96, frames=3, seed=7)
-
-
-class SeedCoderBackend:
-    """Replica of the seed commit's entropy hot path, for baselines.
-
-    Reproduces what PR-1-era ``CTVCNet``/``ClassicalCodec`` did per
-    symbol — a ``LaplacianModel.symbol_of``-style ``np.clip`` call, a
-    per-symbol arithmetic-coder step over per-bit Python lists, model
-    tables rebuilt instead of cached — so ``run_benchmarks.py`` can
-    keep measuring "vs the seed coder" after the seed code itself is
-    gone.  Output is byte-identical to the ``cacm`` backend.
-    """
-
-    name = "seed"
-
-    class _BitListEncoder(ArithmeticEncoder):
-        def finish(self) -> bytes:
-            if not self._finished:
-                self._pending += 1
-                self._emit(0 if self._low < 1 << 30 else 1)
-                self._finished = True
-            bits = self._bits
-            padded = bits + [0] * ((-len(bits)) % 8)
-            out = bytearray()
-            for i in range(0, len(padded), 8):
-                byte = 0
-                for bit in padded[i : i + 8]:
-                    byte = (byte << 1) | bit
-                out.append(byte)
-            return bytes(out)
-
-    class _BitListDecoder(ArithmeticDecoder):
-        def __init__(self, data: bytes):
-            bits = []
-            for byte in data:
-                for shift in range(7, -1, -1):
-                    bits.append((byte >> shift) & 1)
-            self._bits = bits
-            self._pos = 0
-            self._low = 0
-            self._high = (1 << 32) - 1
-            self._value = 0
-            for _ in range(32):
-                self._value = (self._value << 1) | self._next_bit()
-
-    def _rebuild(self, model):
-        # The seed rebuilt probability tables from side info per frame;
-        # charge an equivalent table construction to this baseline.
-        from repro.codec.entropy import SymbolModel
-
-        return SymbolModel(model.freqs.copy())
-
-    def encode_segments(self, segments) -> bytes:
-        encoder = self._BitListEncoder()
-        for symbols, model in segments:
-            rebuilt = self._rebuild(model)
-            n = rebuilt.num_symbols
-            for value in np.asarray(symbols, dtype=np.int64).ravel():
-                # per-symbol clip, as LaplacianModel.symbol_of did
-                symbol = int(np.clip(value, 0, n - 1))
-                encoder.encode(symbol, rebuilt)
-        return encoder.finish()
-
-    def decode_segments(self, data: bytes, segments) -> list:
-        decoder = self._BitListDecoder(data)
-        out = []
-        for count, model in segments:
-            rebuilt = self._rebuild(model)
-            out.append(
-                np.array(
-                    [decoder.decode(rebuilt) for _ in range(int(count))],
-                    dtype=np.int64,
-                )
-            )
-        return out
 
 
 def _time(fn, repeats: int):
@@ -234,13 +153,10 @@ def bench_codecs(frames, repeats: int, backends) -> dict:
                 ),
             }
         for backend in backends:
-            if backend == "seed":
-                continue
-            row = rows[backend]
-            if "seed" in rows:
-                row["x_vs_seed"] = rows["seed"]["total_ms"] / row["total_ms"]
-            if "cacm" in rows and backend != "cacm":
-                row["x_vs_cacm"] = rows["cacm"]["total_ms"] / row["total_ms"]
+            if backend != "cacm":
+                rows[backend]["x_vs_cacm"] = (
+                    rows["cacm"]["total_ms"] / rows[backend]["total_ms"]
+                )
         report[codec_name] = rows
     return report
 
@@ -255,23 +171,6 @@ def bench_entropy(num_symbols: int, repeats: int, backends) -> dict:
     report = {"num_symbols": num_symbols, "ideal_bits": ideal}
     for name in backends:
         backend = get_entropy_backend(name)
-        if name == "seed" and num_symbols > 50_000:
-            # the per-bit baseline is ~6 us/symbol; keep its slot short
-            # and scale the throughput numbers from a 50k subset.
-            sub = values[:50_000]
-            encode_s, blob = _time(
-                lambda: backend.encode_segments([(sub, model.model)]), 1
-            )
-            decode_s, decoded = _time(
-                lambda: backend.decode_segments(blob, [(len(sub), model.model)]), 1
-            )
-            assert np.array_equal(decoded[0], sub)
-            report[name] = {
-                "encode_msym_per_s": len(sub) / encode_s / 1e6,
-                "decode_msym_per_s": len(sub) / decode_s / 1e6,
-                "subset_symbols": len(sub),
-            }
-            continue
         encode_s, blob = _time(
             lambda: backend.encode_segments([(values, model.model)]), repeats
         )
@@ -929,172 +828,154 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fast CI mode: fewer repeats, shorter entropy stream, no seed row",
+        help="fast CI mode: fewer repeats, shorter entropy stream",
     )
     parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument(
-        "--skip-seed",
-        action="store_true",
-        help="skip the slow seed-coder baseline rows",
-    )
     args = parser.parse_args(argv)
 
     repeats = args.repeats or (1 if args.smoke else 3)
     # 100k symbols keeps even smoke runs long enough that the rANS
     # state flush stays well under the 1% overhead budget.
     entropy_symbols = 100_000 if args.smoke else 400_000
-    with_seed = not (args.smoke or args.skip_seed)
+    backends = ["cacm", "rans"]
 
-    register_entropy_backend("seed", SeedCoderBackend(), overwrite=True)
-    try:
-        codec_backends = (["seed"] if with_seed else []) + ["cacm", "rans"]
-        entropy_backends = (["seed"] if with_seed else []) + ["cacm", "rans"]
+    frames = generate_sequence(SceneConfig(**BENCH_SCENE))
+    cached_laplacian.cache_clear()
 
-        frames = generate_sequence(SceneConfig(**BENCH_SCENE))
-        cached_laplacian.cache_clear()
-
-        print("== codecs (bench_codec scene: 64x96x3) ==", flush=True)
-        codecs = bench_codecs(frames, repeats, codec_backends)
-        for codec_name, rows in codecs.items():
-            for backend, row in rows.items():
-                extra = "".join(
-                    f"  {k}={row[k]:.2f}" for k in ("x_vs_seed", "x_vs_cacm") if k in row
-                )
-                print(
-                    f"  {codec_name:10s} {backend:5s} enc {row['encode_ms']:8.1f}ms "
-                    f"dec {row['decode_ms']:8.1f}ms  {row['stream_bytes']:6d}B "
-                    f"psnr {row['mean_psnr_db']:.2f}dB{extra}"
-                )
-
-        print(f"== entropy backends ({entropy_symbols} Laplacian symbols) ==")
-        entropy = bench_entropy(entropy_symbols, repeats, entropy_backends)
-        for name in entropy_backends:
-            row = entropy[name]
-            overhead = (
-                f"  overhead {100 * row['overhead_vs_ideal']:.2f}%"
-                if "overhead_vs_ideal" in row
-                else ""
-            )
+    print("== codecs (bench_codec scene: 64x96x3) ==", flush=True)
+    codecs = bench_codecs(frames, repeats, backends)
+    for codec_name, rows in codecs.items():
+        for backend, row in rows.items():
+            extra = f"  x_vs_cacm={row['x_vs_cacm']:.2f}" if "x_vs_cacm" in row else ""
             print(
-                f"  {name:5s} enc {row['encode_msym_per_s']:7.2f} Msym/s "
-                f"dec {row['decode_msym_per_s']:7.2f} Msym/s{overhead}"
+                f"  {codec_name:10s} {backend:5s} enc {row['encode_ms']:8.1f}ms "
+                f"dec {row['decode_ms']:8.1f}ms  {row['stream_bytes']:6d}B "
+                f"psnr {row['mean_psnr_db']:.2f}dB{extra}"
             )
 
-        print("== rANS rate gap (352x288 I-P-P GOP, stream bytes) ==")
-        rate_gap = bench_rate_gap()
-        for codec_name in ("classical", "ctvc"):
-            row = rate_gap[codec_name]
-            print(
-                f"  {codec_name:10s} cacm {row['cacm_bytes']:6d}B "
-                f"rans {row['rans_bytes']:6d}B "
-                f"({100 * row['rans_extra']:+.1f}%)  "
-                f"{row['payloads_per_packet']} payload/packet, "
-                f"lanes {row['rans_lanes']}"
-            )
-
-        print("== substrate (CTVC-Net N=12 P-frame at 352x288) ==")
-        substrate = bench_substrate(repeats)
-        for name in ("reference", "fast"):
-            row = substrate[name]
-            extra = (
-                f"  x_vs_reference={row['x_vs_reference']:.2f} "
-                f"dpsnr {row['psnr_delta_db']:+.2e} dB "
-                f"dbytes {100 * row['bytes_delta']:+.2f}%"
-                if name == "fast"
-                else ""
-            )
-            print(
-                f"  {name:10s} enc {row['encode_ms']:7.1f}ms "
-                f"dec {row['decode_ms']:7.1f}ms {row['packet_bytes']:6d}B{extra}"
-            )
-
-        print("== kernels ==")
-        kernels = bench_kernels(repeats)
-        for name, row in kernels.items():
-            print(f"  {name:31s} {row['ms']:8.3f} ms")
-
-        print("== container integrity (v4 CRC32 vs v3) ==")
-        container = bench_container(frames, repeats)
-        for version in ("v3", "v4"):
-            row = container[version]
-            print(
-                f"  {version:4s} read {row['read_ms']:7.2f} ms  "
-                f"{row['stream_bytes']:6d}B"
-            )
+    print(f"== entropy backends ({entropy_symbols} Laplacian symbols) ==")
+    entropy = bench_entropy(entropy_symbols, repeats, backends)
+    for name in backends:
+        row = entropy[name]
         print(
-            f"  v4 write {container['v4']['write_ms']:7.2f} ms; crc tax: "
-            f"+{container['crc_bytes']}B, "
-            f"read {100 * container['crc_read_overhead']:+.1f}%"
+            f"  {name:5s} enc {row['encode_msym_per_s']:7.2f} Msym/s "
+            f"dec {row['decode_msym_per_s']:7.2f} Msym/s  "
+            f"overhead {100 * row['overhead_vs_ideal']:.2f}%"
         )
 
-        print("== rate control (classical codec, 32x48x3 probe scene) ==")
-        rate_control = bench_rate_control(repeats)
+    print("== rANS rate gap (352x288 I-P-P GOP, stream bytes) ==")
+    rate_gap = bench_rate_gap()
+    for codec_name in ("classical", "ctvc"):
+        row = rate_gap[codec_name]
         print(
-            f"  cqp vs none: {rate_control['baseline_encode_ms']:.1f} ms -> "
-            f"{rate_control['cqp_encode_ms']:.1f} ms "
-            f"({100 * rate_control['cqp_overhead']:+.2f}%)"
-        )
-        print(
-            f"  calibrate_tables(classical)   "
-            f"{rate_control['calibration_seconds'] * 1e3:8.1f} ms"
-        )
-        for name in ("abr", "calibrated"):
-            print(
-                f"  {name:10s} controller step "
-                f"{rate_control[name]['us_per_frame']:8.2f} us/frame"
-            )
-
-        print("== observability (tracing on vs off, 32x48x3 probe scene) ==")
-        observability = bench_observability(repeats)
-        print(
-            f"  traced vs off: {observability['baseline_encode_ms']:.1f} ms"
-            f" -> {observability['traced_encode_ms']:.1f} ms "
-            f"({100 * observability['traced_overhead']:+.2f}%), "
-            f"streams byte-identical"
-        )
-        print(
-            f"  counter inc {observability['counter_inc_us']:.3f} us  "
-            f"histogram observe {observability['histogram_observe_us']:.3f}"
-            f" us  disabled span {observability['disabled_span_us']:.3f} us"
+            f"  {codec_name:10s} cacm {row['cacm_bytes']:6d}B "
+            f"rans {row['rans_bytes']:6d}B "
+            f"({100 * row['rans_extra']:+.1f}%)  "
+            f"{row['payloads_per_packet']} payload/packet, "
+            f"lanes {row['rans_lanes']}"
         )
 
-        print(
-            "== sweep executor (24-job classical grid, "
-            "bundled + warm + shared frames) =="
+    print("== substrate (CTVC-Net N=12 P-frame at 352x288) ==")
+    substrate = bench_substrate(repeats)
+    for name in ("reference", "fast"):
+        row = substrate[name]
+        extra = (
+            f"  x_vs_reference={row['x_vs_reference']:.2f} "
+            f"dpsnr {row['psnr_delta_db']:+.2e} dB "
+            f"dbytes {100 * row['bytes_delta']:+.2f}%"
+            if name == "fast"
+            else ""
         )
-        sweep = bench_sweep(repeats)
-        for backend in (
-            "inline",
-            "inline_warm",
-            "cold_spawn",
-            "queue_processes_x2",
-            "queue_http_x2",
-        ):
-            row = sweep[backend]
-            extra = (
-                f"  x_vs_inline={row['x_vs_inline']:.2f}"
-                if "x_vs_inline" in row
-                else ""
-            )
-            print(
-                f"  {backend:20s} {row['seconds'] * 1e3:8.1f} ms "
-                f"{row['jobs_per_s']:6.1f} jobs/s{extra}"
-            )
-
-        print(f"== cold start (median of {COLD_START_SAMPLES} fresh interpreters) ==")
-        cold_start = bench_cold_start()
-        for name, row in cold_start.items():
-            print(f"  {name:20s} {row['median_s'] * 1e3:8.1f} ms")
-
-        print("== hardware analysis (5-point NVCA geometry grid) ==")
-        hardware = bench_hardware(repeats)
-        row = hardware["inline"]
         print(
-            f"  {'inline':20s} {row['seconds'] * 1e3:8.1f} ms "
-            f"{row['points_per_s']:6.1f} points/s"
+            f"  {name:10s} enc {row['encode_ms']:7.1f}ms "
+            f"dec {row['decode_ms']:7.1f}ms {row['packet_bytes']:6d}B{extra}"
         )
-    finally:
-        unregister_entropy_backend("seed")
+
+    print("== kernels ==")
+    kernels = bench_kernels(repeats)
+    for name, row in kernels.items():
+        print(f"  {name:31s} {row['ms']:8.3f} ms")
+
+    print("== container integrity (v4 CRC32 vs v3) ==")
+    container = bench_container(frames, repeats)
+    for version in ("v3", "v4"):
+        row = container[version]
+        print(
+            f"  {version:4s} read {row['read_ms']:7.2f} ms  "
+            f"{row['stream_bytes']:6d}B"
+        )
+    print(
+        f"  v4 write {container['v4']['write_ms']:7.2f} ms; crc tax: "
+        f"+{container['crc_bytes']}B, "
+        f"read {100 * container['crc_read_overhead']:+.1f}%"
+    )
+
+    print("== rate control (classical codec, 32x48x3 probe scene) ==")
+    rate_control = bench_rate_control(repeats)
+    print(
+        f"  cqp vs none: {rate_control['baseline_encode_ms']:.1f} ms -> "
+        f"{rate_control['cqp_encode_ms']:.1f} ms "
+        f"({100 * rate_control['cqp_overhead']:+.2f}%)"
+    )
+    print(
+        f"  calibrate_tables(classical)   "
+        f"{rate_control['calibration_seconds'] * 1e3:8.1f} ms"
+    )
+    for name in ("abr", "calibrated"):
+        print(
+            f"  {name:10s} controller step "
+            f"{rate_control[name]['us_per_frame']:8.2f} us/frame"
+        )
+
+    print("== observability (tracing on vs off, 32x48x3 probe scene) ==")
+    observability = bench_observability(repeats)
+    print(
+        f"  traced vs off: {observability['baseline_encode_ms']:.1f} ms"
+        f" -> {observability['traced_encode_ms']:.1f} ms "
+        f"({100 * observability['traced_overhead']:+.2f}%), "
+        f"streams byte-identical"
+    )
+    print(
+        f"  counter inc {observability['counter_inc_us']:.3f} us  "
+        f"histogram observe {observability['histogram_observe_us']:.3f}"
+        f" us  disabled span {observability['disabled_span_us']:.3f} us"
+    )
+
+    print(
+        "== sweep executor (24-job classical grid, "
+        "bundled + warm + shared frames) =="
+    )
+    sweep = bench_sweep(repeats)
+    for backend in (
+        "inline",
+        "inline_warm",
+        "cold_spawn",
+        "queue_processes_x2",
+        "queue_http_x2",
+    ):
+        row = sweep[backend]
+        extra = (
+            f"  x_vs_inline={row['x_vs_inline']:.2f}"
+            if "x_vs_inline" in row
+            else ""
+        )
+        print(
+            f"  {backend:20s} {row['seconds'] * 1e3:8.1f} ms "
+            f"{row['jobs_per_s']:6.1f} jobs/s{extra}"
+        )
+
+    print(f"== cold start (median of {COLD_START_SAMPLES} fresh interpreters) ==")
+    cold_start = bench_cold_start()
+    for name, row in cold_start.items():
+        print(f"  {name:20s} {row['median_s'] * 1e3:8.1f} ms")
+
+    print("== hardware analysis (5-point NVCA geometry grid) ==")
+    hardware = bench_hardware(repeats)
+    row = hardware["inline"]
+    print(
+        f"  {'inline':20s} {row['seconds'] * 1e3:8.1f} ms "
+        f"{row['points_per_s']:6.1f} points/s"
+    )
 
     report = {
         "scene": BENCH_SCENE,

@@ -412,45 +412,54 @@ def _cmd_trace(args) -> int:
     return _emit(args, "\n".join(lines), payload)
 
 
-def _open_queue(args, command: str):
-    """Check a fleet command's ``--queue-dir``/``--queue-url``/
-    ``--resume`` flags and open its queue; returns ``(queue, status)``.
+#: the state directories every queue directory holds
+_QUEUE_STATES = ("pending", "claimed", "done", "failed")
 
-    ``queue`` is ``None`` when neither flag is given (the runner's
-    in-memory queue).  A queue that already holds jobs is refused
-    without ``--resume``, whichever transport backs it.  A nonzero
-    ``status`` is a refusal, explained on stderr.  Flag conflicts are
-    refused before any queue is opened, and a queue refused for
-    holding jobs already existed, so a refusal creates no directory.
+
+def _queue(args, command: str, policy: str = "run"):
+    """Open the queue a command's ``--queue-url``/``--queue-dir`` names
+    through :func:`~repro.pipeline.dist.open_queue`; returns ``(queue,
+    status)``, a nonzero ``status`` being a refusal explained on stderr.
+
+    ``policy`` is the command's: ``"run"`` (sweep, ladder, dse) takes
+    either flag or neither (an in-memory queue drained here), needs one
+    for ``--resume``, and refuses a queue that already holds jobs
+    without it; ``"serve"`` backs the daemon with ``--queue-dir`` or an
+    in-memory queue; ``"worker"`` needs exactly one flag and creates a
+    missing directory; ``"inspect"`` (failures, retry) needs exactly
+    one and refuses a directory that holds no queue.  Every refusal but
+    the held-jobs one is made before anything is opened, and that one
+    finds a queue that already existed, so a refusal writes nothing.
     """
-    from repro.pipeline.dist import DirectoryJobQueue, HttpJobQueue
+    from repro.pipeline.dist import open_queue
 
-    if args.queue_url and args.queue_dir:
-        print(f"repro {command}: pass --queue-url or --queue-dir, not both "
-              "(the server owns the backing queue; point workers and runners "
-              "at its URL)", file=sys.stderr)
-        return None, 2
-    if args.resume and not (args.queue_dir or args.queue_url):
-        print(f"repro {command}: --resume needs --queue-dir or --queue-url "
-              "(the durable queue state to continue from)", file=sys.stderr)
-        return None, 2
-    if args.queue_url:
-        queue, flag = HttpJobQueue(args.queue_url), "--queue-url"
-    elif args.queue_dir:
-        queue = DirectoryJobQueue(args.queue_dir, max_attempts=args.max_attempts)
-        flag = "--queue-dir"
+    url, root = getattr(args, "queue_url", None), args.queue_dir
+    if policy in ("worker", "inspect") and bool(url) == bool(root):
+        refusal = ("pass exactly one of --queue-url (a repro serve daemon) "
+                   "or --queue-dir (a queue directory)")
+    elif url and root:
+        refusal = ("pass --queue-url or --queue-dir, not both (the server "
+                   "owns the backing queue; point workers and runners at its "
+                   "URL)")
+    elif policy == "run" and args.resume and not (url or root):
+        refusal = ("--resume needs --queue-dir or --queue-url (the durable "
+                   "queue state to continue from)")
+    elif policy == "inspect" and root and not all(
+        os.path.isdir(os.path.join(root, state)) for state in _QUEUE_STATES
+    ):
+        refusal = f"no queue directory at {root!r}"
     else:
-        return None, 0
-    held = 0 if args.resume else queue.stats().total
-    if held:
-        print(
-            f"repro {command}: {flag} {args.queue_url or args.queue_dir!r} "
-            f"already holds {held} job(s); pass --resume to continue that "
-            f"run or point {flag} at an empty queue",
-            file=sys.stderr,
-        )
-        return None, 2
-    return queue, 0
+        queue = open_queue(queue_dir=root or None, queue_url=url or None,
+                           max_attempts=getattr(args, "max_attempts", 3))
+        held = queue.stats().total if policy == "run" and not args.resume else 0
+        if not held:
+            return queue, 0
+        flag = "--queue-url" if url else "--queue-dir"
+        refusal = (f"{flag} {url or root!r} already holds {held} job(s); pass "
+                   f"--resume to continue that run or point {flag} at an "
+                   "empty queue")
+    print(f"repro {command}: {refusal}", file=sys.stderr)
+    return None, 2
 
 
 def _run_fleet(
@@ -528,7 +537,7 @@ def _cmd_sweep(args) -> int:
     elif anchor == "none":
         anchor = None
 
-    queue, status = _open_queue(args, "sweep")
+    queue, status = _queue(args, "sweep")
     if status:
         return status
     runner = SweepRunner(
@@ -620,7 +629,7 @@ def _cmd_ladder(args) -> int:
         compute_msssim=args.msssim,
     )
 
-    queue, status = _open_queue(args, "ladder")
+    queue, status = _queue(args, "ladder")
     if status:
         return status
     runner = LadderRunner(
@@ -753,7 +762,7 @@ def _cmd_dse(args) -> int:
         platform=args.platform,
     )
 
-    queue, status = _open_queue(args, "dse")
+    queue, status = _queue(args, "dse")
     if status:
         return status
     runner = DSERunner(
@@ -780,28 +789,25 @@ def _cmd_serve(args) -> int:
     import time
 
     from repro.pipeline.dist import (
-        DirectoryJobQueue,
-        HttpJobQueue,
-        MemoryJobQueue,
         QueueServer,
         WorkerFleet,
+        open_queue,
         spawn_worker,
     )
 
-    if args.queue_dir:
-        queue = DirectoryJobQueue(args.queue_dir, max_attempts=args.max_attempts)
-        backend = f"directory queue {args.queue_dir!r}"
-    else:
-        queue = MemoryJobQueue(max_attempts=args.max_attempts)
-        backend = "in-memory queue (state dies with the server; pass "\
-                  "--queue-dir for durability and --resume)"
+    queue, _ = _queue(args, "serve", "serve")
+    backend = (
+        f"directory queue {args.queue_dir!r}" if args.queue_dir
+        else "in-memory queue (state dies with the server; pass --queue-dir "
+             "for durability and --resume)"
+    )
     server = QueueServer(queue, host=args.host, port=args.port)
     # Scraped by scripts/CI to discover an ephemeral --port 0 address;
     # keep the "serving on <url>" shape stable.
     print(f"serving on {server.url}\n  backend: {backend}", flush=True)
     fleet = None
     if args.autoscale:
-        client = HttpJobQueue(server.url)  # where the workers connect
+        client = open_queue(queue_url=server.url)  # where the workers connect
         fleet = WorkerFleet(
             lambda index: spawn_worker(
                 client, stop_when_drained=False,
@@ -838,29 +844,27 @@ def _cmd_serve(args) -> int:
 def _cmd_worker(args) -> int:
     """Join a worker fleet: drain jobs from a queue server (or a shared
     queue directory) until it is empty — or forever with --forever."""
-    from repro.pipeline.dist import (
-        default_worker_id,
-        http_worker_entry,
-        run_worker,
-    )
+    from repro.pipeline.dist import default_worker_id, worker_entry
 
-    queue = _attach_queue(args, "worker", create=True)
-    if queue is None:
+    # The entry point reopens the queue by location, as a spawned or a
+    # remote worker does; this open only checks the flags and creates a
+    # missing directory.
+    if _queue(args, "worker", "worker")[1]:
         return 2
     worker_id = args.id or default_worker_id()
-    drain = dict(
-        lease_seconds=args.lease,
-        poll_seconds=args.poll,
-        max_jobs=args.max_jobs,
-        stop_when_drained=not args.forever,
-        job_timeout_seconds=args.job_timeout,
-        bundle=args.bundle,
-    )
     try:
-        if args.queue_url:
-            completed = http_worker_entry(args.queue_url, worker_id, **drain)
-        else:
-            completed = run_worker(queue, worker_id, **drain)
+        completed = worker_entry(
+            args.queue_dir or None,
+            worker_id,
+            queue_url=args.queue_url or None,
+            max_attempts=args.max_attempts,
+            lease_seconds=args.lease,
+            poll_seconds=args.poll,
+            max_jobs=args.max_jobs,
+            stop_when_drained=not args.forever,
+            job_timeout_seconds=args.job_timeout,
+            bundle=args.bundle,
+        )
     except KeyboardInterrupt:
         print(f"worker {worker_id}: interrupted", file=sys.stderr)
         return 130
@@ -868,41 +872,12 @@ def _cmd_worker(args) -> int:
     return 0
 
 
-def _attach_queue(args, command: str, *, create: bool = False):
-    """The one queue ``--queue-url`` or ``--queue-dir`` names, or
-    ``None`` after explaining on stderr.  Inspection commands (``repro
-    failures`` / ``repro retry``) look at what a finished or wedged run
-    left behind, so a missing directory is refused; ``create=True``
-    (``repro worker``) opens one with the command's ``--max-attempts``.
-    """
-    from repro.pipeline.dist import DirectoryJobQueue, HttpJobQueue
-
-    if bool(args.queue_url) == bool(args.queue_dir):
-        print(
-            f"repro {command}: pass exactly one of --queue-url (a repro "
-            "serve daemon) or --queue-dir (a queue directory)",
-            file=sys.stderr,
-        )
-        return None
-    if args.queue_url:
-        return HttpJobQueue(args.queue_url)
-    if create:
-        return DirectoryJobQueue(args.queue_dir, max_attempts=args.max_attempts)
-    if not os.path.isdir(args.queue_dir):
-        print(
-            f"repro {command}: no queue directory at {args.queue_dir!r}",
-            file=sys.stderr,
-        )
-        return None
-    return DirectoryJobQueue(args.queue_dir)
-
-
 def _cmd_failures(args) -> int:
     """List a queue's dead-letter ledger: every failed job with its
     attempts, quarantine flag, and error (traceback with -v)."""
-    queue = _attach_queue(args, "failures")
-    if queue is None:
-        return 2
+    queue, status = _queue(args, "failures", "inspect")
+    if status:
+        return status
     details = queue.failure_details()
     payload = {
         "failed": len(details),
@@ -936,9 +911,9 @@ def _cmd_failures(args) -> int:
 def _cmd_retry(args) -> int:
     """Resubmit dead-lettered jobs: back to pending with a fresh
     attempt budget (their specs ride in the failed records)."""
-    queue = _attach_queue(args, "retry")
-    if queue is None:
-        return 2
+    queue, status = _queue(args, "retry", "inspect")
+    if status:
+        return status
     if bool(args.job_ids) == bool(args.all):
         print(
             "repro retry: pass job ids (see 'repro failures') or --all",

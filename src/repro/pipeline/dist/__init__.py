@@ -11,8 +11,7 @@ package is that seam made real.  Three layers, bottom up:
   (:class:`DirectoryJobQueue`, atomic-rename claims; any number of
   worker processes, on one host or across hosts sharing a filesystem).
 * :mod:`~repro.pipeline.dist.worker` — the worker loop
-  (:func:`run_worker`) and the process/remote-host entry point
-  (:func:`worker_entry`): claim spec, dispatch it by task kind through
+  (:func:`run_worker`): claim spec, dispatch it by task kind through
   :func:`repro.pipeline.tasks.run_task` (encode pipelines, hardware
   analyses, and DSE points share one fleet), ack the result; failures
   are retried by whoever claims next.
@@ -22,10 +21,14 @@ package is that seam made real.  Three layers, bottom up:
   implementing the same :class:`JobQueue` protocol over the wire, so
   runners and workers on any host that can reach the server
   participate unchanged (``repro worker --queue-url``).
-* :mod:`~repro.pipeline.dist.fleet` — :func:`spawn_worker` starts a
-  worker process; :class:`WorkerFleet` replaces the dead and sizes the
-  fleet to observed queue depth and lease expiries, for the sweep
-  runner's fixed-size fleet and ``repro serve --autoscale`` alike.
+* :mod:`~repro.pipeline.dist.fleet` — where queues meet processes:
+  :func:`open_queue` turns a ``queue_dir``/``queue_url`` into a queue
+  (neither: an in-memory one), :func:`worker_entry` is the worker
+  process for either transport (what ``repro worker`` and remote
+  hosts run), :func:`spawn_worker` starts one locally, and
+  :class:`WorkerFleet` replaces the dead and sizes the fleet to
+  observed queue depth and lease expiries, for the sweep runner's
+  fixed-size fleet and ``repro serve --autoscale`` alike.
 * :mod:`~repro.pipeline.dist.sweep` — :class:`QueueRunner`: submit a
   spec list, babysit the fleet (lease reaping, crash respawns), drain
   results incrementally (verifying each result's checksum), quarantine
@@ -62,10 +65,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "POISON_KIND", "ChaosPlan", "ChaosQueue", "ChaosTransport",
         "CrashPlan", "InjectedCrash", "poison_spec", "register_poison_task",
     ),
-    ".fleet": ("WorkerFleet", "spawn_worker"),
-    ".net": (
-        "HttpJobQueue", "HttpQueueError", "QueueServer", "http_worker_entry",
-    ),
+    ".fleet": ("WorkerFleet", "open_queue", "spawn_worker", "worker_entry"),
+    ".net": ("HttpJobQueue", "HttpQueueError", "QueueServer"),
     ".queues": (
         "DirectoryJobQueue", "Job", "JobQueue", "MemoryJobQueue", "QueueStats",
     ),
@@ -80,6 +81,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".worker": (
         "Heartbeat", "JobTimeoutError", "attach_result_checksum",
         "default_worker_id", "result_checksum", "run_worker",
-        "verify_result_checksum", "worker_entry",
+        "verify_result_checksum",
     ),
 })

@@ -1,62 +1,165 @@
-"""One supervisor for local worker processes.
+"""Where queues meet processes: one opener, one worker entry point,
+one supervisor.
 
-:func:`spawn_worker` starts one worker process against a queue other
-processes can reach; :class:`WorkerFleet` keeps a set of them sized to
-the queue depth and lease expiries its caller observes, replacing the
-dead.  :class:`~repro.pipeline.dist.sweep.QueueRunner` runs it as a
-fixed-size fleet (``min_workers = max_workers = workers``, a spawn
-budget, workers that exit once the queue is drained); ``repro serve
---autoscale`` runs it between a floor and a ceiling with a cooldown,
-its workers staying up on an empty queue.  The fleet never calls the
-queue itself, so supervision costs a caller that already polls
-``reap_expired``/``stats`` no extra round-trip.
+:func:`open_queue` is the only place a queue location becomes a queue:
+a ``queue_url`` an :class:`~repro.pipeline.dist.net.HttpJobQueue`, a
+``queue_dir`` a :class:`~repro.pipeline.dist.queues.DirectoryJobQueue`,
+neither an in-process
+:class:`~repro.pipeline.dist.queues.MemoryJobQueue`.
+:func:`worker_entry` is the one worker process body, for either
+transport: it opens its queue by location and drains it, shipping
+heartbeats (and with them metrics and spans) when the queue is a
+server.  :func:`spawn_worker` starts one such process against a queue
+other processes can reach; :class:`WorkerFleet` keeps a set of them
+sized to the queue depth and lease expiries its caller observes,
+replacing the dead.  :class:`~repro.pipeline.dist.sweep.QueueRunner`
+runs it as a fixed-size fleet (``min_workers = max_workers =
+workers``, a spawn budget, workers that exit once the queue is
+drained); ``repro serve --autoscale`` runs it between a floor and a
+ceiling with a cooldown, its workers staying up on an empty queue.
+The fleet never calls the queue itself, so supervision costs a caller
+that already polls ``reap_expired``/``stats`` no extra round-trip.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 
-from .net import HttpJobQueue, http_worker_entry
-from .queues import DirectoryJobQueue, QueueStats
-from .worker import worker_entry
+from .net import HttpJobQueue, HttpQueueError
+from .queues import DirectoryJobQueue, JobQueue, MemoryJobQueue, QueueStats
+from .worker import run_worker
 
 __all__ = [
     "WorkerFleet",
+    "open_queue",
     "spawn_worker",
+    "worker_entry",
 ]
+
+
+def open_queue(
+    *,
+    queue_dir: str | os.PathLike | None = None,
+    queue_url: str | None = None,
+    max_attempts: int = 3,
+) -> JobQueue:
+    """The queue a location names.
+
+    ``queue_url`` (``http://host:port``, or a scheme-less
+    ``host:port``) is a ``repro serve`` daemon; its backing queue owns
+    ``max_attempts``.  ``queue_dir`` is a queue directory, created if
+    missing.  Neither is a fresh in-memory queue, drained in this
+    process.  Both at once is a ``ValueError``.
+    """
+    if queue_dir is not None and queue_url is not None:
+        raise ValueError("pass queue_url or queue_dir, not both")
+    if queue_url is not None:
+        return HttpJobQueue(queue_url)
+    if queue_dir is not None:
+        return DirectoryJobQueue(queue_dir, max_attempts=max_attempts)
+    return MemoryJobQueue(max_attempts=max_attempts)
+
+
+def worker_entry(
+    queue_dir: str | os.PathLike | None = None,
+    worker_id: str | None = None,
+    *,
+    queue_url: str | None = None,
+    max_attempts: int = 3,
+    lease_seconds: float = 60.0,
+    max_jobs: int | None = None,
+    poll_seconds: float = 0.05,
+    stop_when_drained: bool = True,
+    job_timeout_seconds: float | None = None,
+    bundle: int = 1,
+) -> int:
+    """Process entry point: open the queue a location names and work it.
+
+    This is what :func:`spawn_worker` starts and what ``repro worker``
+    runs.  A remote host joins a fleet the same way, with the queue
+    directory over a shared filesystem or the daemon's URL over the
+    network::
+
+        python -c "from repro.pipeline.dist import worker_entry; \\
+                   worker_entry(queue_url='http://hostA:8642')"
+
+    Over HTTP, heartbeats go to the server (best-effort: a lost one
+    never kills the worker, the lease machinery is the real liveness
+    truth); they carry the worker's metrics and, with tracing on, its
+    spans.  Top-level (picklable) on purpose, so it works under both
+    the ``fork`` and ``spawn`` multiprocessing start methods.
+    """
+    if queue_dir is None and queue_url is None:
+        raise ValueError("worker_entry needs queue_dir or queue_url")
+    queue = open_queue(
+        queue_dir=queue_dir, queue_url=queue_url, max_attempts=max_attempts
+    )
+    on_heartbeat = None
+    if queue_url is not None:
+        def on_heartbeat(beat) -> None:
+            try:
+                queue.heartbeat(beat)
+            except HttpQueueError:
+                pass  # liveness is best-effort; the next claim re-proves it
+
+    return run_worker(
+        queue,
+        worker_id,
+        lease_seconds=lease_seconds,
+        max_jobs=max_jobs,
+        poll_seconds=poll_seconds,
+        stop_when_drained=stop_when_drained,
+        on_heartbeat=on_heartbeat,
+        job_timeout_seconds=job_timeout_seconds,
+        bundle=bundle,
+    )
+
+
+def _worker_location(queue) -> dict | None:
+    """:func:`worker_entry`'s location for a queue that worker processes
+    can reach, or ``None`` for one that lives in this process only.
+
+    The test is the queue's type, not a ``url``/``root`` attribute: a
+    proxy such as :class:`~repro.pipeline.dist.chaos.ChaosQueue`
+    forwards attributes to the queue it wraps, and a process opened at
+    that location would bypass the proxy's faults.
+    """
+    if isinstance(queue, HttpJobQueue):
+        return {"queue_url": queue.url}
+    if isinstance(queue, DirectoryJobQueue):
+        return {"queue_dir": queue.root, "max_attempts": queue.max_attempts}
+    return None
 
 
 def spawn_worker(
     queue, *, worker_id: str | None = None, stop_when_drained: bool = True,
     **worker_kwargs,
 ):
-    """Start one worker process against ``queue`` and return its handle.
+    """Start one :func:`worker_entry` process against ``queue`` and
+    return its handle.
 
-    An :class:`~repro.pipeline.dist.net.HttpJobQueue` gets
-    :func:`~repro.pipeline.dist.net.http_worker_entry` against its URL,
-    a :class:`~repro.pipeline.dist.queues.DirectoryJobQueue`
-    :func:`~repro.pipeline.dist.worker.worker_entry` against its root
-    with the queue's own ``max_attempts``; any other queue lives in
-    this process only (``TypeError``).  Extra kwargs (lease, bundle,
-    job timeout, ...) pass through to the entry point.
+    ``queue`` is an :class:`~repro.pipeline.dist.net.HttpJobQueue` or a
+    :class:`~repro.pipeline.dist.queues.DirectoryJobQueue` (whose
+    ``max_attempts`` the worker keeps); any other queue lives in this
+    process only (``TypeError``).  Extra kwargs (lease, bundle, job
+    timeout, ...) pass through to the entry point.
     """
-    if isinstance(queue, HttpJobQueue):
-        target, args = http_worker_entry, (queue.url,)
-    elif isinstance(queue, DirectoryJobQueue):
-        target, args = worker_entry, (queue.root,)
-        worker_kwargs["max_attempts"] = queue.max_attempts
-    else:
+    location = _worker_location(queue)
+    if location is None:
         raise TypeError(
             f"worker processes need a DirectoryJobQueue or HttpJobQueue, "
             f"got {type(queue).__name__}"
         )
-    worker_kwargs.update(
-        worker_id=worker_id, stop_when_drained=stop_when_drained
-    )
     process = multiprocessing.Process(
-        target=target, args=args, kwargs=worker_kwargs, daemon=True
+        target=worker_entry,
+        kwargs={
+            **location, **worker_kwargs,
+            "worker_id": worker_id, "stop_when_drained": stop_when_drained,
+        },
+        daemon=True,
     )
     process.start()
     return process

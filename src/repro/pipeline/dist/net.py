@@ -18,10 +18,10 @@ dependency to the claim/lease/ack protocol — just a wire:
   :class:`~repro.pipeline.dist.sweep.SweepRunner`,
   :class:`~repro.pipeline.dse.DSERunner`, and
   :func:`~repro.pipeline.dist.worker.run_worker` all work over the
-  network unchanged.
-* :func:`http_worker_entry` — the process/remote-host entry point:
-  ``repro worker --queue-url http://host:port`` on any machine that
-  can reach the server joins the fleet, no shared filesystem needed.
+  network unchanged: ``repro worker --queue-url http://host:port``
+  (:func:`~repro.pipeline.dist.fleet.worker_entry`) on any machine
+  that can reach the server joins the fleet, no shared filesystem
+  needed.
 
 Results drain **incrementally**: the ``/results`` endpoint is
 paginated (lexicographic job-id cursor), and the runner consumes pages
@@ -111,13 +111,12 @@ from repro.obs.metrics import (
 from repro.obs.tracing import trace_meta
 
 from .queues import Job, JobQueue, QueueStats, _require_positive
-from .worker import Heartbeat, run_worker
+from .worker import Heartbeat
 
 __all__ = [
     "HttpJobQueue",
     "HttpQueueError",
     "QueueServer",
-    "http_worker_entry",
 ]
 
 _LOG = logging.getLogger(__name__)
@@ -922,51 +921,3 @@ class HttpJobQueue(JobQueue):
             "GET", "/trace", query={"limit": limit}, parse_json=False
         )
 
-
-# -- worker entry point -----------------------------------------------------
-def http_worker_entry(
-    queue_url: str,
-    worker_id: str | None = None,
-    *,
-    lease_seconds: float = 60.0,
-    poll_seconds: float = 0.05,
-    max_jobs: int | None = None,
-    stop_when_drained: bool = True,
-    timeout: float = 10.0,
-    retries: int = 5,
-    job_timeout_seconds: float | None = None,
-    bundle: int = 1,
-) -> int:
-    """Process entry point: join a fleet over the network and work.
-
-    The HTTP sibling of
-    :func:`~repro.pipeline.dist.worker.worker_entry` — what
-    ``repro worker --queue-url`` runs on a remote host, and what
-    :func:`~repro.pipeline.dist.fleet.spawn_worker` starts locally for
-    an :class:`HttpJobQueue` (the sweep runner's workers and ``repro
-    serve --autoscale``'s).  Heartbeats are wired to the server
-    automatically (best-effort: a lost heartbeat never kills the
-    worker — the queue's lease machinery is the real liveness truth).
-
-    Top-level (picklable) on purpose, so it works under both the
-    ``fork`` and ``spawn`` multiprocessing start methods.
-    """
-    queue = HttpJobQueue(queue_url, timeout=timeout, retries=retries)
-
-    def on_heartbeat(beat: Heartbeat) -> None:
-        try:
-            queue.heartbeat(beat)
-        except HttpQueueError:
-            pass  # liveness is best-effort; the next claim re-proves it
-
-    return run_worker(
-        queue,
-        worker_id,
-        lease_seconds=lease_seconds,
-        poll_seconds=poll_seconds,
-        max_jobs=max_jobs,
-        stop_when_drained=stop_when_drained,
-        on_heartbeat=on_heartbeat,
-        job_timeout_seconds=job_timeout_seconds,
-        bundle=bundle,
-    )

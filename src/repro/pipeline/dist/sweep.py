@@ -64,9 +64,9 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 
 from .chaos import InjectedCrash
-from .fleet import WorkerFleet, spawn_worker
-from .net import HttpJobQueue, HttpQueueError
-from .queues import DirectoryJobQueue, JobQueue, MemoryJobQueue, QueueStats
+from .fleet import WorkerFleet, _worker_location, open_queue, spawn_worker
+from .net import HttpQueueError
+from .queues import JobQueue, QueueStats
 from .worker import run_worker, verify_result_checksum
 
 __all__ = [
@@ -213,13 +213,17 @@ class QueueRunner:
     the normalized job specs and an ``_aggregate(results, failures,
     elapsed)`` that folds terminal payloads into their result type.
 
-    ``workers`` is the number of worker processes, and only a queue
-    other processes can reach gets them:
+    ``queue`` is the queue object to run on, kept as given
+    (``self.queue is queue``); without one, ``queue_dir`` names a queue
+    directory and neither an in-memory queue
+    (:func:`~repro.pipeline.dist.fleet.open_queue`).  ``workers`` is the
+    number of worker processes, and only a queue other processes can
+    reach gets them:
 
-    * ``DirectoryJobQueue`` (pass ``queue_dir`` or a queue instance) —
+    * ``DirectoryJobQueue`` (``queue_dir`` or a queue instance) —
       ``workers`` local child processes; additional processes on other
       hosts may attach to the same directory with
-      :func:`~repro.pipeline.dist.worker.worker_entry` and the runner
+      :func:`~repro.pipeline.dist.fleet.worker_entry` and the runner
       simply sees jobs complete faster.
     * ``HttpJobQueue`` (pass a client pointed at a ``repro serve``
       daemon) — ``workers`` local child processes talking to the
@@ -285,15 +289,11 @@ class QueueRunner:
             raise ValueError("pass queue or queue_dir, not both")
         self.specs = list(specs)
         if queue is None:
-            queue = (
-                DirectoryJobQueue(queue_dir, max_attempts=max_attempts)
-                if queue_dir is not None
-                else MemoryJobQueue(max_attempts=max_attempts)
-            )
+            queue = open_queue(queue_dir=queue_dir, max_attempts=max_attempts)
         self.queue = queue
         # Worker processes need a queue they can reach; any other queue
         # drains in this process.
-        if not isinstance(queue, (DirectoryJobQueue, HttpJobQueue)):
+        if _worker_location(queue) is None:
             workers = 0
         self.workers = workers
         if bundle == "auto":

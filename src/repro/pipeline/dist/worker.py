@@ -12,9 +12,9 @@ body serves every deployment shape: a drain inside the runner's own
 process (any queue, e.g. a
 :class:`~repro.pipeline.dist.queues.MemoryJobQueue`), local processes
 over a :class:`~repro.pipeline.dist.queues.DirectoryJobQueue` or an
-HTTP queue, or processes on other hosts pointed at a shared queue
-directory (run :func:`worker_entry` there).  One fleet can drain a
-mixed queue — encode sweeps, hardware analyses, and DSE grids
+HTTP queue, or processes on other hosts pointed at either (run
+:func:`~repro.pipeline.dist.fleet.worker_entry` there).  One fleet can
+drain a mixed queue — encode sweeps, hardware analyses, and DSE grids
 interleave freely.
 
 A job that raises is ``fail()``-ed with its traceback and will be
@@ -61,7 +61,7 @@ import zlib
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import drain_spans, set_job_id, span
 
-from .queues import DirectoryJobQueue, Job, JobQueue
+from .queues import Job, JobQueue
 
 __all__ = [
     "Heartbeat",
@@ -71,7 +71,6 @@ __all__ = [
     "result_checksum",
     "run_worker",
     "verify_result_checksum",
-    "worker_entry",
 ]
 
 #: key under which a result document carries its own CRC32.
@@ -359,39 +358,3 @@ def run_worker(
                 checkpoint("mid-bundle", job)
     return completed
 
-
-def worker_entry(
-    queue_dir: str,
-    worker_id: str | None = None,
-    *,
-    max_attempts: int = 3,
-    lease_seconds: float = 60.0,
-    max_jobs: int | None = None,
-    poll_seconds: float = 0.05,
-    stop_when_drained: bool = True,
-    job_timeout_seconds: float | None = None,
-    bundle: int = 1,
-) -> int:
-    """Process entry point: attach to a queue directory and work it.
-
-    This is what :class:`~repro.pipeline.dist.sweep.SweepRunner` spawns
-    locally, and what a remote host runs to join a sweep over a shared
-    filesystem::
-
-        python -c "from repro.pipeline.dist import worker_entry; \\
-                   worker_entry('/mnt/shared/sweep-queue')"
-
-    Top-level (picklable) on purpose, so it works under both the
-    ``fork`` and ``spawn`` multiprocessing start methods.
-    """
-    queue = DirectoryJobQueue(queue_dir, max_attempts=max_attempts)
-    return run_worker(
-        queue,
-        worker_id,
-        lease_seconds=lease_seconds,
-        max_jobs=max_jobs,
-        poll_seconds=poll_seconds,
-        stop_when_drained=stop_when_drained,
-        job_timeout_seconds=job_timeout_seconds,
-        bundle=bundle,
-    )

@@ -791,17 +791,14 @@ def run_many(
     if queue_url is not None and backend != "queue":
         raise ValueError("queue_url only applies to backend='queue'")
     if backend == "queue":
-        from .dist import HttpJobQueue, SweepRunner
+        from .dist import SweepRunner, open_queue
 
-        queue = None
-        if queue_url is not None:
-            if queue_dir is not None:
-                raise ValueError("pass queue_url or queue_dir, not both")
-            queue = HttpJobQueue(queue_url)
+        queue = open_queue(
+            queue_dir=queue_dir, queue_url=queue_url, max_attempts=max_attempts
+        )
         runner = SweepRunner(
             specs,
             queue=queue,
-            queue_dir=queue_dir,
             workers=workers,
             lease_seconds=lease_seconds,
             max_attempts=max_attempts,

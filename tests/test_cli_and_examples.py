@@ -1,5 +1,6 @@
 """Smoke tests for the CLI and the example scripts."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -409,8 +410,15 @@ class TestNetworkCLI:
         assert "cannot reach" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_worker_drains_directory_queue(self, tmp_path):
-        from repro.pipeline.dist import DirectoryJobQueue, job_id_for_spec
+    @pytest.mark.parametrize("flag", ["--queue-dir", "--queue-url"])
+    def test_worker_drains_directory_queue(self, tmp_path, flag):
+        """``repro worker`` runs the one worker entry point on either
+        transport; over HTTP it also heartbeats to the server."""
+        from repro.pipeline.dist import (
+            DirectoryJobQueue,
+            QueueServer,
+            job_id_for_spec,
+        )
         from repro.pipeline.dse import dse_grid
         from repro.pipeline.tasks import normalize_spec
 
@@ -421,10 +429,21 @@ class TestNetworkCLI:
         ]
         for index, spec in enumerate(specs):
             queue.submit(spec, job_id=job_id_for_spec(index, spec))
-        result = run_cli("worker", "--queue-dir", str(tmp_path / "wq"))
+        with contextlib.ExitStack() as stack:
+            if flag == "--queue-url":
+                server = stack.enter_context(
+                    QueueServer(queue, host="127.0.0.1", port=0)
+                )
+                location = server.url
+            else:
+                location = str(tmp_path / "wq")
+            result = run_cli("worker", "--id", "cli-w", flag, location)
+            fleet = server.fleet() if flag == "--queue-url" else None
         assert result.returncode == 0, result.stderr[-2000:]
         assert "completed 2 job(s)" in result.stdout
         assert queue.stats().done == 2
+        if fleet is not None:
+            assert fleet["cli-w"]["completed"] == 2
 
     def test_worker_requires_exactly_one_queue_flag(self):
         neither = run_cli("worker")

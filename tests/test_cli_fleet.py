@@ -42,6 +42,23 @@ def test_fleet_refusals(command, case, tmp_path, capsys):
     assert _tree(tmp_path) == before  # refused runs write nothing
 
 
+@pytest.mark.parametrize("argv", [["failures"], ["retry", "--all"]])
+@pytest.mark.parametrize("exists", [False, True], ids=["missing", "empty"])
+def test_inspection_refuses_a_directory_without_a_queue(
+    argv, exists, tmp_path, capsys
+):
+    """``failures``/``retry`` look at what a run left behind: a
+    directory that holds no queue is refused, and looking writes
+    nothing into it."""
+    queue_dir = tmp_path / "q"
+    if exists:
+        queue_dir.mkdir()
+    before = _tree(tmp_path)
+    assert main([*argv, "--queue-dir", str(queue_dir)]) == 2
+    assert "no queue directory at" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
 class _Captured(Exception):
     """Carries the parser ``main`` builds out of its ``parse_args``."""
 

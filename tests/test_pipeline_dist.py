@@ -273,6 +273,32 @@ def test_born_dead_fleet_quarantines_the_grid(tmp_path, monkeypatch):
     assert not result.reports
 
 
+def test_runner_keeps_its_queue_and_spawns_only_for_reachable_types(
+    tmp_path,
+):
+    """One opener decides the transport; the runner keeps the queue it
+    is given (wrappers around its methods must see every call), and
+    only a DirectoryJobQueue or HttpJobQueue gets worker processes.
+    A ChaosQueue forwards ``root`` to the queue it wraps, so a check on
+    a location attribute would spawn workers that bypass its faults."""
+    from repro.pipeline.dist import ChaosPlan, ChaosQueue, open_queue
+
+    chaos = ChaosQueue(DirectoryJobQueue(tmp_path / "chaos"), ChaosPlan())
+    runner = SweepRunner([_spec()], queue=chaos, workers=3)
+    assert runner.queue is chaos
+    assert runner.workers == 0
+    directory = DirectoryJobQueue(tmp_path / "d")
+    runner = SweepRunner([_spec()], queue=directory, workers=3)
+    assert runner.queue is directory and runner.workers == 3
+
+    with pytest.raises(ValueError, match="not both"):
+        open_queue(queue_dir=tmp_path / "q", queue_url="http://127.0.0.1:1")
+    assert isinstance(open_queue(max_attempts=2), MemoryJobQueue)
+    assert open_queue(queue_url="127.0.0.1:8642").url == (
+        "http://127.0.0.1:8642"
+    )
+
+
 class TestDirectoryQueue:
     def test_state_survives_reattach(self, tmp_path):
         root = tmp_path / "q"
