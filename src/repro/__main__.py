@@ -450,7 +450,7 @@ def _queue(args, command: str, policy: str = "run"):
         refusal = f"no queue directory at {root!r}"
     else:
         queue = open_queue(queue_dir=root or None, queue_url=url or None,
-                           max_attempts=getattr(args, "max_attempts", 3))
+                           max_attempts=_max_attempts(args))
         held = queue.stats().total if policy == "run" and not args.resume else 0
         if not held:
             return queue, 0
@@ -548,7 +548,6 @@ def _cmd_sweep(args) -> int:
         queue=queue,
         workers=args.workers,
         lease_seconds=args.lease,
-        max_attempts=args.max_attempts,
         bundle=args.bundle,
         metric=args.metric,
         anchor=anchor,
@@ -637,7 +636,6 @@ def _cmd_ladder(args) -> int:
         queue=queue,
         workers=args.workers,
         lease_seconds=args.lease,
-        max_attempts=args.max_attempts,
         bundle=args.bundle,
     )
     return _run_fleet(args, runner, _ladder_csv_rows)
@@ -669,6 +667,18 @@ def _cmd_hardware(args) -> int:
         # payload — same shape `repro hardware` has always emitted.
         return _emit(args, report.hardware.render(), report.hardware.to_dict())
     return _emit(args, report.render(), report.to_dict())
+
+
+class _DefaultAttempts(int):
+    """``--max-attempts``'s default (3), told apart from a 3 typed on
+    the command line: a queue directory's recorded value wins over it."""
+
+
+def _max_attempts(args) -> int | None:
+    """The ``max_attempts`` to open a queue with: ``None`` (the queue's
+    own) unless ``--max-attempts`` was given."""
+    value = getattr(args, "max_attempts", None)
+    return None if isinstance(value, _DefaultAttempts) else value
 
 
 def _bundle_arg(value: str):
@@ -770,7 +780,6 @@ def _cmd_dse(args) -> int:
         queue=queue,
         workers=args.workers,
         lease_seconds=args.lease,
-        max_attempts=args.max_attempts,
         bundle=args.bundle,
     )
 
@@ -857,7 +866,7 @@ def _cmd_worker(args) -> int:
             args.queue_dir or None,
             worker_id,
             queue_url=args.queue_url or None,
-            max_attempts=args.max_attempts,
+            max_attempts=_max_attempts(args),
             lease_seconds=args.lease,
             poll_seconds=args.poll,
             max_jobs=args.max_jobs,
@@ -1085,8 +1094,9 @@ def main(argv=None) -> int:
         "dead and its job is retried",
     )
     fleet.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="tries per job before it dead-letters into the failure report",
+        "--max-attempts", type=int, default=_DefaultAttempts(3),
+        help="tries per job before it dead-letters into the failure report "
+        "(default 3, or what --queue-dir was created with)",
     )
     fleet.add_argument(
         "--bundle", type=_bundle_arg, default="auto",
@@ -1313,8 +1323,9 @@ def main(argv=None) -> int:
                      help="TCP port (0 picks a free one; the chosen URL is "
                      "printed at startup)")
     srv.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="tries per job before it dead-letters (backing-queue policy)",
+        "--max-attempts", type=int, default=_DefaultAttempts(3),
+        help="tries per job before it dead-letters (backing-queue policy; "
+        "default 3, or what --queue-dir was created with)",
     )
     srv.add_argument(
         "--autoscale", action="store_true",
@@ -1377,9 +1388,10 @@ def main(argv=None) -> int:
         help="keep polling an empty queue instead of exiting when drained",
     )
     wrk.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="tries per job before dead-letter (--queue-dir only; the "
-        "server's backing queue owns this over HTTP)",
+        "--max-attempts", type=int, default=_DefaultAttempts(3),
+        help="tries per job before dead-letter (--queue-dir only, default "
+        "what the directory was created with; the server's backing queue "
+        "owns this over HTTP)",
     )
     wrk.add_argument(
         "--bundle", type=int, default=1,

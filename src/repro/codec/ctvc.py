@@ -29,6 +29,7 @@ Variants measured in the evaluation (Table I rows):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,23 @@ class CTVCConfig(SerializableConfig):
     The paper's operating point is ``channels=36`` (N), window 3,
     ``rho=0.5``; smaller channel counts run much faster and are used by
     the test suite.
+
+    Fields split in two: :attr:`ARCHITECTURE_FIELDS` are what the nets'
+    constructors read (the weights depend on them and on nothing else),
+    :attr:`CODING_FIELDS` only steer how the nets' output is coded.
+    Codecs whose configs differ in coding fields alone can share one
+    set of nets (:meth:`CTVCNet.with_config`).
     """
+
+    #: fields the net modules are built from.
+    ARCHITECTURE_FIELDS = (
+        "channels", "window", "heads", "block_size", "search_range", "seed",
+    )
+    #: fields that never reach a net module.
+    CODING_FIELDS = (
+        "qstep", "intra_qp", "gop", "entropy_backend", "rate_control",
+        "target_kbps", "fps", "substrate",
+    )
 
     channels: int = 36
     qstep: float = 8.0  # latent quantization step (rate control knob)
@@ -139,6 +156,16 @@ class CTVCConfig(SerializableConfig):
         """I-frame QP tracking the latent quantization step."""
         return self.intra_qp if self.intra_qp is not None else 2.0 * self.qstep
 
+    def architecture(self) -> dict:
+        """The fields the nets are built from: every field but the
+        coding ones, so a field nobody classified never lets two
+        different nets pass for one."""
+        return {
+            name: value
+            for name, value in self.to_dict().items()
+            if name not in self.CODING_FIELDS
+        }
+
 
 @dataclass
 class _LatentCode:
@@ -151,6 +178,16 @@ class _LatentCode:
 
 class CTVCNet:
     """The full CTVC-Net codec (encoder + decoder + model variants)."""
+
+    #: attributes holding the net modules (what :meth:`with_config` shares).
+    NETS = (
+        "feature_extraction",
+        "frame_reconstruction",
+        "motion_estimation",
+        "motion_compression",
+        "deformable_compensation",
+        "residual_compression",
+    )
 
     def __init__(self, config: CTVCConfig | None = None):
         self.config = config or CTVCConfig()
@@ -172,18 +209,58 @@ class CTVCNet:
         )
         self.motion_compression.calibrate()
         self.residual_compression.calibrate()
+        self.variant = "fp"
+        #: True once another codec holds these module objects too.
+        self._shares_nets = False
+        self._init_coding()
+
+    def _init_coding(self) -> None:
+        """The per-codec state the coding fields drive."""
+        cfg = self.config
         self.intra_codec = ClassicalCodec(
             ClassicalCodecConfig(
                 qp=cfg.derived_intra_qp(), entropy_backend=cfg.entropy_backend
             )
         )
         self.entropy = get_entropy_backend(cfg.entropy_backend)
-        self.variant = "fp"
         #: per-frame qstep override set by a rate controller (None =
         #: use the config qstep).  P-frame latents are already
         #: self-describing (meta ``"q"``), so decode needs no extra
         #: side info.
         self._frame_qstep: float | None = None
+
+    def with_config(self, config: CTVCConfig) -> "CTVCNet":
+        """A codec for ``config`` built around this codec's nets.
+
+        ``config`` may differ from this codec's config in coding fields
+        only (``ValueError`` otherwise); the result holds the same
+        calibrated module objects, and its own config, intra coder,
+        entropy backend, variant and rate-control state.  It codes
+        byte for byte what ``CTVCNet(config)`` codes, unless this
+        codec's nets were already quantized or pruned: they carry over.
+        :meth:`apply_fxp` and :meth:`apply_sparse` copy shared nets
+        before changing them, so neither codec sees the other's.
+        """
+        ours, theirs = self.config.architecture(), config.architecture()
+        differ = sorted(name for name in ours if ours[name] != theirs[name])
+        if differ:
+            raise ValueError(
+                "with_config shares nets across coding fields only; "
+                f"{', '.join(differ)} differ"
+            )
+        twin = copy.copy(self)
+        twin.config = config
+        twin._init_coding()
+        self._shares_nets = twin._shares_nets = True
+        return twin
+
+    def _own_nets(self) -> None:
+        """Give this codec private copies of nets it shares, before
+        anything changes them."""
+        if self._shares_nets:
+            nets = copy.deepcopy({name: getattr(self, name) for name in self.NETS})
+            self.__dict__.update(nets)
+            self._shares_nets = False
 
     def set_frame_qp(self, qp: float | None) -> None:
         """Override the latent qstep for subsequent frames (rate-control
@@ -219,6 +296,7 @@ class CTVCNet:
         """Quantize every module to fixed point (CTVC-Net FXP)."""
         from repro.nn.quant import quantize_network
 
+        self._own_nets()
         reports = {
             name: quantize_network(module, weight_bits, activation_bits)
             for name, module in self.all_modules().items()
@@ -231,6 +309,7 @@ class CTVCNet:
         from repro.core.strategy import SparseStrategy
 
         strategy = SparseStrategy(rho=rho, mode=mode)
+        self._own_nets()
         reports = {
             name: strategy.prune_network(module)
             for name, module in self.all_modules().items()

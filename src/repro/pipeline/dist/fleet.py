@@ -44,7 +44,7 @@ def open_queue(
     *,
     queue_dir: str | os.PathLike | None = None,
     queue_url: str | None = None,
-    max_attempts: int = 3,
+    max_attempts: int | None = None,
 ) -> JobQueue:
     """The queue a location names.
 
@@ -52,7 +52,8 @@ def open_queue(
     ``host:port``) is a ``repro serve`` daemon; its backing queue owns
     ``max_attempts``.  ``queue_dir`` is a queue directory, created if
     missing.  Neither is a fresh in-memory queue, drained in this
-    process.  Both at once is a ``ValueError``.
+    process.  Both at once is a ``ValueError``.  ``max_attempts=None``
+    takes the value a queue directory was created with, else 3.
     """
     if queue_dir is not None and queue_url is not None:
         raise ValueError("pass queue_url or queue_dir, not both")
@@ -68,7 +69,7 @@ def worker_entry(
     worker_id: str | None = None,
     *,
     queue_url: str | None = None,
-    max_attempts: int = 3,
+    max_attempts: int | None = None,
     lease_seconds: float = 60.0,
     max_jobs: int | None = None,
     poll_seconds: float = 0.05,

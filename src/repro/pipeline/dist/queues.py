@@ -69,6 +69,8 @@ _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 #: it cannot appear in a job or worker id.
 _SEP = "~~"
 _STATES = ("pending", "claimed", "done", "failed")
+#: tries a job gets when neither the opener nor the queue names a number.
+DEFAULT_MAX_ATTEMPTS = 3
 
 
 def _clean(name: str) -> str:
@@ -256,7 +258,9 @@ class _QueueCore(JobQueue):
     ``False`` when they lost a race).
     """
 
-    def __init__(self, *, max_attempts: int = 3):
+    def __init__(self, *, max_attempts: int | None = None):
+        if max_attempts is None:
+            max_attempts = DEFAULT_MAX_ATTEMPTS
         _require_positive("max_attempts", max_attempts)
         self.max_attempts = max_attempts
 
@@ -517,7 +521,7 @@ class MemoryJobQueue(_QueueCore):
     which is why the lock stays), and by the fast tests.
     """
 
-    def __init__(self, *, max_attempts: int = 3):
+    def __init__(self, *, max_attempts: int | None = None):
         super().__init__(max_attempts=max_attempts)
         self._lock = threading.Lock()
         #: state -> job id -> (entry, spec or result or failure record)
@@ -574,7 +578,13 @@ class DirectoryJobQueue(_QueueCore):
 
     The directory is durable state: a sweep interrupted and restarted
     with the same root resumes from ``done/`` instead of re-encoding
-    (``repro sweep --resume``).
+    (``repro sweep --resume``).  It also records, in ``queue.json``,
+    the ``max_attempts`` it was created with (or the default, 3):
+    every later opener that names no value uses it, and one naming a
+    different value is a ``ValueError``, so a runner and the workers
+    attached to its directory by hand agree on when a job dead-letters.
+    A directory without the record (made before it existed) leaves
+    each opener its own value.
     """
 
     #: atomic renames serialize claimers across processes; no lock.
@@ -587,14 +597,59 @@ class DirectoryJobQueue(_QueueCore):
         "failed": "{id}.json",
     }
 
-    def __init__(self, root: str | os.PathLike, *, max_attempts: int = 3):
-        super().__init__(max_attempts=max_attempts)
+    #: the settings a queue directory was created with.
+    _RECORD = "queue.json"
+
+    def __init__(
+        self, root: str | os.PathLike, *, max_attempts: int | None = None
+    ):
+        if max_attempts is not None:
+            _require_positive("max_attempts", max_attempts)
         self.root = os.fspath(root)
         #: malformed filenames already warned about (warn once each —
         #: every scan revisits them, and a stray file must not spam).
         self._warned: set[str] = set()
+        created = not all(
+            os.path.isdir(os.path.join(self.root, state)) for state in _STATES
+        )
+        os.makedirs(self.root, exist_ok=True)
+        if created:
+            # recorded before the state directories exist, so an opener
+            # that finds them also finds the record
+            self._record({"max_attempts": max_attempts or DEFAULT_MAX_ATTEMPTS})
+        super().__init__(max_attempts=self._recorded_attempts(max_attempts))
         for state in _STATES:
             os.makedirs(os.path.join(self.root, state), exist_ok=True)
+
+    def _record(self, settings: dict) -> None:
+        """Write the settings record unless one exists: linking a
+        complete temporary file into place fails if another creator
+        got there first, whose record then stands."""
+        path = os.path.join(self.root, self._RECORD)
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(settings, handle, sort_keys=True)
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            pass
+        finally:
+            os.unlink(tmp)
+
+    def _recorded_attempts(self, requested: int | None) -> int | None:
+        """``max_attempts`` as the record has it, checked against the
+        opener's ``requested`` value (``None``: none named)."""
+        try:
+            with open(os.path.join(self.root, self._RECORD), encoding="utf-8") as handle:
+                recorded = json.load(handle)["max_attempts"]
+        except FileNotFoundError:
+            return requested
+        if requested is not None and requested != recorded:
+            raise ValueError(
+                f"queue directory {self.root!r} was created with "
+                f"max_attempts={recorded}; got max_attempts={requested}"
+            )
+        return recorded
 
     def _clock(self, lease_seconds: float = 0.0) -> int:
         return int((time.time() + lease_seconds) * 1000)

@@ -276,7 +276,7 @@ class QueueRunner:
         queue_dir: str | os.PathLike | None = None,
         workers: int = 2,
         lease_seconds: float = 120.0,
-        max_attempts: int = 3,
+        max_attempts: int | None = None,
         poison_threshold: int = 5,
         job_timeout_seconds: float | None = None,
         checkpoint=None,
@@ -734,7 +734,7 @@ class SweepRunner(QueueRunner):
         queue_dir: str | os.PathLike | None = None,
         workers: int = 2,
         lease_seconds: float = 120.0,
-        max_attempts: int = 3,
+        max_attempts: int | None = None,
         poison_threshold: int = 5,
         job_timeout_seconds: float | None = None,
         checkpoint=None,

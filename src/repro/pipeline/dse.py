@@ -219,7 +219,7 @@ class DSERunner(QueueRunner):
         queue_dir=None,
         workers: int = 2,
         lease_seconds: float = 120.0,
-        max_attempts: int = 3,
+        max_attempts: int | None = None,
         bundle: int | str = 1,
     ):
         normalized = []

@@ -720,7 +720,7 @@ def run_many(
     queue_url: str | None = None,
     workers: int = 2,
     lease_seconds: float = 120.0,
-    max_attempts: int = 3,
+    max_attempts: int | None = None,
     bundle: int | str = 1,
     share_frames: bool | None = None,
 ) -> list:
@@ -760,7 +760,8 @@ def run_many(
       ``queue_url``); without either, the in-memory queue drains in
       this process whatever ``workers`` says.  Dead
       workers lose their lease and their jobs are retried up to
-      ``max_attempts`` times; ``bundle`` (a size, or ``"auto"``) claims
+      ``max_attempts`` times (default: what ``queue_dir`` was created
+      with, else 3); ``bundle`` (a size, or ``"auto"``) claims
       jobs in batches and ``share_frames`` ships frame buffers over
       shared memory — both transport knobs, results stay byte-identical
       (see ``docs/distributed.md``, "Bundling & warm workers").

@@ -413,7 +413,7 @@ class LadderRunner(QueueRunner):
         queue_dir: str | os.PathLike | None = None,
         workers: int = 2,
         lease_seconds: float = 120.0,
-        max_attempts: int = 3,
+        max_attempts: int | None = None,
         poison_threshold: int = 5,
         job_timeout_seconds: float | None = None,
         checkpoint=None,

@@ -45,6 +45,7 @@ __all__ = [
     "CodecSpec",
     "VideoCodec",
     "available_codecs",
+    "codec_config",
     "codec_spec",
     "create_codec",
     "register_codec",
@@ -164,21 +165,28 @@ def create_codec(
     >>> create_codec("classical", qp=16.0)            # doctest: +SKIP
     >>> create_codec("ctvc", {"channels": 12}, qstep=32.0)  # doctest: +SKIP
     """
+    return codec_spec(name).factory(codec_config(name, config, **overrides))
+
+
+def codec_config(
+    name: str,
+    config: SerializableConfig | dict | None = None,
+    **overrides,
+) -> SerializableConfig:
+    """The config instance :func:`create_codec` builds ``name`` with."""
     spec = codec_spec(name)
     if config is None:
         # Route kwargs through from_dict so bad names/types get the
         # same helpful ConfigError as the dict path.
-        cfg = spec.config_cls.from_dict(overrides) if overrides else spec.config_cls()
-    elif isinstance(config, dict):
-        cfg = spec.config_cls.from_dict({**config, **overrides})
-    else:
-        if not isinstance(config, spec.config_cls):
-            raise CodecRegistryError(
-                f"codec {name!r} expects a {spec.config_cls.__name__}, "
-                f"got {type(config).__name__}"
-            )
-        cfg = config.replace(**overrides) if overrides else config
-    return spec.factory(cfg)
+        return spec.config_cls.from_dict(overrides) if overrides else spec.config_cls()
+    if isinstance(config, dict):
+        return spec.config_cls.from_dict({**config, **overrides})
+    if not isinstance(config, spec.config_cls):
+        raise CodecRegistryError(
+            f"codec {name!r} expects a {spec.config_cls.__name__}, "
+            f"got {type(config).__name__}"
+        )
+    return config.replace(**overrides) if overrides else config
 
 
 # -- built-in registrations -------------------------------------------------

@@ -189,12 +189,21 @@ class WorkerContext:
     exposes the hit/miss split (BENCH records it as the warm/cold
     ratio).
 
+    A codec whose config splits into architecture and coding fields
+    (``CTVCConfig.architecture()``, ``CTVCNet.with_config``) is built,
+    on a miss, around the nets of a cached codec of the same name and
+    architecture, so each architecture's weights live in the process
+    once (``repro_warm_cache_total{resource="weights"}`` counts those
+    builds: a hit shares nets, a miss builds them).
+
     Reuse is only sound because codecs are deterministic and
     stateless across encoder and decoder sessions — a property the
     distributed parity tests pin (serial runs build fresh codecs, warm
     workers reuse them, and the aggregated results must stay
-    byte-identical).  Cached frames are returned as per-frame copies so
-    an in-place consumer can never corrupt the cache.
+    byte-identical) — and because a cached codec is never mutated:
+    quantizing or pruning one copies the nets it shares first.  Cached
+    frames are returned as per-frame copies so an in-place consumer can
+    never corrupt the cache.
     """
 
     def __init__(self, *, max_codecs: int = 32, max_scenes: int = 8):
@@ -222,10 +231,11 @@ class WorkerContext:
     def codec(self, name: str, config) -> Any:
         """The cached codec instance for ``(name, config)``, building
         one on first use."""
-        from .registry import create_codec
+        from .registry import codec_config, codec_spec
 
         config_doc = config.to_dict() if hasattr(config, "to_dict") else config
-        key = f"{name}\x00{self._key(dict(config_doc or {}))}"
+        prefix = f"{name}\x00"
+        key = prefix + self._key(dict(config_doc or {}))
         with self._lock:
             if key in self._codecs:
                 self._codecs.move_to_end(key)
@@ -234,12 +244,34 @@ class WorkerContext:
                 return self._codecs[key]
             self.misses += 1
             self._count("codec", "miss")
-        built = create_codec(name, config)
+        cfg = codec_config(name, config)
+        donor = self._weights_donor(prefix, cfg)
+        built = codec_spec(name).factory(cfg) if donor is None else donor.with_config(cfg)
         with self._lock:
             self._codecs[key] = built
             while len(self._codecs) > self._max_codecs:
                 self._codecs.popitem(last=False)
         return built
+
+    def _weights_donor(self, prefix: str, config) -> Any:
+        """A cached codec under ``prefix`` whose nets a codec for
+        ``config`` can share, or ``None``.  Configs without an
+        ``architecture()`` have no nets to share and are not counted."""
+        if not hasattr(config, "architecture"):
+            return None
+        wanted = config.architecture()
+        with self._lock:
+            donor = next(
+                (
+                    codec
+                    for key, codec in reversed(self._codecs.items())
+                    if key.startswith(prefix)
+                    and codec.config.architecture() == wanted
+                ),
+                None,
+            )
+        self._count("weights", "miss" if donor is None else "hit")
+        return donor
 
     def frames(self, scene, *, loader=None) -> list:
         """Rendered frames for ``scene`` (per-frame copies of the

@@ -75,10 +75,10 @@ def _smooth_noise(rng: np.random.Generator, h: int, w: int, period: int) -> np.n
     x0 = xs.astype(int)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    tl = grid[np.ix_(y0, x0)]
-    tr = grid[np.ix_(y0, x0 + 1)]
-    bl = grid[np.ix_(y0 + 1, x0)]
-    br = grid[np.ix_(y0 + 1, x0 + 1)]
+    # rows first, then columns: two 1-D gathers instead of a 2-D one
+    top, bottom = grid.take(y0, axis=0), grid.take(y0 + 1, axis=0)
+    tl, tr = top.take(x0, axis=1), top.take(x0 + 1, axis=1)
+    bl, br = bottom.take(x0, axis=1), bottom.take(x0 + 1, axis=1)
     return (
         tl * (1 - fy) * (1 - fx)
         + tr * (1 - fy) * fx
@@ -103,6 +103,16 @@ def _fractal_texture(
     return out / std if std > 0 else out
 
 
+def _run_or_index(index: np.ndarray, size: int):
+    """``index`` as a slice when it is one run of consecutive integers
+    (what a crop at a fixed offset floors to) whose successors are
+    still below ``size``, else the array itself."""
+    first, stop = int(index[0]), int(index[0]) + len(index)
+    if 0 <= first and stop < size and np.array_equal(index, np.arange(first, stop)):
+        return slice(first, stop)
+    return index
+
+
 def _bilinear_crop(world: np.ndarray, top: float, left: float, h: int, w: int):
     """Crop an (h, w) window at sub-pixel offset (top, left) from a plane."""
     ys = top + np.arange(h)
@@ -111,10 +121,18 @@ def _bilinear_crop(world: np.ndarray, top: float, left: float, h: int, w: int):
     x0 = np.floor(xs).astype(int)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    tl = world[np.ix_(y0, x0)]
-    tr = world[np.ix_(y0, x0 + 1)]
-    bl = world[np.ix_(y0 + 1, x0)]
-    br = world[np.ix_(y0 + 1, x0 + 1)]
+    rows, cols = _run_or_index(y0, world.shape[0]), _run_or_index(x0, world.shape[1])
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        # one contiguous window: the four corners are shifted views
+        below = slice(rows.start + 1, rows.stop + 1)
+        right = slice(cols.start + 1, cols.stop + 1)
+        tl, tr = world[rows, cols], world[rows, right]
+        bl, br = world[below, cols], world[below, right]
+    else:
+        tl = world[np.ix_(y0, x0)]
+        tr = world[np.ix_(y0, x0 + 1)]
+        bl = world[np.ix_(y0 + 1, x0)]
+        br = world[np.ix_(y0 + 1, x0 + 1)]
     return (
         tl * (1 - fy) * (1 - fx)
         + tr * (1 - fy) * fx

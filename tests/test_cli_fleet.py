@@ -59,6 +59,21 @@ def test_inspection_refuses_a_directory_without_a_queue(
     assert _tree(tmp_path) == before
 
 
+def test_worker_without_max_attempts_keeps_the_directorys(tmp_path, capsys):
+    """``repro worker --queue-dir`` without ``--max-attempts`` uses what
+    the directory was created with; a conflicting explicit value is
+    refused before any job runs."""
+    queue_dir = tmp_path / "q"
+    queue = DirectoryJobQueue(queue_dir, max_attempts=5)
+    queue.submit({"codec": "no-such-codec"}, job_id="doomed")
+    assert main(["worker", "--queue-dir", str(queue_dir),
+                 "--max-attempts", "3"]) == 1
+    assert "max_attempts=5" in capsys.readouterr().err
+    assert queue.attempts("doomed") == 0
+    assert main(["worker", "--queue-dir", str(queue_dir), "--poll", "0"]) == 0
+    assert queue.failure_details()["doomed"]["attempts"] == 5
+
+
 class _Captured(Exception):
     """Carries the parser ``main`` builds out of its ``parse_args``."""
 

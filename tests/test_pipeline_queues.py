@@ -332,6 +332,53 @@ def test_every_queue_matches_the_reference_model(model_servers, tmp_path):
     run_state_machine_as_test(machine, settings=MODEL_SETTINGS)
 
 
+# -- recorded settings --------------------------------------------------------
+def _fail_until_dead(queue, job_id: str) -> int:
+    """Claim and fail ``job_id`` until it dead-letters; the tries taken."""
+    tries = 0
+    while queue.claim("w", lease_seconds=3600.0) is not None:
+        queue.fail(job_id, "boom", worker_id="w")
+        tries += 1
+    return tries
+
+
+def test_directory_records_max_attempts_for_later_openers(tmp_path):
+    """A second opener that names no ``max_attempts`` (a hand-started
+    ``repro worker``, ``repro serve``) dead-letters a job after the
+    tries the directory was created with, not after the default 3."""
+    DirectoryJobQueue(tmp_path / "q", max_attempts=5)
+    later = DirectoryJobQueue(tmp_path / "q")
+    assert later.max_attempts == 5
+    later.submit({"x": 1}, job_id="flaky")
+    assert _fail_until_dead(later, "flaky") == 5
+    assert later.failure_details()["flaky"]["attempts"] == 5
+    assert later.stats().failed == 1
+
+
+def test_directory_refuses_a_conflicting_max_attempts(tmp_path):
+    DirectoryJobQueue(tmp_path / "q", max_attempts=5)
+    assert DirectoryJobQueue(tmp_path / "q", max_attempts=5).max_attempts == 5
+    with pytest.raises(ValueError, match="max_attempts=5.*max_attempts=3"):
+        DirectoryJobQueue(tmp_path / "q", max_attempts=3)
+    # created without a value: the record holds the default
+    DirectoryJobQueue(tmp_path / "d")
+    assert DirectoryJobQueue(tmp_path / "d").max_attempts == 3
+    with pytest.raises(ValueError, match="max_attempts=3.*max_attempts=4"):
+        DirectoryJobQueue(tmp_path / "d", max_attempts=4)
+
+
+def test_directory_without_a_record_keeps_each_openers_value(tmp_path):
+    """Queue directories written before the record existed: every
+    opener keeps its own value, and none writes a record."""
+    root = tmp_path / "q"
+    for state in ("pending", "claimed", "done", "failed"):
+        (root / state).mkdir(parents=True)
+    assert DirectoryJobQueue(root, max_attempts=5).max_attempts == 5
+    assert DirectoryJobQueue(root, max_attempts=2).max_attempts == 2
+    assert DirectoryJobQueue(root).max_attempts == 3
+    assert not (root / "queue.json").exists()
+
+
 # -- durable layout ----------------------------------------------------------
 def _layout(root) -> dict[str, dict]:
     """Every file under the queue root -> its JSON document, with the

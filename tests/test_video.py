@@ -166,6 +166,46 @@ class TestVideoGenerator:
         assert high.std() > low.std()
 
 
+    @pytest.mark.parametrize(
+        "top,left",
+        [(2.0, 2.0), (2.6, 3.9), (0.0, 0.0), (3.5, 38.5), (-0.5, 1.25)],
+    )
+    def test_bilinear_crop_matches_the_gathered_reference(self, top, left):
+        """Whether its corners are read as slices (one run of rows and
+        of columns inside the plane) or gathered (a negative start wraps,
+        as NumPy indexing does), the crop equals the 2-D gather it
+        replaces."""
+        from repro.video.synthetic import _bilinear_crop
+
+        world = np.random.default_rng(1).uniform(0, 255, (12, 48))
+        h, w = 8, 9
+        ys, xs = top + np.arange(h), left + np.arange(w)
+        y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+        fy, fx = (ys - y0)[:, None], (xs - x0)[None, :]
+
+        def corner(dy, dx):
+            return world[np.ix_(y0 + dy, x0 + dx)]
+
+        expected = (
+            corner(0, 0) * (1 - fy) * (1 - fx)
+            + corner(0, 1) * (1 - fy) * fx
+            + corner(1, 0) * fy * (1 - fx)
+            + corner(1, 1) * fy * fx
+        )
+        np.testing.assert_array_equal(_bilinear_crop(world, top, left, h, w), expected)
+
+    def test_only_runs_inside_the_plane_become_slices(self):
+        from repro.video.synthetic import _run_or_index
+
+        assert _run_or_index(np.arange(3, 7), 8) == slice(3, 7)
+        for index, size in (
+            (np.array([3, 4, 6]), 8),  # broken run
+            (np.arange(-1, 3), 8),  # negative start
+            (np.arange(5, 8), 8),  # the last successor is outside
+        ):
+            assert _run_or_index(index, size) is index
+
+
 class TestDatasets:
     def test_registry_names(self):
         assert dataset_names() == ["hevcb-sim", "mcljcv-sim", "uvg-sim"]
