@@ -601,9 +601,13 @@ def bench_sweep(repeats: int) -> dict:
     ``run_many`` and pays the imports, codec construction, and scene
     synthesis that every standalone invocation pays.  That is the
     baseline the warm-worker fleet amortizes away, and the one the
-    ``x_vs_inline`` ratios are taken against.  ``inline_warm`` keeps
-    the steady-state lower bound — the same loop in an already-warm
-    process — so the warm/cold split is recorded, not hidden.
+    ``x_vs_inline`` ratios are taken against.  ``inline_warm`` runs the
+    same loop in this already-warm interpreter (imports paid) with the
+    :class:`~repro.pipeline.tasks.WorkerContext` emptied before every
+    repeat: the state a freshly spawned fleet worker starts in, so full
+    and ``--smoke`` runs time the same thing and the warm/cold split is
+    recorded, not hidden.  Its ``context`` is one repeat's hit/miss
+    split.
 
     Every distributed row runs the bundled/warm/shared-frames
     transport (``bundle`` sized by :func:`auto_bundle`); the
@@ -652,8 +656,11 @@ def bench_sweep(repeats: int) -> dict:
         "cold_start": True,
     }
 
-    reset_worker_context()
-    warm_s, _ = _time(lambda: run_many(**grid), repeats)
+    def run_inline_warm():
+        reset_worker_context()
+        return run_many(**grid)
+
+    warm_s, _ = _time(run_inline_warm, repeats)
     report["inline_warm"] = {
         "seconds": warm_s,
         "jobs_per_s": num_jobs / warm_s,

@@ -53,6 +53,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro._registry import Registry
+
 from .bitstream import f16_from_bits
 
 __all__ = [
@@ -450,7 +452,19 @@ class CacmBackend:
         return out
 
 
-_BACKENDS: dict[str, EntropyBackend] = {}
+def _rans_backend() -> EntropyBackend:
+    # repro.codec.rans registers "rans" itself when first imported; this
+    # also brings it back after unregister_entropy_backend("rans")
+    from .rans import RansBackend
+
+    return RansBackend()
+
+
+_ENTROPY_BACKENDS = Registry(
+    "entropy backend",
+    EntropyBackendError,
+    builtins={"cacm": CacmBackend, "rans": _rans_backend},
+)
 
 
 def register_entropy_backend(
@@ -461,55 +475,24 @@ def register_entropy_backend(
     Mirrors :func:`repro.pipeline.registry.register_codec`:
     re-registering an existing name raises unless ``overwrite=True``.
     """
-    if not name or not isinstance(name, str):
-        raise EntropyBackendError(
-            f"backend name must be a non-empty string, got {name!r}"
-        )
-    if name in _BACKENDS and not overwrite:
-        raise EntropyBackendError(
-            f"entropy backend {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _BACKENDS[name] = backend
-    return backend
+    return _ENTROPY_BACKENDS.add(name, backend, overwrite=overwrite)
 
 
 def unregister_entropy_backend(name: str) -> None:
-    """Remove a registration (mainly for tests and plugin teardown)."""
-    _BACKENDS.pop(name, None)
+    """Remove a registration (mainly for tests and plugin teardown).
+    The built-ins ``"cacm"`` and ``"rans"`` come back on the next
+    lookup."""
+    _ENTROPY_BACKENDS.remove(name)
 
 
 def available_entropy_backends() -> list[str]:
     """Sorted names of every registered backend."""
-    _ensure_builtin_backends()
-    return sorted(_BACKENDS)
+    return _ENTROPY_BACKENDS.names()
 
 
 def get_entropy_backend(name: str) -> EntropyBackend:
     """Look up a backend, with a helpful unknown-name error."""
-    _ensure_builtin_backends()
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise EntropyBackendError(
-            f"unknown entropy backend {name!r}; "
-            f"available: {', '.join(sorted(_BACKENDS))}"
-        ) from None
-
-
-def _ensure_builtin_backends() -> None:
-    # The rANS module registers itself on import; importing it lazily
-    # here keeps `repro.codec.entropy` usable standalone while making
-    # "rans" resolvable wherever the registry is consulted.  Built-ins
-    # also self-heal after unregister_entropy_backend (the import is a
-    # cached no-op the second time, so re-register explicitly).
-    if "cacm" not in _BACKENDS:
-        _BACKENDS["cacm"] = CacmBackend()
-    if "rans" not in _BACKENDS:
-        from . import rans
-
-        if "rans" not in _BACKENDS:
-            _BACKENDS["rans"] = rans.RansBackend()
+    return _ENTROPY_BACKENDS.get(name)
 
 
 register_entropy_backend("cacm", CacmBackend())

@@ -40,6 +40,8 @@ from typing import Callable
 
 import math
 
+from repro._registry import Registry
+
 __all__ = [
     "ABRController",
     "BudgetState",
@@ -368,7 +370,7 @@ class RateControllerSpec:
     description: str = ""
 
 
-_REGISTRY: dict[str, RateControllerSpec] = {}
+_RATE_CONTROLLERS = Registry("rate controller", RateControlError)
 
 
 def register_rate_controller(
@@ -386,50 +388,27 @@ def register_rate_controller(
     return a :class:`RateController`.  ``requires_target``/``adaptive``
     default to the factory's class attributes when it has them.
     """
-    if not name or not isinstance(name, str):
-        raise RateControlError(
-            f"rate controller name must be a non-empty string, got {name!r}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise RateControlError(
-            f"rate controller {name!r} is already registered "
-            f"({_REGISTRY[name].description!r}); "
-            "pass overwrite=True to replace it"
-        )
     if requires_target is None:
         requires_target = bool(getattr(factory, "requires_target", True))
     if adaptive is None:
         adaptive = bool(getattr(factory, "adaptive", True))
-    spec = RateControllerSpec(
-        name=name,
-        factory=factory,
-        requires_target=requires_target,
-        adaptive=adaptive,
-        description=description,
-    )
-    _REGISTRY[name] = spec
-    return spec
+    spec = RateControllerSpec(name, factory, requires_target, adaptive, description)
+    return _RATE_CONTROLLERS.add(name, spec, overwrite=overwrite)
 
 
 def unregister_rate_controller(name: str) -> None:
     """Remove a registration (mainly for tests and plugin teardown)."""
-    _REGISTRY.pop(name, None)
+    _RATE_CONTROLLERS.remove(name)
 
 
 def available_rate_controllers() -> list[str]:
     """Sorted names of every registered rate controller."""
-    return sorted(_REGISTRY)
+    return _RATE_CONTROLLERS.names()
 
 
 def rate_controller_spec(name: str) -> RateControllerSpec:
     """Look up a registry entry, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise RateControlError(
-            f"unknown rate controller {name!r}; available: "
-            f"{', '.join(available_rate_controllers())}"
-        ) from None
+    return _RATE_CONTROLLERS.get(name)
 
 
 def create_rate_controller(

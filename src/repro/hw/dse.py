@@ -8,8 +8,9 @@ frequency, each evaluated through the same performance / energy / area
 models that reproduce Table II.
 
 :func:`evaluate_point` is the unit of work: one ``(graph, config)``
-roll-up to a :class:`DesignPoint`.  The ``sweep_*`` helpers evaluate a
-whole axis inline; at scale the same points travel as ``"dse-point"``
+roll-up to a :class:`DesignPoint`.  :func:`axis_configs` expands one
+axis into labelled configs, and the ``sweep_*`` helpers evaluate them
+inline; at scale the same points travel as ``"dse-point"``
 job specs through the task-typed work queue instead
 (:mod:`repro.pipeline.dse` builds the grids, ``repro dse`` runs them —
 see ``docs/hardware.md``).  Both paths call :func:`evaluate_point`, so
@@ -33,7 +34,9 @@ __all__ = [
     "DEFAULT_FREQUENCIES",
     "DEFAULT_GEOMETRIES",
     "DEFAULT_RHOS",
+    "DSE_AXES",
     "DesignPoint",
+    "axis_configs",
     "evaluate_point",
     "pareto_front",
     "sweep_array_geometry",
@@ -49,6 +52,12 @@ DEFAULT_GEOMETRIES: tuple[tuple[int, int], ...] = (
 DEFAULT_RHOS: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
 #: clock frequencies (MHz) around the paper's 400 MHz point.
 DEFAULT_FREQUENCIES: tuple[float, ...] = (200.0, 400.0, 600.0, 800.0)
+#: DSE axis name -> its default values.
+DSE_AXES: dict[str, tuple] = {
+    "geometry": DEFAULT_GEOMETRIES,
+    "sparsity": DEFAULT_RHOS,
+    "frequency": DEFAULT_FREQUENCIES,
+}
 
 
 @dataclass(frozen=True)
@@ -131,18 +140,42 @@ def evaluate_point(
     )
 
 
+def axis_configs(
+    axis: str, values=None, base: NVCAConfig | None = None
+) -> list[tuple[str, NVCAConfig]]:
+    """``(label, config)`` per value of one axis (``"geometry"``: (pif,
+    pof) pairs, ``"sparsity"``: rho, ``"frequency"``: MHz; default: its
+    :data:`DSE_AXES` bracket), each perturbing ``base``.  The inline
+    ``sweep_*`` helpers and :func:`repro.pipeline.dse_grid` both expand
+    here, so their labels and configs match."""
+    if axis not in DSE_AXES:
+        raise ValueError(
+            f"unknown DSE grid {axis!r}; available: {', '.join(sorted(DSE_AXES))}"
+        )
+    base = base or NVCAConfig()
+    points = []
+    for value in DSE_AXES[axis] if values is None else values:
+        if axis == "geometry":
+            pif, pof = map(int, value)
+            label, fields = f"{pif}x{pof}", {"pif": pif, "pof": pof}
+        elif axis == "sparsity":
+            label, fields = f"rho={float(value):.2f}", {"rho": float(value)}
+        else:  # frequency
+            label, fields = f"{float(value):g}MHz", {"frequency_mhz": float(value)}
+        points.append((label, dataclasses.replace(base, **fields)))
+    return points
+
+
 def sweep_array_geometry(
     graph: LayerGraph,
     geometries: tuple[tuple[int, int], ...] = DEFAULT_GEOMETRIES,
     base: NVCAConfig | None = None,
 ) -> list[DesignPoint]:
     """Sweep the SCU array's channel unrolling (Pif x Pof)."""
-    base = base or NVCAConfig()
-    points = []
-    for pif, pof in geometries:
-        config = dataclasses.replace(base, pif=pif, pof=pof)
-        points.append(evaluate_point(graph, config, f"{pif}x{pof}"))
-    return points
+    return [
+        evaluate_point(graph, config, label)
+        for label, config in axis_configs("geometry", geometries, base)
+    ]
 
 
 def sweep_sparsity(
@@ -151,10 +184,9 @@ def sweep_sparsity(
     base: NVCAConfig | None = None,
 ) -> list[DesignPoint]:
     """Sweep the pruning level the SCUs are provisioned for."""
-    base = base or NVCAConfig()
     return [
-        evaluate_point(graph, dataclasses.replace(base, rho=rho), f"rho={rho:.2f}")
-        for rho in rhos
+        evaluate_point(graph, config, label)
+        for label, config in axis_configs("sparsity", rhos, base)
     ]
 
 
@@ -164,14 +196,9 @@ def sweep_frequency(
     base: NVCAConfig | None = None,
 ) -> list[DesignPoint]:
     """Sweep the core clock around the paper's 400 MHz point."""
-    base = base or NVCAConfig()
     return [
-        evaluate_point(
-            graph,
-            dataclasses.replace(base, frequency_mhz=float(freq)),
-            f"{float(freq):g}MHz",
-        )
-        for freq in frequencies
+        evaluate_point(graph, config, label)
+        for label, config in axis_configs("frequency", frequencies, base)
     ]
 
 

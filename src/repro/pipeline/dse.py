@@ -28,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.hw import DesignPoint, pareto_front
-from repro.hw.dse import DEFAULT_FREQUENCIES, DEFAULT_GEOMETRIES, DEFAULT_RHOS
+from repro.hw.dse import DSE_AXES, axis_configs
 
 from .dist.sweep import QueueRunner
 from .tasks import normalize_spec, spec_kind
@@ -41,12 +41,8 @@ __all__ = [
     "dse_point_spec",
 ]
 
-#: grid axis name -> (config field, default values, label formatter).
-DSE_GRIDS = {
-    "geometry": DEFAULT_GEOMETRIES,
-    "sparsity": DEFAULT_RHOS,
-    "frequency": DEFAULT_FREQUENCIES,
-}
+#: grid axis name -> its default values (the inline sweeps' brackets).
+DSE_GRIDS = DSE_AXES
 
 
 def dse_point_spec(
@@ -109,32 +105,12 @@ def dse_grid(
         )
     if isinstance(base, dict):
         base = config_cls.from_dict(base)
-    base = base or config_cls()
-    if grid not in DSE_GRIDS:
-        raise ValueError(
-            f"unknown DSE grid {grid!r}; available: "
-            f"{', '.join(sorted(DSE_GRIDS))}"
+    return [
+        dse_point_spec(
+            config, label=label, height=height, width=width, platform=platform
         )
-    values = tuple(values) if values is not None else DSE_GRIDS[grid]
-    points = []
-    for value in values:
-        if grid == "geometry":
-            pif, pof = value
-            config = dataclasses.replace(base, pif=int(pif), pof=int(pof))
-            label = f"{int(pif)}x{int(pof)}"
-        elif grid == "sparsity":
-            config = dataclasses.replace(base, rho=float(value))
-            label = f"rho={float(value):.2f}"
-        else:  # frequency
-            config = dataclasses.replace(base, frequency_mhz=float(value))
-            label = f"{float(value):g}MHz"
-        points.append(
-            dse_point_spec(
-                config, label=label, height=height, width=width,
-                platform=platform,
-            )
-        )
-    return points
+        for label, config in axis_configs(grid, values, base or config_cls())
+    ]
 
 
 @dataclass

@@ -36,7 +36,7 @@ from repro.metrics import ms_ssim, psnr
 from repro.serialization import ConfigError, SerializableConfig
 from repro.video import SceneConfig, generate_sequence, iter_sequence
 
-from .registry import VideoCodec, available_codecs, codec_spec, create_codec
+from .registry import _CODECS, VideoCodec, codec_spec, create_codec
 from .reports import EncodeReport, HardwareReport
 
 __all__ = [
@@ -573,68 +573,53 @@ class Pipeline:
         )
 
 
+def _grid(registry, names, configs, items):
+    """``(name, overrides, item)`` over names x configs x items, once
+    every name is known to ``registry``.  Dict overrides keep only the
+    keys the name's config class defines, so one grid can mix CTVC's
+    ``qstep`` and classical's ``qp``."""
+    registry.check(names)
+    for name, overrides, item in itertools.product(names, configs, items):
+        if isinstance(overrides, dict):
+            config_cls = registry.get(name).config_cls
+            fields = {f.name for f in dataclasses.fields(config_cls)}
+            overrides = {k: v for k, v in overrides.items() if k in fields}
+        yield name, overrides, item
+
+
 def _encode_grid(codecs, codec_configs, scenes, compute_msssim) -> list:
     """Expand the codecs x codec_configs x scenes cross product."""
-    known = set(available_codecs())
-    unknown = sorted({str(c) for c in codecs if c not in known})
-    if unknown:
-        raise ValueError(
-            f"unknown codec name(s) in grid: {', '.join(map(repr, unknown))}; "
-            f"available: {', '.join(sorted(known))}"
+    return [
+        Pipeline(codec, overrides, scene, compute_msssim=compute_msssim)
+        for codec, overrides, scene in _grid(
+            _CODECS,
+            codecs,
+            codec_configs if codec_configs is not None else [{}],
+            scenes if scenes is not None else [SceneConfig()],
         )
-    codec_configs = codec_configs if codec_configs is not None else [{}]
-    scenes = scenes if scenes is not None else [SceneConfig()]
-    jobs = []
-    for codec, overrides, scene in itertools.product(
-        codecs, codec_configs, scenes
-    ):
-        if isinstance(overrides, dict):
-            fields = {
-                f.name
-                for f in dataclasses.fields(codec_spec(codec).config_cls)
-            }
-            overrides = {k: v for k, v in overrides.items() if k in fields}
-        jobs.append(
-            Pipeline(codec, overrides, scene, compute_msssim=compute_msssim)
-        )
-    return jobs
+    ]
 
 
 def _hardware_grid(platforms, platform_configs, resolutions) -> list[dict]:
     """Expand the platforms x platform_configs x resolutions cross
     product into ``"hardware"`` task specs."""
-    from .platforms import available_platforms, platform_entry
+    from .platforms import _PLATFORMS
 
-    known = set(available_platforms())
-    unknown = sorted({str(p) for p in platforms if p not in known})
-    if unknown:
-        raise ValueError(
-            f"unknown platform name(s) in grid: "
-            f"{', '.join(map(repr, unknown))}; "
-            f"available: {', '.join(sorted(known))}"
+    return [
+        {
+            "kind": "hardware",
+            "platform": platform,
+            "config": overrides,
+            "height": int(height),
+            "width": int(width),
+        }
+        for platform, overrides, (height, width) in _grid(
+            _PLATFORMS,
+            platforms,
+            platform_configs if platform_configs is not None else [{}],
+            resolutions if resolutions is not None else [(1080, 1920)],
         )
-    platform_configs = platform_configs if platform_configs is not None else [{}]
-    resolutions = resolutions if resolutions is not None else [(1080, 1920)]
-    jobs = []
-    for platform, overrides, (height, width) in itertools.product(
-        platforms, platform_configs, resolutions
-    ):
-        if isinstance(overrides, dict):
-            fields = {
-                f.name
-                for f in dataclasses.fields(platform_entry(platform).config_cls)
-            }
-            overrides = {k: v for k, v in overrides.items() if k in fields}
-        jobs.append(
-            {
-                "kind": "hardware",
-                "platform": platform,
-                "config": overrides,
-                "height": int(height),
-                "width": int(width),
-            }
-        )
-    return jobs
+    ]
 
 
 def build_jobs(

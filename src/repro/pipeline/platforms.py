@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, runtime_checkable
 
+from repro._registry import Registry
 from repro.codec import decoder_graph
 from repro.hw import (
     NVCAConfig,
@@ -99,7 +100,7 @@ class PlatformEntry:
     description: str = ""
 
 
-_REGISTRY: dict[str, PlatformEntry] = {}
+_PLATFORMS = Registry("platform", PlatformRegistryError)
 
 
 def register_platform(
@@ -117,42 +118,26 @@ def register_platform(
     an existing name raises unless ``overwrite=True`` — same contract
     as :func:`repro.pipeline.register_codec`.
     """
-    if not name or not isinstance(name, str):
-        raise PlatformRegistryError(
-            f"platform name must be a non-empty string, got {name!r}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise PlatformRegistryError(
-            f"platform {name!r} is already registered "
-            f"({_REGISTRY[name].description or _REGISTRY[name].factory!r}); "
-            "pass overwrite=True to replace it"
-        )
-    entry = PlatformEntry(
-        name=name, factory=factory, config_cls=config_cls, description=description
+    return _PLATFORMS.add(
+        name,
+        PlatformEntry(name, factory, config_cls, description),
+        overwrite=overwrite,
     )
-    _REGISTRY[name] = entry
-    return entry
 
 
 def unregister_platform(name: str) -> None:
     """Remove a registration (mainly for tests and plugin teardown)."""
-    _REGISTRY.pop(name, None)
+    _PLATFORMS.remove(name)
 
 
 def available_platforms() -> list[str]:
     """Sorted names of every registered platform."""
-    return sorted(_REGISTRY)
+    return _PLATFORMS.names()
 
 
 def platform_entry(name: str) -> PlatformEntry:
     """Look up a registry entry, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise PlatformRegistryError(
-            f"unknown platform {name!r}; available: "
-            f"{', '.join(available_platforms())}"
-        ) from None
+    return _PLATFORMS.get(name)
 
 
 def create_platform(
@@ -167,23 +152,7 @@ def create_platform(
     class), or ``None`` for defaults — keyword overrides apply on top
     in all cases.
     """
-    entry = platform_entry(name)
-    if config is None:
-        cfg = (
-            entry.config_cls.from_dict(overrides)
-            if overrides
-            else entry.config_cls()
-        )
-    elif isinstance(config, dict):
-        cfg = entry.config_cls.from_dict({**config, **overrides})
-    else:
-        if not isinstance(config, entry.config_cls):
-            raise PlatformRegistryError(
-                f"platform {name!r} expects a {entry.config_cls.__name__}, "
-                f"got {type(config).__name__}"
-            )
-        cfg = config.replace(**overrides) if overrides else config
-    return entry.factory(cfg)
+    return platform_entry(name).factory(_PLATFORMS.config(name, config, **overrides))
 
 
 class NVCAModel:

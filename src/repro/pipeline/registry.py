@@ -27,6 +27,7 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro._registry import Registry
 from repro.codec import (
     ClassicalCodec,
     ClassicalCodecConfig,
@@ -97,7 +98,7 @@ class CodecSpec:
     description: str = ""
 
 
-_REGISTRY: dict[str, CodecSpec] = {}
+_CODECS = Registry("codec", CodecRegistryError)
 
 
 def register_codec(
@@ -116,39 +117,24 @@ def register_codec(
     an existing name raises unless ``overwrite=True`` (deliberate, so
     two plugins cannot silently shadow each other).
     """
-    if not name or not isinstance(name, str):
-        raise CodecRegistryError(f"codec name must be a non-empty string, got {name!r}")
-    if name in _REGISTRY and not overwrite:
-        raise CodecRegistryError(
-            f"codec {name!r} is already registered "
-            f"({_REGISTRY[name].description or _REGISTRY[name].factory!r}); "
-            "pass overwrite=True to replace it"
-        )
-    spec = CodecSpec(
-        name=name, factory=factory, config_cls=config_cls, description=description
+    return _CODECS.add(
+        name, CodecSpec(name, factory, config_cls, description), overwrite=overwrite
     )
-    _REGISTRY[name] = spec
-    return spec
 
 
 def unregister_codec(name: str) -> None:
     """Remove a registration (mainly for tests and plugin teardown)."""
-    _REGISTRY.pop(name, None)
+    _CODECS.remove(name)
 
 
 def available_codecs() -> list[str]:
     """Sorted names of every registered codec."""
-    return sorted(_REGISTRY)
+    return _CODECS.names()
 
 
 def codec_spec(name: str) -> CodecSpec:
     """Look up a registry entry, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise CodecRegistryError(
-            f"unknown codec {name!r}; available: {', '.join(available_codecs())}"
-        ) from None
+    return _CODECS.get(name)
 
 
 def create_codec(
@@ -174,19 +160,7 @@ def codec_config(
     **overrides,
 ) -> SerializableConfig:
     """The config instance :func:`create_codec` builds ``name`` with."""
-    spec = codec_spec(name)
-    if config is None:
-        # Route kwargs through from_dict so bad names/types get the
-        # same helpful ConfigError as the dict path.
-        return spec.config_cls.from_dict(overrides) if overrides else spec.config_cls()
-    if isinstance(config, dict):
-        return spec.config_cls.from_dict({**config, **overrides})
-    if not isinstance(config, spec.config_cls):
-        raise CodecRegistryError(
-            f"codec {name!r} expects a {spec.config_cls.__name__}, "
-            f"got {type(config).__name__}"
-        )
-    return config.replace(**overrides) if overrides else config
+    return _CODECS.config(name, config, **overrides)
 
 
 # -- built-in registrations -------------------------------------------------

@@ -44,6 +44,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro._registry import Registry
 from repro.serialization import ConfigError
 
 __all__ = [
@@ -85,7 +86,7 @@ class TaskKind:
     description: str = ""
 
 
-_REGISTRY: dict[str, TaskKind] = {}
+_TASKS = Registry("task kind", TaskRegistryError)
 
 
 def register_task(
@@ -98,46 +99,26 @@ def register_task(
     overwrite: bool = False,
 ) -> TaskKind:
     """Register a task kind under ``name``."""
-    if not name or not isinstance(name, str):
-        raise TaskRegistryError(
-            f"task kind must be a non-empty string, got {name!r}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise TaskRegistryError(
-            f"task kind {name!r} is already registered "
-            f"({_REGISTRY[name].description!r}); "
-            "pass overwrite=True to replace it"
-        )
-    kind = TaskKind(
-        name=name,
-        normalize=normalize,
-        execute=execute,
-        hydrate=hydrate,
-        description=description,
+    return _TASKS.add(
+        name,
+        TaskKind(name, normalize, execute, hydrate, description),
+        overwrite=overwrite,
     )
-    _REGISTRY[name] = kind
-    return kind
 
 
 def unregister_task(name: str) -> None:
     """Remove a registration (mainly for tests and plugin teardown)."""
-    _REGISTRY.pop(name, None)
+    _TASKS.remove(name)
 
 
 def available_tasks() -> list[str]:
     """Sorted names of every registered task kind."""
-    return sorted(_REGISTRY)
+    return _TASKS.names()
 
 
 def task_kind(name: str) -> TaskKind:
     """Look up a registry entry, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise TaskRegistryError(
-            f"unknown task kind {name!r}; available: "
-            f"{', '.join(available_tasks())}"
-        ) from None
+    return _TASKS.get(name)
 
 
 def spec_kind(spec: dict) -> str:
@@ -207,7 +188,7 @@ class WorkerContext:
     """
 
     def __init__(self, *, max_codecs: int = 32, max_scenes: int = 8):
-        self._codecs: OrderedDict[str, Any] = OrderedDict()
+        self._codecs: OrderedDict[str, tuple[Any, Any]] = OrderedDict()
         self._scenes: OrderedDict[str, list] = OrderedDict()
         self._max_codecs = int(max_codecs)
         self._max_scenes = int(max_scenes)
@@ -230,31 +211,36 @@ class WorkerContext:
 
     def codec(self, name: str, config) -> Any:
         """The cached codec instance for ``(name, config)``, building
-        one on first use."""
+        one on first use.  An entry counts only while ``name`` is still
+        registered to the :class:`~repro.pipeline.CodecSpec` it was
+        built from, so re-registering a name never serves the old
+        codec."""
         from .registry import codec_config, codec_spec
 
+        spec = codec_spec(name)
         config_doc = config.to_dict() if hasattr(config, "to_dict") else config
-        prefix = f"{name}\x00"
-        key = prefix + self._key(dict(config_doc or {}))
+        key = f"{name}\x00" + self._key(dict(config_doc or {}))
         with self._lock:
-            if key in self._codecs:
+            cached = self._codecs.get(key)
+            if cached is not None and cached[0] is spec:
                 self._codecs.move_to_end(key)
                 self.hits += 1
                 self._count("codec", "hit")
-                return self._codecs[key]
+                return cached[1]
             self.misses += 1
             self._count("codec", "miss")
         cfg = codec_config(name, config)
-        donor = self._weights_donor(prefix, cfg)
-        built = codec_spec(name).factory(cfg) if donor is None else donor.with_config(cfg)
+        donor = self._weights_donor(spec, cfg)
+        built = spec.factory(cfg) if donor is None else donor.with_config(cfg)
         with self._lock:
-            self._codecs[key] = built
+            self._codecs[key] = (spec, built)
+            self._codecs.move_to_end(key)
             while len(self._codecs) > self._max_codecs:
                 self._codecs.popitem(last=False)
         return built
 
-    def _weights_donor(self, prefix: str, config) -> Any:
-        """A cached codec under ``prefix`` whose nets a codec for
+    def _weights_donor(self, spec, config) -> Any:
+        """A cached codec built from ``spec`` whose nets a codec for
         ``config`` can share, or ``None``.  Configs without an
         ``architecture()`` have no nets to share and are not counted."""
         if not hasattr(config, "architecture"):
@@ -264,8 +250,8 @@ class WorkerContext:
             donor = next(
                 (
                     codec
-                    for key, codec in reversed(self._codecs.items())
-                    if key.startswith(prefix)
+                    for built_from, codec in reversed(self._codecs.values())
+                    if built_from is spec
                     and codec.config.architecture() == wanted
                 ),
                 None,
@@ -432,29 +418,19 @@ def _resolution(spec: dict, kind: str) -> tuple[int, int]:
     return height, width
 
 
-def _platform_config(spec: dict, kind: str):
-    """Resolve (platform name, canonical config dict), validating the
-    name against the platform registry up front."""
-    from .platforms import platform_entry
+def _platform_config(spec: dict):
+    """Resolve (platform name, entry, config), validating the name
+    against the platform registry up front."""
+    from .platforms import _PLATFORMS
 
     platform = spec.get("platform", "nvca")
-    entry = platform_entry(platform)  # raises listing what is available
-    config = spec.get("config")
-    if config is None:
-        config = entry.config_cls()
-    elif isinstance(config, dict):
-        config = entry.config_cls.from_dict(config)
-    elif not isinstance(config, entry.config_cls):
-        raise ConfigError(
-            f"{kind} job spec: platform {platform!r} expects a "
-            f"{entry.config_cls.__name__} config, got {type(config).__name__}"
-        )
-    return platform, entry, config
+    entry = _PLATFORMS.get(platform)  # raises listing what is available
+    return platform, entry, _PLATFORMS.config(platform, spec.get("config"))
 
 
 def _normalize_hardware(spec: dict) -> dict:
     _check_fields(spec, _HARDWARE_FIELDS, "hardware")
-    platform, _, config = _platform_config(spec, "hardware")
+    platform, _, config = _platform_config(spec)
     height, width = _resolution(spec, "hardware")
     return {
         "kind": "hardware",
@@ -487,7 +463,7 @@ def _normalize_dse_point(spec: dict) -> dict:
     from repro.hw import NVCAConfig
 
     _check_fields(spec, _DSE_FIELDS, "dse-point")
-    platform, entry, config = _platform_config(spec, "dse-point")
+    platform, entry, config = _platform_config(spec)
     if not (
         isinstance(entry.config_cls, type)
         and issubclass(entry.config_cls, NVCAConfig)
