@@ -16,7 +16,8 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   round-trips are byte-exact.
 * **entropy** — symbols/sec of each backend on a long Laplacian
   stream, round-trip verified, with its ``overhead_vs_ideal`` (coded
-  bits over the model's ideal bits, minus one).
+  bits over the model's ideal bits, minus one) and ``rans``'s
+  ``{encode,decode}_x_vs_cacm`` speedups.
 * **rate_gap** — the rANS rate gap: stream bytes of a 3-frame I-P-P
   GOP at 352x288 (seed 1) coded by ``cacm`` and by ``rans``, for the
   classical codec and CTVC-Net (N=12), with the entropy payloads per
@@ -55,12 +56,17 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   HTTP workers.  Tracks
   whether the distributed transport beats the standalone baseline
   (``x_vs_inline``) and how close it sits to the warm serial floor
-  (``x_vs_inline_warm``).
+  (``x_vs_inline_warm``).  The rows run in 5 interleaved rounds, smoke
+  or full; a ratio is the median of its per-round ratios, recorded with
+  its quartiles.
 * **cold_start** — time to first use from a fresh interpreter, the
   median over 5 interpreters per row: ``import repro.codec``,
   ``import repro.pipeline``, building both codecs (``codec_stack``:
   ``from repro.codec import CTVCNet, ClassicalCodec``) and ``python -m
-  repro serve --port 0`` up to its "serving on" line (``serve``).
+  repro serve --port 0`` up to its "serving on" line (``serve``), and
+  ``repro sweep``'s default grid built and submitted to a directory
+  queue (``sweep_submit``, which records whether NumPy and SciPy
+  loaded: ``numpy_loaded``/``scipy_loaded``, both false).
   The ``interpreter`` row (``python -c pass``) is the floor every row
   includes.
 * **hardware** — hardware-analysis throughput (design points/s) of a
@@ -79,6 +85,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import struct
 import sys
 import time
@@ -187,6 +194,11 @@ def bench_entropy(num_symbols: int, repeats: int, backends) -> dict:
             "bits": 8 * len(blob),
             "overhead_vs_ideal": 8 * len(blob) / ideal - 1.0,
         }
+    if "cacm" in report and "rans" in report:
+        for side in ("encode", "decode"):
+            report["rans"][f"{side}_x_vs_cacm"] = (
+                report["cacm"][f"{side}_ms"] / report["rans"][f"{side}_ms"]
+            )
     return report
 
 
@@ -393,7 +405,6 @@ def bench_container(frames, repeats: int) -> dict:
 
 def bench_rate_control(repeats: int) -> dict:
     """The rate-control tax: cqp vs none, calibration, controller cost."""
-    import statistics
     import time as _time_mod
 
     from repro.codec import calibrate_tables, create_rate_controller
@@ -487,7 +498,6 @@ def bench_observability(repeats: int) -> dict:
     """The observability tax: encode with tracing (spans + per-stage
     timers) on vs off, byte-identity of the instrumented stream, and
     the raw cost of one metric update."""
-    import statistics
     import time as _time_mod
 
     from repro.obs import (
@@ -593,7 +603,20 @@ def bench_observability(repeats: int) -> dict:
     return report
 
 
-def bench_sweep(repeats: int) -> dict:
+#: interleaved rounds of every ``sweep`` row, in smoke and full runs alike
+SWEEP_PAIRS = 5
+
+
+def _ratio(numerator: list[float], denominator: list[float]) -> tuple:
+    """``(median, q1, q3)`` of the per-pair ratios ``numerator[i] /
+    denominator[i]``."""
+    q1, median, q3 = statistics.quantiles(
+        [a / b for a, b in zip(numerator, denominator)], n=4
+    )
+    return median, q1, q3
+
+
+def bench_sweep() -> dict:
     """Sweep-executor throughput on a fixed 24-job classical grid.
 
     The ``inline`` row is the cost of serving the sweep without a
@@ -604,23 +627,29 @@ def bench_sweep(repeats: int) -> dict:
     ``x_vs_inline`` ratios are taken against.  ``inline_warm`` runs the
     same loop in this already-warm interpreter (imports paid) with the
     :class:`~repro.pipeline.tasks.WorkerContext` emptied before every
-    repeat: the state a freshly spawned fleet worker starts in, so full
-    and ``--smoke`` runs time the same thing and the warm/cold split is
-    recorded, not hidden.  Its ``context`` is one repeat's hit/miss
-    split.
+    run: the state a freshly spawned fleet worker starts in, so the
+    warm/cold split is recorded, not hidden.  Its ``context`` is one
+    run's hit/miss split.
 
     Every distributed row runs the bundled/warm/shared-frames
     transport (``bundle`` sized by :func:`auto_bundle`); the
     ``cold_spawn`` row keeps the pre-bundling baseline — per-job
     claims, no shared frames — so the transport win stays measured.
-    The ``context`` entries record the runner-process WorkerContext
-    hit/miss split where the workers share it.
+
+    The rows run in :data:`SWEEP_PAIRS` interleaved rounds (one run of
+    each row per round, the same count in smoke and full runs), so a
+    slow moment of a shared host lands on both sides of a ratio.  Each
+    row's ``seconds`` is the median over the rounds; each ``x_vs_*``
+    ratio is the median of its per-round ratios, with their quartiles
+    beside it (``*_q1``/``*_q3``) and the round count in ``pairs``.
     """
     import subprocess
     import tempfile
 
     from repro.pipeline import SweepRunner, run_many
-    from repro.pipeline.dist import auto_bundle
+    from repro.pipeline.dist import (
+        HttpJobQueue, MemoryJobQueue, QueueServer, auto_bundle,
+    )
     from repro.pipeline.tasks import get_worker_context, reset_worker_context
 
     grid = dict(
@@ -635,7 +664,6 @@ def bench_sweep(repeats: int) -> dict:
     )
     num_jobs = 24
     bundle = auto_bundle(num_jobs, 2)
-    report: dict = {"num_jobs": num_jobs, "bundle": bundle}
 
     env = _src_env()
     script = (
@@ -649,23 +677,10 @@ def bench_sweep(repeats: int) -> dict:
             [sys.executable, "-c", script], check=True, env=env
         )
 
-    serial_s, _ = _time(run_inline_invocation, repeats)
-    report["inline"] = {
-        "seconds": serial_s,
-        "jobs_per_s": num_jobs / serial_s,
-        "cold_start": True,
-    }
-
     def run_inline_warm():
         reset_worker_context()
-        return run_many(**grid)
-
-    warm_s, _ = _time(run_inline_warm, repeats)
-    report["inline_warm"] = {
-        "seconds": warm_s,
-        "jobs_per_s": num_jobs / warm_s,
-        "context": get_worker_context().stats(),
-    }
+        reports = run_many(**grid)
+        assert len(reports) == num_jobs
 
     def run_cold_queue():
         # the pre-bundling transport: one claim round-trip per job,
@@ -676,54 +691,77 @@ def bench_sweep(repeats: int) -> dict:
                 bundle=1, share_frames=False,
             ).run()
 
-    cold_s, result = _time(run_cold_queue, repeats)
-    assert result.ok and len(result.reports) == num_jobs
-    report["cold_spawn"] = {
-        "seconds": cold_s,
-        "jobs_per_s": num_jobs / cold_s,
-        "x_vs_inline": serial_s / cold_s,
-        "bundle": 1,
-        "share_frames": False,
-    }
-
     def run_dir_queue():
         with tempfile.TemporaryDirectory() as root:
             return SweepRunner(
                 **grid, queue_dir=root, workers=2, bundle=bundle
             ).run()
 
-    procs_s, result = _time(run_dir_queue, repeats)
-    assert result.ok and len(result.reports) == num_jobs
-    report["queue_processes_x2"] = {
-        "seconds": procs_s,
-        "jobs_per_s": num_jobs / procs_s,
-        "x_vs_inline": serial_s / procs_s,
-        "x_vs_inline_warm": warm_s / procs_s,
-        "x_vs_cold_spawn": cold_s / procs_s,
-        "bundle": bundle,
-        "share_frames": True,
-    }
-
     def run_http_queue():
-        from repro.pipeline.dist import HttpJobQueue, MemoryJobQueue, QueueServer
-
         with QueueServer(MemoryJobQueue(), port=0) as server:
             return SweepRunner(
                 **grid, queue=HttpJobQueue(server.url), workers=2,
                 bundle=bundle,
             ).run()
 
-    http_s, result = _time(run_http_queue, repeats)
-    assert result.ok and len(result.reports) == num_jobs
-    report["queue_http_x2"] = {
-        "seconds": http_s,
-        "jobs_per_s": num_jobs / http_s,
-        "x_vs_inline": serial_s / http_s,
-        "x_vs_processes": procs_s / http_s,
-        "bundle": bundle,
-        "share_frames": True,
+    runs = {
+        "inline": run_inline_invocation,
+        "inline_warm": run_inline_warm,
+        "cold_spawn": run_cold_queue,
+        "queue_processes_x2": run_dir_queue,
+        "queue_http_x2": run_http_queue,
     }
-    return report
+    samples: dict[str, list[float]] = {name: [] for name in runs}
+    for _ in range(SWEEP_PAIRS):
+        for name, run in runs.items():
+            start = time.perf_counter()
+            result = run()
+            samples[name].append(time.perf_counter() - start)
+            if result is not None:
+                assert result.ok and len(result.reports) == num_jobs
+
+    def row(name: str, **ratios) -> dict:
+        seconds = statistics.median(samples[name])
+        out = {"seconds": seconds, "jobs_per_s": num_jobs / seconds}
+        for key, baseline in ratios.items():
+            out[key], out[f"{key}_q1"], out[f"{key}_q3"] = _ratio(
+                samples[baseline], samples[name]
+            )
+        return out
+
+    return {
+        "num_jobs": num_jobs,
+        "bundle": bundle,
+        "pairs": SWEEP_PAIRS,
+        "inline": {**row("inline"), "cold_start": True},
+        "inline_warm": {
+            **row("inline_warm"), "context": get_worker_context().stats(),
+        },
+        "cold_spawn": {
+            **row("cold_spawn", x_vs_inline="inline"),
+            "bundle": 1,
+            "share_frames": False,
+        },
+        "queue_processes_x2": {
+            **row(
+                "queue_processes_x2",
+                x_vs_inline="inline",
+                x_vs_inline_warm="inline_warm",
+                x_vs_cold_spawn="cold_spawn",
+            ),
+            "bundle": bundle,
+            "share_frames": True,
+        },
+        "queue_http_x2": {
+            **row(
+                "queue_http_x2",
+                x_vs_inline="inline",
+                x_vs_processes="queue_processes_x2",
+            ),
+            "bundle": bundle,
+            "share_frames": True,
+        },
+    }
 
 
 def _src_env() -> dict:
@@ -745,12 +783,26 @@ def _src_env() -> dict:
 #: fresh interpreters per ``cold_start`` row
 COLD_START_SAMPLES = 5
 
+#: the ``sweep_submit`` row: ``repro sweep``'s default grid built and
+#: submitted to a directory queue; prints which numeric stacks loaded
+SWEEP_SUBMIT_SCRIPT = """\
+import json, sys, tempfile
+from repro.pipeline import SweepRunner
+with tempfile.TemporaryDirectory() as root:
+    SweepRunner(
+        codecs=["classical", "ctvc"],
+        codec_configs=[{"qstep": qp, "qp": qp} for qp in (8.0, 16.0)],
+        scenes=[{"height": 64, "width": 96, "frames": 4, "seed": 0}],
+        queue_dir=root, share_frames=False,
+    ).submit()
+print(json.dumps([m in sys.modules for m in ("numpy", "scipy")]))
+"""
+
 
 def bench_cold_start(samples: int = COLD_START_SAMPLES) -> dict:
     """Seconds from spawning a fresh interpreter to first use, median
     over ``samples`` interpreters per row (see the module docstring)."""
     import signal
-    import statistics
     import subprocess
 
     env = _src_env()
@@ -785,12 +837,27 @@ def bench_cold_start(samples: int = COLD_START_SAMPLES) -> dict:
             daemon.stdout.close()
         return elapsed
 
+    loaded: list[list[bool]] = []  # per sweep_submit run: numpy, scipy
+
+    def sweep_submit() -> float:
+        t0 = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", SWEEP_SUBMIT_SCRIPT], check=True, env=env,
+            capture_output=True, text=True,
+        )
+        elapsed = time.perf_counter() - t0
+        loaded.append(json.loads(child.stdout))
+        return elapsed
+
     def row(timer, *args) -> dict:
         runs = [timer(*args) for _ in range(samples)]
         return {"median_s": statistics.median(runs), "samples": samples}
 
     report = {name: row(run_script, code) for name, code in scripts.items()}
     report["serve"] = row(serve_ready)
+    report["sweep_submit"] = row(sweep_submit)
+    for index, name in enumerate(("numpy_loaded", "scipy_loaded")):
+        report["sweep_submit"][name] = any(run[index] for run in loaded)
     return report
 
 
@@ -952,7 +1019,7 @@ def main(argv=None) -> int:
         "== sweep executor (24-job classical grid, "
         "bundled + warm + shared frames) =="
     )
-    sweep = bench_sweep(repeats)
+    sweep = bench_sweep()
     for backend in (
         "inline",
         "inline_warm",

@@ -3,10 +3,10 @@
 Codecs (:mod:`repro.pipeline.registry`), platforms
 (:mod:`repro.pipeline.platforms`), task kinds (:mod:`repro.pipeline.tasks`),
 rate controllers (:mod:`repro.codec.rate_control`) and entropy backends
-(:mod:`repro.codec.entropy`) each hold one :class:`Registry` with their
-own entry record and error class, and their public ``register_*`` /
-``unregister_*`` / ``available_*`` / lookup functions delegate to it.
-So all five keep one contract:
+(:mod:`repro.codec.entropy_registry`) each hold one :class:`Registry`
+with their own entry record and error class, and their public
+``register_*`` / ``unregister_*`` / ``available_*`` / lookup functions
+delegate to it.  So all five keep one contract:
 
 * a name is a non-empty string;
 * a taken name is refused unless ``overwrite=True``;
@@ -19,33 +19,36 @@ Like :mod:`repro._lazy`, this module imports only the standard library.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Callable
 
 
 class Registry:
     """A name -> entry table.  ``what`` names the plugin kind in error
     messages (``"codec"``, ``"task kind"``); ``error`` is the exception
-    class every refusal raises.  ``builtins`` maps names to zero-argument
-    factories that refill a missing built-in on every lookup, so a
-    built-in that is unregistered (or lives in a module not yet
-    imported) still resolves."""
+    class every refusal raises.
+
+    ``builtins`` maps names to ``"module:attr"`` references, imported on
+    the first :meth:`get` of their name: listing names, checking a name
+    and refusing an unknown one never import them.  ``make(name,
+    target)`` turns the imported attribute into the entry; without it
+    the attribute is a zero-argument factory of the entry.  A built-in
+    that is unregistered comes back on its next lookup.
+    """
 
     def __init__(
         self,
         what: str,
         error: type[Exception],
-        builtins: dict[str, Callable[[], Any]] | None = None,
+        builtins: dict[str, str] | None = None,
+        *,
+        make: Callable[[str, Any], Any] | None = None,
     ):
         self.what = what
         self.error = error
         self._builtins = dict(builtins or {})
+        self._make = make or (lambda name, factory: factory())
         self._entries: dict[str, Any] = {}
-
-    def _fill(self) -> None:
-        for name, make in self._builtins.items():
-            if name not in self._entries:
-                entry = make()  # may register ``name`` itself on import
-                self._entries.setdefault(name, entry)
 
     def add(self, name: str, entry: Any, *, overwrite: bool = False) -> Any:
         """Register ``entry`` under ``name`` and return it."""
@@ -53,8 +56,8 @@ class Registry:
             raise self.error(
                 f"{self.what} name must be a non-empty string, got {name!r}"
             )
-        if name in self._entries and not overwrite:
-            old = self._entries[name]
+        if name in self.names() and not overwrite:
+            old = self.get(name)
             detail = getattr(old, "description", "") or repr(old)
             raise self.error(
                 f"{self.what} {name!r} is already registered ({detail}); "
@@ -67,18 +70,24 @@ class Registry:
         self._entries.pop(name, None)
 
     def names(self) -> list[str]:
-        self._fill()
-        return sorted(self._entries)
+        return sorted({*self._entries, *self._builtins})
 
-    def get(self, name: str) -> Any:
-        self._fill()
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise self.error(
-                f"unknown {self.what} {name!r}; available: "
-                f"{', '.join(self.names())}"
-            ) from None
+    def get(self, name: str, *, load: bool = True) -> Any:
+        """The entry under ``name``.  With ``load=False`` a built-in not
+        imported yet reads ``None`` instead of being imported; an
+        unknown name raises either way."""
+        if name not in self._entries:
+            if name not in self._builtins:
+                raise self.error(
+                    f"unknown {self.what} {name!r}; available: "
+                    f"{', '.join(self.names())}"
+                )
+            if not load:
+                return None
+            module, _, attr = self._builtins[name].partition(":")
+            entry = self._make(name, getattr(importlib.import_module(module), attr))
+            self._entries.setdefault(name, entry)  # the import may register it
+        return self._entries[name]
 
     def check(self, names) -> None:
         """Refuse a grid naming anything unregistered, all unknown

@@ -10,14 +10,22 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "StreamReader", "StreamWriter", "as_f32", "f16_bits", "f16_from_bits",
         "f32_bits", "f32_from_bits",
     ),
-    ".classical": ("ClassicalCodec", "ClassicalCodecConfig", "zigzag_indices"),
-    ".ctvc": ("CTVCConfig", "CTVCNet"),
+    ".classical": ("ClassicalCodec", "zigzag_indices"),
+    # config classes and registry lookups load no NumPy
+    ".configs": (
+        "CTVCConfig", "ClassicalCodecConfig", "DATASETS", "METHODS",
+        "RDModelConfig",
+    ),
+    ".ctvc": ("CTVCNet",),
     ".entropy": (
         "ArithmeticDecoder", "ArithmeticEncoder", "CacmBackend",
-        "EntropyBackend", "EntropyBackendError", "LaplacianModel",
-        "SymbolModel", "available_entropy_backends", "cached_laplacian",
-        "cached_uniform_model", "decode_symbols", "encode_symbols",
-        "estimate_bits", "get_entropy_backend", "register_entropy_backend",
+        "EntropyBackend", "LaplacianModel", "SymbolModel",
+        "cached_laplacian", "cached_uniform_model", "decode_symbols",
+        "encode_symbols", "estimate_bits",
+    ),
+    ".entropy_registry": (
+        "EntropyBackendError", "available_entropy_backends",
+        "get_entropy_backend", "register_entropy_backend",
         "unregister_entropy_backend",
     ),
     ".rans": ("RansBackend",),
@@ -39,8 +47,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "dense_motion_field",
     ),
     ".rd_models": (
-        "DATASETS", "LITERATURE_BDBR", "METHODS", "RDModelCodec",
-        "RDModelConfig", "all_method_curves", "anchor_curve", "model_curve",
+        "LITERATURE_BDBR", "RDModelCodec", "all_method_curves",
+        "anchor_curve", "model_curve",
     ),
     ".sessions": (
         "DecoderSession", "EncoderSession", "GopDecoderSession",

@@ -20,13 +20,10 @@ Three roles in the reproduction (DESIGN.md §2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.fft import dctn, idctn
 
 from repro.obs.tracing import encode_stage_timer
-from repro.serialization import SerializableConfig
 from repro.video.yuv import rgb_to_ycbcr, subsample_420, upsample_420, ycbcr_to_rgb
 
 from .bitstream import (
@@ -46,13 +43,9 @@ from .entropy import (
     cached_uniform_model,
     get_entropy_backend,
 )
-from .modules import (
-    block_match,
-    block_sums,
-    dense_motion_field,
-    validate_motion_fields,
-)
-from .rate_control import create_rate_controller, validate_rate_fields
+from .configs import ClassicalCodecConfig
+from .modules import block_match, block_sums, dense_motion_field
+from .rate_control import create_rate_controller
 from .sessions import (
     DecoderSession,
     EncoderSession,
@@ -96,37 +89,6 @@ def zigzag_indices(size: int = _BLOCK) -> np.ndarray:
 
 
 _ZIGZAG = zigzag_indices(_BLOCK)
-
-
-@dataclass(frozen=True)
-class ClassicalCodecConfig(SerializableConfig):
-    """Operating parameters of the classical codec."""
-
-    qp: float = 8.0  # quantization step for luma DCT coefficients
-    chroma_qp_scale: float = 1.6
-    block_size: int = 8  # motion block size (luma pixels)
-    search_range: int = 8
-    gop: int = 8  # I-frame interval
-    support: int = 255  # symbol support for coefficient coding
-    #: refine integer motion to half-pel precision (bilinear reference
-    #: interpolation), as H.264-class codecs do.
-    half_pel: bool = False
-    #: entropy coder for coefficients and motion ("rans" is the fast
-    #: vectorized default, "cacm" the paper-exact reference).
-    entropy_backend: str = "rans"
-    #: rate controller name ("cqp" / "abr" / "calibrated"; see
-    #: :mod:`repro.codec.rate_control`) or None for plain fixed-QP.
-    rate_control: str | None = None
-    #: bitrate budget in kilobits per second (needs a rate controller).
-    target_kbps: float | None = None
-    #: frame rate the bitrate budget is measured against.
-    fps: float = 30.0
-
-    def __post_init__(self):
-        get_entropy_backend(self.entropy_backend)  # fail fast on unknown names
-        validate_rate_fields(self.rate_control, self.target_kbps, self.fps)
-        # chroma planes search with half the luma block size
-        validate_motion_fields(self.block_size, self.search_range, 2)
 
 
 def _pad_to_blocks(plane: np.ndarray) -> np.ndarray:

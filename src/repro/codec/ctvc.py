@@ -30,12 +30,11 @@ Variants measured in the evaluation (Table I rows):
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs.tracing import encode_stage_timer
-from repro.serialization import ConfigError, SerializableConfig
 from repro.video.yuv import rgb_to_ycbcr
 
 from .bitstream import (
@@ -47,7 +46,6 @@ from .bitstream import (
 )
 from .classical import (
     ClassicalCodec,
-    ClassicalCodecConfig,
     decode_packet_segments,
     encode_packet_segments,
     header_geometry,
@@ -59,7 +57,8 @@ from .entropy import (
     cached_laplacian,
     get_entropy_backend,
 )
-from .rate_control import create_rate_controller, validate_rate_fields
+from .configs import ClassicalCodecConfig, CTVCConfig
+from .rate_control import create_rate_controller
 from .sessions import (
     DecoderSession,
     EncoderSession,
@@ -72,7 +71,6 @@ from .modules import (
     FeatureExtraction,
     FrameReconstruction,
     MotionEstimation,
-    validate_motion_fields,
 )
 
 __all__ = ["CTVCConfig", "CTVCNet", "SUBSTRATES"]
@@ -81,90 +79,6 @@ __all__ = ["CTVCConfig", "CTVCNet", "SUBSTRATES"]
 #: ``reference`` is the exact float64 path every stream before the tier
 #: existed was written with; ``fast`` runs the same nets in float32.
 SUBSTRATES = {"reference": np.float64, "fast": np.float32}
-
-
-@dataclass(frozen=True)
-class CTVCConfig(SerializableConfig):
-    """Hyper-parameters of a CTVC-Net instance.
-
-    The paper's operating point is ``channels=36`` (N), window 3,
-    ``rho=0.5``; smaller channel counts run much faster and are used by
-    the test suite.
-
-    Fields split in two: :attr:`ARCHITECTURE_FIELDS` are what the nets'
-    constructors read (the weights depend on them and on nothing else),
-    :attr:`CODING_FIELDS` only steer how the nets' output is coded.
-    Codecs whose configs differ in coding fields alone can share one
-    set of nets (:meth:`CTVCNet.with_config`).
-    """
-
-    #: fields the net modules are built from.
-    ARCHITECTURE_FIELDS = (
-        "channels", "window", "heads", "block_size", "search_range", "seed",
-    )
-    #: fields that never reach a net module.
-    CODING_FIELDS = (
-        "qstep", "intra_qp", "gop", "entropy_backend", "rate_control",
-        "target_kbps", "fps", "substrate",
-    )
-
-    channels: int = 36
-    qstep: float = 8.0  # latent quantization step (rate control knob)
-    intra_qp: float | None = None  # classical I-frame QP; None derives it
-    gop: int = 8
-    window: int = 3
-    heads: int = 4
-    block_size: int = 8
-    search_range: int = 4
-    seed: int = 0
-    #: entropy coder for latents and intra planes ("rans" is the fast
-    #: vectorized default, "cacm" the paper-exact reference).
-    entropy_backend: str = "rans"
-    #: rate controller name ("cqp" / "abr" / "calibrated"; see
-    #: :mod:`repro.codec.rate_control`) or None for plain fixed-qstep.
-    rate_control: str | None = None
-    #: bitrate budget in kilobits per second (needs a rate controller).
-    target_kbps: float | None = None
-    #: frame rate the bitrate budget is measured against.
-    fps: float = 30.0
-    #: numeric tier of the nets (:data:`SUBSTRATES`): "fast" (float32,
-    #: the default) or "reference" (float64, byte-identical to streams
-    #: written before the tier existed).  Recorded in the stream header.
-    substrate: str = "fast"
-
-    def __post_init__(self):
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
-        if self.channels < 2:
-            raise ConfigError(f"channels must be >= 2, got {self.channels}")
-        if 2 * self.channels % self.heads:
-            # the Swin attention modules run on 2N channels split over heads
-            raise ConfigError(
-                f"2*channels must be divisible by heads={self.heads}, "
-                f"got channels={self.channels}"
-            )
-        get_entropy_backend(self.entropy_backend)  # fail fast on unknown names
-        if self.substrate not in SUBSTRATES:
-            raise ConfigError(
-                f"unknown substrate {self.substrate!r}; "
-                f"available: {', '.join(sorted(SUBSTRATES))}"
-            )
-        validate_rate_fields(self.rate_control, self.target_kbps, self.fps)
-        validate_motion_fields(self.block_size, self.search_range, 1)
-
-    def derived_intra_qp(self) -> float:
-        """I-frame QP tracking the latent quantization step."""
-        return self.intra_qp if self.intra_qp is not None else 2.0 * self.qstep
-
-    def architecture(self) -> dict:
-        """The fields the nets are built from: every field but the
-        coding ones, so a field nobody classified never lets two
-        different nets pass for one."""
-        return {
-            name: value
-            for name, value in self.to_dict().items()
-            if name not in self.CODING_FIELDS
-        }
 
 
 @dataclass

@@ -9,8 +9,10 @@ behind a pluggable **entropy backend** seam:
   *segment list* (one ``(symbols, SymbolModel)`` pair per contiguous
   run of same-model symbols) in, one byte payload out, and the exact
   inverse on decode.  Backends live in a string-keyed registry
-  (:func:`register_entropy_backend` / :func:`get_entropy_backend`),
-  mirroring the codec registry in :mod:`repro.pipeline.registry`.
+  (:func:`register_entropy_backend` / :func:`get_entropy_backend`,
+  defined NumPy-free in :mod:`repro.codec.entropy_registry` and
+  re-exported here), mirroring the codec registry in
+  :mod:`repro.pipeline.registry`.
 * ``"cacm"`` — the classic CACM'87 integer arithmetic coder
   (:class:`ArithmeticEncoder` / :class:`ArithmeticDecoder`, 32-bit
   registers, pending-bit handling).  Bit I/O is vectorized through
@@ -41,7 +43,7 @@ Rates reported anywhere in the evaluation harness come from actual
 encoded byte counts, with ``estimate_bits`` (ideal Shannon cost)
 available to cross-check coder efficiency.
 
-This registry is one of the three pluggable seams mapped in
+This registry is one of the six seams mapped in
 ``docs/architecture.md``; the header field that pins a stream to its
 backend is specified in ``docs/bitstream.md``.
 """
@@ -53,9 +55,14 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro._registry import Registry
-
 from .bitstream import f16_from_bits
+from .entropy_registry import (
+    EntropyBackendError,
+    available_entropy_backends,
+    get_entropy_backend,
+    register_entropy_backend,
+    unregister_entropy_backend,
+)
 
 __all__ = [
     "ArithmeticEncoder",
@@ -383,11 +390,7 @@ def cached_uniform_model(num_symbols: int) -> SymbolModel:
     return SymbolModel(np.ones(num_symbols, dtype=np.int64))
 
 
-# -- backend protocol + registry --------------------------------------------
-
-
-class EntropyBackendError(ValueError):
-    """Registration conflict or unknown-backend lookup."""
+# -- backend protocol -------------------------------------------------------
 
 
 @runtime_checkable
@@ -450,52 +453,6 @@ class CacmBackend:
                 values[index] = decode(model)
             out.append(values)
         return out
-
-
-def _rans_backend() -> EntropyBackend:
-    # repro.codec.rans registers "rans" itself when first imported; this
-    # also brings it back after unregister_entropy_backend("rans")
-    from .rans import RansBackend
-
-    return RansBackend()
-
-
-_ENTROPY_BACKENDS = Registry(
-    "entropy backend",
-    EntropyBackendError,
-    builtins={"cacm": CacmBackend, "rans": _rans_backend},
-)
-
-
-def register_entropy_backend(
-    name: str, backend: EntropyBackend, *, overwrite: bool = False
-) -> EntropyBackend:
-    """Register an entropy backend instance under ``name``.
-
-    Mirrors :func:`repro.pipeline.registry.register_codec`:
-    re-registering an existing name raises unless ``overwrite=True``.
-    """
-    return _ENTROPY_BACKENDS.add(name, backend, overwrite=overwrite)
-
-
-def unregister_entropy_backend(name: str) -> None:
-    """Remove a registration (mainly for tests and plugin teardown).
-    The built-ins ``"cacm"`` and ``"rans"`` come back on the next
-    lookup."""
-    _ENTROPY_BACKENDS.remove(name)
-
-
-def available_entropy_backends() -> list[str]:
-    """Sorted names of every registered backend."""
-    return _ENTROPY_BACKENDS.names()
-
-
-def get_entropy_backend(name: str) -> EntropyBackend:
-    """Look up a backend, with a helpful unknown-name error."""
-    return _ENTROPY_BACKENDS.get(name)
-
-
-register_entropy_backend("cacm", CacmBackend())
 
 
 # -- convenience single-model helpers ---------------------------------------

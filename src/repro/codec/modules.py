@@ -182,26 +182,6 @@ class FrameReconstruction(Module):
         return full[:, 3 : 3 + h, 3 : 3 + w] + 128.0
 
 
-def validate_motion_fields(
-    block_size: int, search_range: int, min_block_size: int
-) -> None:
-    """Check a codec config's motion fields at construction.
-
-    ``search_range`` must be an int >= 0 and ``block_size`` an int >=
-    ``min_block_size``; anything else would crash deep inside encode.
-    """
-    for name, value, least in (
-        ("block_size", block_size, min_block_size),
-        ("search_range", search_range, 0),
-    ):
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, np.integer))
-            or value < least
-        ):
-            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-
-
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis in the order of NumPy's ``pairwise_sum``.
 

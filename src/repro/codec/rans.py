@@ -71,11 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitstream import StreamCorruptionError
-from .entropy import (
-    RANS_PRECISION,
-    SymbolModel,
-    register_entropy_backend,
-)
+from .entropy import RANS_PRECISION, SymbolModel
 
 __all__ = [
     "DEFAULT_LANES",
@@ -304,6 +300,3 @@ class RansBackend:
             result.append(symbols.astype(np.int64))
             start += count
         return result
-
-
-register_entropy_backend("rans", RansBackend())

@@ -19,14 +19,12 @@ sparsity barely hurt is re-established by measurement, not calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.metrics.rd import RDCurve
-from repro.serialization import SerializableConfig
 
-from .rate_control import rate_controller_spec, validate_rate_fields
+from .configs import DATASETS, METHODS, RDModelConfig, _normalize_dataset
+from .rate_control import rate_controller_spec
 
 __all__ = [
     "METHODS",
@@ -38,22 +36,6 @@ __all__ = [
     "model_curve",
     "all_method_curves",
 ]
-
-#: Method keys in the paper's Table I row order.
-METHODS = (
-    "h264",
-    "dvc",
-    "h265",
-    "lu-eccv20",
-    "fvc",
-    "dcvc",
-    "ctvc-fp",
-    "ctvc-fxp",
-    "ctvc-sparse",
-)
-
-#: Dataset keys in the paper's Table I column order.
-DATASETS = ("uvg", "hevcb", "mcljcv")
 
 #: Paper Table I, verbatim: BDBR(%) against the H.265 anchor.
 #: Keys: (method, dataset, metric).
@@ -146,13 +128,6 @@ _METHOD_TILT: dict[str, float] = {
 }
 
 
-def _normalize_dataset(dataset: str) -> str:
-    name = dataset.lower().replace("-sim", "")
-    if name not in DATASETS:
-        raise KeyError(f"unknown dataset {dataset!r}; know {DATASETS}")
-    return name
-
-
 def anchor_curve(dataset: str, metric: str, num_points: int = 5) -> RDCurve:
     """The H.265 reference curve for a dataset/metric.
 
@@ -208,46 +183,6 @@ def all_method_curves(
 
 
 # -- registry-facing pseudo-codec -------------------------------------------
-@dataclass(frozen=True)
-class RDModelConfig(SerializableConfig):
-    """Operating point of one calibrated literature method.
-
-    ``point`` indexes the method's RD curve (``0`` = lowest rate,
-    ``num_points - 1`` = highest), so a ``run_many`` grid over
-    ``point`` sweeps the whole published curve through the same
-    surface as the measured codecs.
-    """
-
-    method: str = "h265"
-    dataset: str = "uvg"
-    #: curve index in [0, num_points).
-    point: int = 2
-    num_points: int = 5
-    #: rate controller name (see :mod:`repro.codec.rate_control`).
-    #: With a target, ``simulate`` inverts the method's calibrated RD
-    #: curve to the target rate instead of reading a fixed point — the
-    #: fast calibration path for ladder planning.
-    rate_control: str | None = None
-    #: bitrate budget in kilobits per second (needs a rate controller).
-    target_kbps: float | None = None
-    #: frame rate the bitrate budget is measured against.
-    fps: float = 30.0
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(
-                f"unknown method {self.method!r}; know {', '.join(METHODS)}"
-            )
-        _normalize_dataset(self.dataset)  # raises on unknown names
-        if self.num_points < 2:
-            raise ValueError(f"num_points must be >= 2, got {self.num_points}")
-        if not 0 <= self.point < self.num_points:
-            raise ValueError(
-                f"point must be in [0, {self.num_points}), got {self.point}"
-            )
-        validate_rate_fields(self.rate_control, self.target_kbps, self.fps)
-
-
 class RDModelCodec:
     """A calibrated literature method behind the codec-registry surface.
 

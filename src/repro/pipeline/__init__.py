@@ -4,8 +4,8 @@ Layers, designed to be scripted, queued, and sharded:
 
 * **registries** — ``register_codec`` / ``create_codec`` /
   ``available_codecs``: codecs are named plugins behind the
-  :class:`VideoCodec` protocol (``"ctvc"`` and ``"classical"``
-  register at import); ``register_platform`` / ``create_platform`` /
+  :class:`VideoCodec` protocol (``"ctvc"``, ``"classical"`` and
+  ``"rd-model"`` are built-ins whose modules load on first use); ``register_platform`` / ``create_platform`` /
   ``available_platforms``: accelerator platforms are named plugins
   behind the :class:`AcceleratorModel` protocol (``"nvca"`` plus the
   four published Table II references).
@@ -59,10 +59,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.codec": ("available_entropy_backends",),
     ".configs": ("CONFIG_TYPES", "ConfigError", "load_config"),
-    ".facade": (
-        "EncodeSession", "Pipeline", "analyze_hardware", "build_jobs",
-        "run_many",
-    ),
+    ".facade": ("EncodeSession", "Pipeline", "analyze_hardware", "run_many"),
+    ".jobs": ("build_jobs",),
     ".dist": (
         "HttpJobQueue", "QueueRunner", "QueueServer", "SweepResult",
         "SweepRunner", "WorkerFleet", "spawn_worker",

@@ -58,8 +58,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.metrics import RDCurve, bd_rate_table, curves_from_reports
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 
@@ -68,6 +68,9 @@ from .fleet import WorkerFleet, _worker_location, open_queue, spawn_worker
 from .net import HttpQueueError
 from .queues import JobQueue, QueueStats
 from .worker import run_worker, verify_result_checksum
+
+if TYPE_CHECKING:
+    from repro.metrics import RDCurve
 
 __all__ = [
     "QueueRunner",
@@ -743,7 +746,7 @@ class SweepRunner(QueueRunner):
         metric: str = "psnr",
         anchor: str | None = None,
     ):
-        from repro.pipeline.facade import build_jobs
+        from repro.pipeline.jobs import build_jobs
 
         specs = build_jobs(
             jobs,
@@ -774,6 +777,7 @@ class SweepRunner(QueueRunner):
     def _aggregate(
         self, results: dict[str, dict], failures: dict[str, str], elapsed: float
     ) -> SweepResult:
+        from repro.metrics import bd_rate_table, curves_from_reports
         from repro.pipeline.reports import EncodeReport
 
         reports = self._hydrated_reports(results)

@@ -22,9 +22,7 @@ mean per-frame PSNR.
 
 from __future__ import annotations
 
-import dataclasses
 import io
-import itertools
 import os
 import time
 
@@ -36,7 +34,8 @@ from repro.metrics import ms_ssim, psnr
 from repro.serialization import ConfigError, SerializableConfig
 from repro.video import SceneConfig, generate_sequence, iter_sequence
 
-from .registry import _CODECS, VideoCodec, codec_spec, create_codec
+from .jobs import build_jobs, encode_configs, encode_spec
+from .registry import VideoCodec, create_codec
 from .reports import EncodeReport, HardwareReport
 
 __all__ = [
@@ -496,39 +495,18 @@ class Pipeline:
         compute_msssim: bool = False,
         hardware: NVCAConfig | dict | bool | None = None,
     ):
-        spec = codec_spec(codec)  # fail fast on unknown names
         self.codec = codec
-        if isinstance(codec_config, dict):
-            codec_config = spec.config_cls.from_dict(codec_config)
-        elif codec_config is not None and not isinstance(
-            codec_config, spec.config_cls
-        ):
-            raise ConfigError(
-                f"codec {codec!r} expects a {spec.config_cls.__name__}, "
-                f"got {type(codec_config).__name__}"
-            )
-        self.codec_config = codec_config or spec.config_cls()
-        if isinstance(scene, dict):
-            scene = SceneConfig.from_dict(scene)
-        self.scene = scene or SceneConfig()
+        self.codec_config, self.scene, self.hardware = encode_configs(
+            codec, codec_config, scene, hardware
+        )
         self.compute_msssim = compute_msssim
-        if hardware is True:
-            hardware = NVCAConfig()
-        elif hardware is False:
-            hardware = None
-        elif isinstance(hardware, dict):
-            hardware = NVCAConfig.from_dict(hardware)
-        self.hardware = hardware
 
     # -- serialization ------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "codec": self.codec,
-            "codec_config": self.codec_config.to_dict(),
-            "scene": self.scene.to_dict(),
-            "compute_msssim": self.compute_msssim,
-            "hardware": self.hardware.to_dict() if self.hardware else None,
-        }
+        return encode_spec(
+            self.codec, self.codec_config, self.scene,
+            compute_msssim=self.compute_msssim, hardware=self.hardware,
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "Pipeline":
@@ -571,123 +549,6 @@ class Pipeline:
         return analyze_hardware(
             height or self.scene.height, width or self.scene.width, config
         )
-
-
-def _grid(registry, names, configs, items):
-    """``(name, overrides, item)`` over names x configs x items, once
-    every name is known to ``registry``.  Dict overrides keep only the
-    keys the name's config class defines, so one grid can mix CTVC's
-    ``qstep`` and classical's ``qp``."""
-    registry.check(names)
-    for name, overrides, item in itertools.product(names, configs, items):
-        if isinstance(overrides, dict):
-            config_cls = registry.get(name).config_cls
-            fields = {f.name for f in dataclasses.fields(config_cls)}
-            overrides = {k: v for k, v in overrides.items() if k in fields}
-        yield name, overrides, item
-
-
-def _encode_grid(codecs, codec_configs, scenes, compute_msssim) -> list:
-    """Expand the codecs x codec_configs x scenes cross product."""
-    return [
-        Pipeline(codec, overrides, scene, compute_msssim=compute_msssim)
-        for codec, overrides, scene in _grid(
-            _CODECS,
-            codecs,
-            codec_configs if codec_configs is not None else [{}],
-            scenes if scenes is not None else [SceneConfig()],
-        )
-    ]
-
-
-def _hardware_grid(platforms, platform_configs, resolutions) -> list[dict]:
-    """Expand the platforms x platform_configs x resolutions cross
-    product into ``"hardware"`` task specs."""
-    from .platforms import _PLATFORMS
-
-    return [
-        {
-            "kind": "hardware",
-            "platform": platform,
-            "config": overrides,
-            "height": int(height),
-            "width": int(width),
-        }
-        for platform, overrides, (height, width) in _grid(
-            _PLATFORMS,
-            platforms,
-            platform_configs if platform_configs is not None else [{}],
-            resolutions if resolutions is not None else [(1080, 1920)],
-        )
-    ]
-
-
-def build_jobs(
-    jobs=None,
-    *,
-    codecs=None,
-    codec_configs=None,
-    scenes=None,
-    compute_msssim: bool = False,
-    platforms=None,
-    platform_configs=None,
-    resolutions=None,
-) -> list[dict]:
-    """Normalize any ``run_many`` calling style to validated specs.
-
-    Explicit ``jobs`` (``Pipeline`` objects or task-typed spec dicts —
-    a dict without ``"kind"`` is an encode job) pass through per-kind
-    validation one by one; a ``codecs`` grid expands the
-    codecs x codec_configs x scenes cross product, skipping override
-    keys a codec's config class does not define (so one grid can mix
-    ``qstep`` and ``qp``); a ``platforms`` grid expands
-    platforms x platform_configs x resolutions into ``"hardware"``
-    analysis jobs the same way.  Codec, platform, and task-kind names
-    are validated *up front* — before any job is built, let alone
-    submitted to a queue — so a typo fails as one clear
-    ``ValueError`` naming every offender instead of a worker traceback
-    mid-sweep.
-
-    Returns JSON-ready job-spec dicts (the on-wire unit of
-    :mod:`repro.pipeline.dist`).
-    """
-    if jobs is None:
-        if codecs is not None and platforms is not None:
-            raise ValueError(
-                "pass a codecs=[...] grid or a platforms=[...] grid, not "
-                "both (build the two spec lists and concatenate them to mix)"
-            )
-        if codecs is not None:
-            jobs = _encode_grid(codecs, codec_configs, scenes, compute_msssim)
-        elif platforms is not None:
-            if compute_msssim:
-                raise ValueError(
-                    "compute_msssim only applies to encode grids"
-                )
-            jobs = _hardware_grid(platforms, platform_configs, resolutions)
-        else:
-            raise ValueError(
-                "run_many needs jobs=... or a codecs=[...] / "
-                "platforms=[...] grid"
-            )
-    elif compute_msssim:
-        raise ValueError(
-            "compute_msssim only applies to grid mode; with explicit jobs, "
-            "set it on each Pipeline"
-        )
-    from .tasks import normalize_spec
-
-    specs = []
-    for job in jobs:
-        if isinstance(job, Pipeline):
-            specs.append(job.to_dict())
-        elif isinstance(job, dict):
-            specs.append(normalize_spec(job))
-        else:
-            raise TypeError(
-                f"run_many jobs must be Pipeline or dict, got {type(job).__name__}"
-            )
-    return specs
 
 
 def run_many(

@@ -4,9 +4,11 @@ Callers name a codec (``"ctvc"``, ``"classical"``) instead of importing
 and wiring a concrete class; new variants — including RD-model-backed
 pseudo-codecs — plug in with one :func:`register_codec` call and every
 facade/CLI/sweep path picks them up without modification.  This is the
-first of the three seams mapped in ``docs/architecture.md`` (the
-others: streaming sessions, :mod:`repro.codec.sessions`, and entropy
-backends, :mod:`repro.codec.entropy`).
+first of the six seams mapped in ``docs/architecture.md``.  The
+built-in codecs register by name (``"module:attr"``): a codec's module,
+and with it NumPy and SciPy, loads on the first :func:`codec_spec` or
+:func:`create_codec` of it, while :func:`available_codecs` and the
+config classes (:mod:`repro.codec.configs`) load neither.
 
 Note on distribution: sweep workers in other *processes* resolve codec
 names against their own copy of this registry, so a custom codec must
@@ -23,23 +25,16 @@ under the ``fork`` start method, worker processes (see ``docs/distributed.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro._registry import Registry
-from repro.codec import (
-    ClassicalCodec,
-    ClassicalCodecConfig,
-    CTVCConfig,
-    CTVCNet,
-    DecoderSession,
-    EncoderSession,
-    RDModelCodec,
-    RDModelConfig,
-    SequenceBitstream,
-)
+from repro.codec.configs import ClassicalCodecConfig, CTVCConfig, RDModelConfig
 from repro.serialization import SerializableConfig
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.codec import DecoderSession, EncoderSession, SequenceBitstream
 
 __all__ = [
     "CodecRegistryError",
@@ -98,7 +93,39 @@ class CodecSpec:
     description: str = ""
 
 
-_CODECS = Registry("codec", CodecRegistryError)
+#: built-in codecs: name -> (factory as "module:attr", config class,
+#: description)
+_BUILTINS = {
+    "ctvc": (
+        "repro.codec.ctvc:CTVCNet",
+        CTVCConfig,
+        "CTVC-Net CNN-Transformer hybrid codec (the paper's learned codec)",
+    ),
+    "classical": (
+        "repro.codec.classical:ClassicalCodec",
+        ClassicalCodecConfig,
+        "block-DCT hybrid codec (the measured H.26x stand-in)",
+    ),
+    "rd-model": (
+        "repro.codec.rd_models:RDModelCodec",
+        RDModelConfig,
+        "calibrated literature RD model (Table I BDBR vs the H.265 anchor); "
+        "simulated rate/quality reports, no bitstream",
+    ),
+}
+
+
+def _builtin_spec(name: str, factory: Callable[..., VideoCodec]) -> CodecSpec:
+    _, config_cls, description = _BUILTINS[name]
+    return CodecSpec(name, factory, config_cls, description)
+
+
+_CODECS = Registry(
+    "codec",
+    CodecRegistryError,
+    builtins={name: factory for name, (factory, _, _) in _BUILTINS.items()},
+    make=_builtin_spec,
+)
 
 
 def register_codec(
@@ -154,6 +181,13 @@ def create_codec(
     return codec_spec(name).factory(codec_config(name, config, **overrides))
 
 
+def _config_cls(name: str) -> type[SerializableConfig]:
+    """``codec_spec(name).config_cls``, without importing a built-in
+    codec's module (the spec builder validates configs NumPy-free)."""
+    spec = _CODECS.get(name, load=False)
+    return _BUILTINS[name][1] if spec is None else spec.config_cls
+
+
 def codec_config(
     name: str,
     config: SerializableConfig | dict | None = None,
@@ -161,25 +195,3 @@ def codec_config(
 ) -> SerializableConfig:
     """The config instance :func:`create_codec` builds ``name`` with."""
     return _CODECS.config(name, config, **overrides)
-
-
-# -- built-in registrations -------------------------------------------------
-register_codec(
-    "ctvc",
-    CTVCNet,
-    CTVCConfig,
-    "CTVC-Net CNN-Transformer hybrid codec (the paper's learned codec)",
-)
-register_codec(
-    "classical",
-    ClassicalCodec,
-    ClassicalCodecConfig,
-    "block-DCT hybrid codec (the measured H.26x stand-in)",
-)
-register_codec(
-    "rd-model",
-    RDModelCodec,
-    RDModelConfig,
-    "calibrated literature RD model (Table I BDBR vs the H.265 anchor); "
-    "simulated rate/quality reports, no bitstream",
-)

@@ -1,31 +1,14 @@
 """Synthetic video sources and raw-video utilities."""
 
-from .datasets import DATASETS, DatasetSpec, dataset_names, load_dataset
-from .synthetic import SceneConfig, VideoGenerator, generate_sequence, iter_sequence
-from .yuv import (
-    YUV420Reader,
-    read_yuv420,
-    rgb_to_ycbcr,
-    subsample_420,
-    upsample_420,
-    write_yuv420,
-    ycbcr_to_rgb,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DATASETS",
-    "DatasetSpec",
-    "SceneConfig",
-    "VideoGenerator",
-    "YUV420Reader",
-    "dataset_names",
-    "generate_sequence",
-    "iter_sequence",
-    "load_dataset",
-    "read_yuv420",
-    "rgb_to_ycbcr",
-    "subsample_420",
-    "upsample_420",
-    "write_yuv420",
-    "ycbcr_to_rgb",
-]
+# Names resolve on first use: ``SceneConfig`` loads no NumPy.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".datasets": ("DATASETS", "DatasetSpec", "dataset_names", "load_dataset"),
+    ".scene": ("SceneConfig",),
+    ".synthetic": ("VideoGenerator", "generate_sequence", "iter_sequence"),
+    ".yuv": (
+        "YUV420Reader", "read_yuv420", "rgb_to_ycbcr", "subsample_420",
+        "upsample_420", "write_yuv420", "ycbcr_to_rgb",
+    ),
+})

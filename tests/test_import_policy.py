@@ -227,3 +227,143 @@ def test_registries_fill_whichever_module_comes_first(first):
         )
     """)
     assert result == REGISTRIES
+
+
+# -- the submitting side -------------------------------------------------
+
+#: ``repro sweep``'s default grid, as ``_cmd_sweep`` builds it
+_DEFAULT_SWEEP = """
+    GRID = dict(
+        codecs=["classical", "ctvc"],
+        codec_configs=[{"qstep": qp, "qp": qp} for qp in (8.0, 16.0)],
+        scenes=[{"height": 64, "width": 96, "frames": 4, "seed": 0}],
+        anchor="classical",
+    )
+"""
+
+
+@pytest.mark.parametrize("transport", ["memory", "http"])
+def test_submit_loads_no_numpy(transport):
+    """Building the default sweep grid and submitting it loads neither
+    NumPy nor SciPy: configs, scenes and codec names validate without
+    the codec stack."""
+    result = _fresh(_DEFAULT_SWEEP + f"""
+    import sys
+    from repro.pipeline import SweepRunner
+    from repro.pipeline.dist import HttpJobQueue, MemoryJobQueue, QueueServer
+
+    server = None
+    queue = MemoryJobQueue()
+    if {transport!r} == "http":
+        server = QueueServer(queue, host="127.0.0.1", port=0)
+        server.start()
+        queue = HttpJobQueue(server.url)
+    ids = SweepRunner(**GRID, queue=queue, share_frames=False).submit()
+    stats = queue.stats()
+    if server is not None:
+        queue.close()
+        server.stop()
+    result = [len(ids), stats.pending,
+              [m in sys.modules for m in ("numpy", "scipy")]]
+    """)
+    assert result == [4, 4, [False, False]]
+
+
+def test_registry_listings_load_no_numpy():
+    result = _fresh("""
+        import sys
+        from repro.codec import CTVCConfig, available_entropy_backends
+        from repro.pipeline import available_codecs
+
+        errors = []
+        for bad in (dict(entropy_backend="huffman"), dict(substrate="exact")):
+            try:
+                CTVCConfig(**bad)
+            except ValueError as exc:
+                errors.append(str(exc))
+        result = [available_codecs(), available_entropy_backends(), errors,
+                  [m in sys.modules for m in ("numpy", "scipy")]]
+    """)
+    assert result == [
+        ["classical", "ctvc", "rd-model"],
+        ["cacm", "rans"],
+        [
+            "unknown entropy backend 'huffman'; available: cacm, rans",
+            "unknown substrate 'exact'; available: fast, reference",
+        ],
+        [False, False],
+    ]
+
+
+def test_shared_frames_submit_renders_and_publishes():
+    """With ``share_frames=True`` the submitter still renders each
+    distinct scene once and ships it as a shared-memory segment."""
+    result = _fresh(_DEFAULT_SWEEP + """
+    import sys
+    from repro.pipeline import SweepRunner
+    from repro.pipeline.dist import MemoryJobQueue
+
+    queue = MemoryJobQueue()
+    runner = SweepRunner(**GRID, queue=queue, share_frames=True)
+    runner.submit()
+    jobs = queue.claim_batch("probe", lease_seconds=60.0, limit=10)
+    segments = {job.spec["frames_shm"]["name"] for job in jobs}
+    released = runner.release_shared_frames()
+    result = [len(jobs), len(segments), released, "numpy" in sys.modules]
+    """)
+    assert result == [4, 1, 1, True]
+
+
+#: ``repro sweep``'s grid as perfbench's ``sweep_fleet`` runs it (four
+#: scenes, seed 1): job ids, and the SHA-256 of the specs' JSON in
+#: submission order, as the pre-lazy facade built them
+FLEET_JOB_IDS = [
+    "00000-21edf25138", "00001-7f57bc6a22", "00002-cc07f495a0",
+    "00003-082fce6378", "00004-3405227ad2", "00005-6fe1821209",
+    "00006-8a05167894", "00007-eee4ae5293", "00008-6d201e3c8d",
+    "00009-4110f9c338", "00010-e2f09ea091", "00011-7966fd6686",
+    "00012-3adfde2e97", "00013-eb7067e904", "00014-3fdd4587e7",
+    "00015-0be6991e46",
+]
+FLEET_SPECS_SHA256 = (
+    "522315f71e30c71a3db8faca154f3d79f902025badefd27dd3d111576f4988e1"
+)
+
+
+def test_fleet_grid_specs_are_pinned():
+    import hashlib
+
+    from repro.pipeline import Pipeline, build_jobs
+    from repro.pipeline.dist import job_id_for_spec
+
+    grid = dict(
+        codecs=["classical", "ctvc"],
+        codec_configs=[{"qstep": qp, "qp": qp} for qp in (8.0, 16.0)],
+        scenes=[
+            {"height": 64, "width": 96, "frames": 4, "seed": seed}
+            for seed in range(4, 8)
+        ],
+    )
+    specs = build_jobs(**grid)
+    assert [job_id_for_spec(i, s) for i, s in enumerate(specs)] == FLEET_JOB_IDS
+    digest = hashlib.sha256(json.dumps(specs).encode()).hexdigest()
+    assert digest == FLEET_SPECS_SHA256
+    # the facade's own documents are the same bytes
+    pipelines = [Pipeline(s["codec"], s["codec_config"], s["scene"]) for s in specs]
+    assert build_jobs(pipelines) == specs
+
+
+def test_config_validation_without_numpy_types():
+    """Configs check fields with ``numbers``, which NumPy's integer
+    types register with; the substrate names match the dtype map."""
+    import numpy as np
+
+    from repro.codec import ClassicalCodecConfig
+    from repro.codec.configs import SUBSTRATE_NAMES
+    from repro.codec.ctvc import SUBSTRATES
+
+    assert ClassicalCodecConfig(block_size=np.int64(8)).block_size == 8
+    for bad in (np.float64(8.0), True):
+        with pytest.raises(ValueError, match="block_size must be an int"):
+            ClassicalCodecConfig(block_size=bad)
+    assert sorted(SUBSTRATES) == list(SUBSTRATE_NAMES)

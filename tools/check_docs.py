@@ -15,6 +15,11 @@ Checks, over ``README.md`` and every ``docs/*.md``:
   output must match exactly, so the docs cannot drift from the code.
 * **syntax** — remaining ```python blocks (no prompts) must at least
   compile, catching renamed-API rot in illustrative snippets.
+* **bench cells** — in a "Performance" section, every table with a
+  "BENCH keys" column: each number in a row's other cells (after the
+  label) must equal, at its printed precision, the
+  ``BENCH_codec.json`` value of the key the row names in the same
+  position (``{a,b}`` expands left to right).
 
 Exit status is the number of failing files (0 = everything holds).
 """
@@ -22,6 +27,7 @@ Exit status is the number of failing files (0 = everything holds).
 from __future__ import annotations
 
 import doctest
+import json
 import pathlib
 import re
 import sys
@@ -33,6 +39,11 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: fenced code blocks with their info string.
 _FENCE = re.compile(r"^```(\w*)\s*$([\s\S]*?)^```\s*$", re.MULTILINE)
 _SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
+#: a "## Performance" section, up to the next level-2 heading.
+_PERFORMANCE = re.compile(r"^## Performance$(.*?)(?=^## |\Z)", re.MULTILINE | re.DOTALL)
+_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+_BRACES = re.compile(r"\{([^}]*)\}")
+_BENCH_COLUMN = "BENCH keys"
 
 
 def check_links(path: pathlib.Path, text: str) -> list[str]:
@@ -74,8 +85,69 @@ def check_code_blocks(path: pathlib.Path, text: str) -> list[str]:
     return errors
 
 
+def _expand(pattern: str) -> list[str]:
+    """``a.{b,c}.{d,e}`` -> ``a.b.d, a.b.e, a.c.d, a.c.e``."""
+    match = _BRACES.search(pattern)
+    if match is None:
+        return [pattern]
+    head, tail = pattern[: match.start()], pattern[match.end() :]
+    return [
+        key for option in match.group(1).split(",")
+        for key in _expand(head + option + tail)
+    ]
+
+
+def _bench_value(bench: dict, key: str):
+    value = bench
+    for part in key.split("."):
+        value = value[part]
+    return value
+
+
+def check_bench_cells(path: pathlib.Path, text: str, bench: dict) -> list[str]:
+    errors = []
+    for section in _PERFORMANCE.finditer(text):
+        header = None
+        for line in section.group(1).splitlines():
+            if not line.startswith("|"):
+                header = None
+                continue
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if header is None:
+                header = cells
+                continue
+            if _BENCH_COLUMN not in header or set(line) <= set("|-: "):
+                continue
+            column = header.index(_BENCH_COLUMN)
+            keys = [
+                key for pattern in re.findall(r"`([^`]+)`", cells[column])
+                for key in _expand(pattern)
+            ]
+            printed = [n for cell in cells[1:column] for n in _NUMBER.findall(cell)]
+            if len(printed) != len(keys):
+                errors.append(
+                    f"{path}: row {cells[0]!r} prints {len(printed)} "
+                    f"number(s) for {len(keys)} BENCH key(s)"
+                )
+                continue
+            for number, key in zip(printed, keys):
+                try:
+                    value = _bench_value(bench, key)
+                except (KeyError, TypeError):
+                    errors.append(f"{path}: no BENCH key {key}")
+                    continue
+                decimals = len(number.partition(".")[2])
+                if f"{value:.{decimals}f}" != number:
+                    errors.append(
+                        f"{path}: {key} is {value:.{decimals}f} in BENCH, "
+                        f"{number} in the table"
+                    )
+    return errors
+
+
 def main() -> int:
     files = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
+    bench = json.loads((REPO / "BENCH_codec.json").read_text(encoding="utf-8"))
     failing_files = 0
     checked_blocks = 0
     for path in files:
@@ -84,7 +156,11 @@ def main() -> int:
             failing_files += 1
             continue
         text = path.read_text(encoding="utf-8")
-        errors = check_links(path, text) + check_code_blocks(path, text)
+        errors = (
+            check_links(path, text)
+            + check_code_blocks(path, text)
+            + check_bench_cells(path, text, bench)
+        )
         checked_blocks += sum(
             1 for m in _FENCE.finditer(text) if m.group(1) == "python"
         )
