@@ -15,7 +15,6 @@ from .init import (
     he_normal,
     identity_conv_weight,
     orthonormal_analysis_weight,
-    orthonormal_synthesis_weight,
     xavier_uniform,
 )
 from .layers import (
@@ -58,7 +57,6 @@ __all__ = [
     "he_normal",
     "identity_conv_weight",
     "orthonormal_analysis_weight",
-    "orthonormal_synthesis_weight",
     "quantize_network",
     "window_merge",
     "window_partition",

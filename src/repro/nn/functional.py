@@ -56,7 +56,6 @@ import numpy as np
 
 __all__ = [
     "pad2d",
-    "im2col",
     "conv2d",
     "conv_transpose2d",
     "max_pool2d",
@@ -116,19 +115,6 @@ def _windows(
         writeable=False,
     )
     return windows, (ho, wo)
-
-
-def im2col(
-    x: np.ndarray, kernel: tuple[int, int], stride: int = 1
-) -> np.ndarray:
-    """Unfold sliding windows into a (C*kH*kW, L) matrix.
-
-    ``x`` is (C, H, W) already padded; L = H_out * W_out.  Built with
-    stride tricks, so no data is copied until the final reshape.
-    Returns ``(cols, (H_out, W_out))``.
-    """
-    windows, (ho, wo) = _windows(x, kernel, stride)
-    return windows.reshape(-1, ho * wo), (ho, wo)
 
 
 def conv2d(

@@ -18,7 +18,6 @@ __all__ = [
     "dct_matrix",
     "dct2_kernel_bank",
     "orthonormal_analysis_weight",
-    "orthonormal_synthesis_weight",
     "identity_conv_weight",
 ]
 
@@ -98,20 +97,6 @@ def orthonormal_analysis_weight(
     # round-trip through analysis+synthesis preserves magnitude.
     redundancy = (kernel / stride) ** 2
     return weight / np.sqrt(redundancy)
-
-
-def orthonormal_synthesis_weight(
-    out_channels: int, in_channels: int, kernel: int, stride: int
-) -> np.ndarray:
-    """Transposed-conv weight adjoint to orthonormal_analysis_weight.
-
-    Shaped (C_out, C_in, k, k) in the layer convention where C_in is the
-    latent channel count.  Because the analysis bank is orthonormal, the
-    adjoint (same kernels, swapped roles) acts as the inverse transform.
-    """
-    analysis = orthonormal_analysis_weight(in_channels, out_channels, kernel, stride)
-    # analysis: (C_in_latent, C_out_pixels, k, k) -> transpose channel axes.
-    return np.transpose(analysis, (1, 0, 2, 3))
 
 
 def identity_conv_weight(channels: int, kernel: int) -> np.ndarray:

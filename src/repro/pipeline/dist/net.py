@@ -28,33 +28,17 @@ paginated (lexicographic job-id cursor), and the runner consumes pages
 as jobs finish instead of asking the server to buffer every report
 into one response — see ``QueueRunner``'s drain loop.
 
-## Wire schema
+## Wire format
 
-Every endpoint speaks JSON.  ``POST`` bodies are JSON objects; ``GET``
-parameters ride in the query string.  Success is HTTP 200 with a JSON
-body; a malformed request is 400, an unknown endpoint 404, an internal
-failure 500 — all with ``{"error": ...}``.
-
-| endpoint          | request                                      | response |
-|-------------------|----------------------------------------------|----------|
-| ``POST /submit``  | ``{"spec": {...}, "job_id": "..."}``         | ``{"job_id": "..."}`` |
-| ``POST /claim``   | ``{"worker_id", "lease_seconds", "batch"?: n}`` (``batch`` defaults to 1) | ``{"jobs": [{"job_id", "spec", "attempts"}, ...], "job": first | null}`` |
-| ``POST /ack``     | ``{"job_id", "result", "worker_id"?}``       | ``{"accepted": bool}`` |
-| ``POST /fail``    | ``{"job_id", "error", "worker_id"?}``        | ``{"ok": true}`` |
-| ``POST /reap``    | ``{}``                                       | ``{"reaped": [ids]}`` |
-| ``GET /attempts`` | ``?job_id=<id>``                             | ``{"attempts": n}`` |
-| ``GET /attempts`` | ``?job_ids=<id>,<id>,...``                   | ``{"attempts_map": {id: n}}`` |
-| ``POST /heartbeat`` | worker heartbeat document                  | ``{"ok": true}`` |
-| ``GET /stats``    | —                                            | ``{"pending", "claimed", "done", "failed", "workers"}`` |
-| ``GET /metrics``  | —                                            | fleet-merged metrics, Prometheus text |
-| ``GET /trace``    | ``?limit=<n>``                               | fleet flight-recorder tail, JSONL |
-| ``GET /finished`` | —                                            | ``{"finished": [ids]}`` |
-| ``GET /results``  | ``?after=<id>&limit=<n>``                    | ``{"results": {id: doc}, "next": id | null}`` |
-| ``GET /failures`` | —                                            | ``{"failures": {id: error}}`` |
-| ``GET /failure-details`` | —                                     | ``{"failures": {id: {"error", "attempts", "spec", "quarantined"?}}}`` |
-| ``POST /retry``   | ``{"job_id": "..."}``                        | ``{"retried": bool}`` |
-| ``POST /quarantine`` | ``{"job_id": "...", "reason"?: "..."}``   | ``{"quarantined": bool}`` |
-| ``GET /health``   | —                                            | ``{"ok": true, "backend": "..."}`` |
+Every endpoint speaks JSON, apart from the text of ``/metrics`` and
+``/trace``.  ``POST`` bodies are JSON objects; ``GET`` parameters ride
+in the query string.  Success is HTTP 200; a malformed request is 400,
+an unknown endpoint 404, an internal failure 500 — all with
+``{"error": ...}``.  The endpoint list is in ``docs/distributed.md``
+("Wire protocol") and ``docs/observability.md``; ``tools/check_docs.py``
+holds it equal to ``_ROUTES``.  Each queue verb's endpoint is declared
+once, in ``_WIRE``: the server's routes and :class:`HttpJobQueue`'s
+verbs are both built from it.
 
 Semantics are exactly the queue protocol's (``docs/distributed.md``):
 at-least-once with idempotent submission and stale-ack rejection.
@@ -98,7 +82,7 @@ import logging
 import threading
 import time
 import traceback
-from collections import deque
+from collections import deque, namedtuple
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlencode, urlsplit
 
@@ -130,66 +114,190 @@ class HttpQueueError(RuntimeError):
     """The queue server rejected a request or cannot be reached."""
 
 
-# -- server -----------------------------------------------------------------
-def _ep_health(server: "QueueServer", body: dict) -> dict:
-    return {"ok": True, "backend": type(server.queue).__name__}
+# -- the wire table ---------------------------------------------------------
+#: ``_Arg.default`` of a field every request must carry.
+_REQUIRED = object()
 
 
-def _ep_submit(server: "QueueServer", body: dict) -> dict:
-    # Idempotent by the queue protocol: an id already pending, claimed,
-    # done, or failed is a no-op returning the id, so a client retrying
-    # a lost /submit response can never double-submit.
-    job_id = server.queue.submit(dict(body["spec"]), job_id=str(body["job_id"]))
-    return {"job_id": job_id}
+class _Arg(namedtuple("_Arg", "field parse default param send",
+                      defaults=(_REQUIRED, None, None))):
+    """One argument of a queue verb on the wire.
+
+    ``field`` is its JSON field (or query parameter), ``param`` the
+    verb's parameter when named otherwise.  The server coerces the
+    wire value with ``parse``; ``default`` stands in for an absent
+    field.  ``send`` turns the client's argument into the wire value,
+    and may refuse it before any request goes out (``None``: sent as
+    given)."""
 
 
-def _ep_claim(server: "QueueServer", body: dict) -> dict:
-    # One request, up to ``batch`` jobs, one shared lease deadline.
+class _Endpoint(namedtuple("_Endpoint",
+                           "method path verb args result answer read empty",
+                           defaults=(None, None))):
+    """One queue verb on the wire: ``method path`` calls ``verb`` of
+    the served queue with ``args``, and the response carries its
+    return value in the ``result`` field, or in a tuple of fields.
+    The server sends ``answer(value)`` (a tuple for a tuple of fields),
+    the client returns ``read`` of the field(s) (``read`` defaults to
+    ``answer``).  ``empty()`` answers on the client, with no request,
+    when every argument is empty."""
+
+
+def _optional_str(value) -> str | None:
+    return None if value is None else str(value)
+
+
+def _split_ids(value) -> list[str]:
+    return [job_id for job_id in str(value).split(",") if job_id]
+
+
+def _positive_limit(limit: int) -> int:
+    _require_positive("limit", limit)
+    return limit
+
+
+def _job_documents(jobs: list[Job]) -> tuple[list[dict], dict | None]:
     # ``"job"`` repeats the first job for clients that read only it.
-    jobs = server.queue.claim_batch(
-        str(body["worker_id"]),
-        lease_seconds=float(body.get("lease_seconds", 60.0)),
-        limit=int(body.get("batch", 1)),
-    )
     documents = [
         {"job_id": j.job_id, "spec": j.spec, "attempts": j.attempts}
         for j in jobs
     ]
-    return {"jobs": documents, "job": documents[0] if documents else None}
+    return documents, documents[0] if documents else None
 
 
-def _ep_ack(server: "QueueServer", body: dict) -> dict:
-    worker_id = body.get("worker_id")
-    accepted = server.queue.ack(
-        str(body["job_id"]),
-        dict(body["result"]),
-        worker_id=None if worker_id is None else str(worker_id),
+def _jobs(documents: list[dict], first) -> list[Job]:
+    return [
+        Job(doc["job_id"], doc["spec"], int(doc.get("attempts", 0)))
+        for doc in documents
+    ]
+
+
+#: every :class:`JobQueue` verb the wire carries.  ``/submit`` is
+#: idempotent by the queue protocol, so a client retrying a lost
+#: response never double-submits.  ``/claim`` hands out up to ``batch``
+#: jobs in one round trip, under one lease.  The bulk ``/attempts``
+#: form is listed first, so a request naming ``job_ids`` gets it: the
+#: runner's poison breaker reads every counter in one request.
+_WIRE = (
+    _Endpoint("POST", "/submit", "submit",
+              (_Arg("spec", dict, send=dict), _Arg("job_id", str)),
+              "job_id", str),
+    _Endpoint("POST", "/claim", "claim_batch",
+              (_Arg("worker_id", str), _Arg("lease_seconds", float, 60.0),
+               _Arg("batch", int, 1, "limit", _positive_limit)),
+              ("jobs", "job"), _job_documents, _jobs),
+    _Endpoint("POST", "/ack", "ack",
+              (_Arg("job_id", str), _Arg("result", dict),
+               _Arg("worker_id", _optional_str, None)),
+              "accepted", bool),
+    _Endpoint("POST", "/fail", "fail",
+              (_Arg("job_id", str), _Arg("error", str),
+               _Arg("worker_id", _optional_str, None)),
+              "ok", lambda _: True, lambda _: None),
+    _Endpoint("POST", "/reap", "reap_expired", (), "reaped", list),
+    _Endpoint("GET", "/attempts", "attempts_map",
+              (_Arg("job_ids", _split_ids, send=",".join),),
+              "attempts_map", dict,
+              lambda counts: {k: int(v) for k, v in counts.items()}, dict),
+    _Endpoint("GET", "/attempts", "attempts", (_Arg("job_id", str),),
+              "attempts", int),
+    _Endpoint("GET", "/finished", "finished_ids", (), "finished", sorted,
+              set),
+    _Endpoint("GET", "/results", "results_page",
+              (_Arg("after", _optional_str, None), _Arg("limit", int, 100)),
+              ("results", "next"), tuple,
+              lambda results, cursor: (dict(results), cursor)),
+    _Endpoint("GET", "/failures", "failures", (), "failures", dict),
+    _Endpoint("GET", "/failure-details", "failure_details", (), "failures",
+              dict),
+    _Endpoint("POST", "/retry", "retry", (_Arg("job_id", str),), "retried",
+              bool),
+    _Endpoint("POST", "/quarantine", "quarantine",
+              (_Arg("job_id", str),
+               _Arg("reason", str, "quarantined over the wire")),
+              "quarantined", bool),
+)
+
+
+def _route(endpoints: list[_Endpoint]):
+    """The route for the endpoints sharing one method and path: a
+    request goes to the first whose first argument it names, else to
+    the last.  Field lists are unpacked here, once, so a request costs
+    a dict lookup and the coercions."""
+    forms = []
+    for endpoint in endpoints:
+        fields = tuple(
+            (arg.param or arg.field, arg.field, arg.parse, arg.default)
+            for arg in endpoint.args
+        )
+        forms.append((fields, endpoint.verb, endpoint.result, endpoint.answer))
+
+    def serve(server: "QueueServer", body: dict) -> dict:
+        # the loop ends on the matching form, or else on the last one
+        for fields, verb, result, answer in forms:
+            if fields and fields[0][1] in body:
+                break
+        kwargs = {
+            param: parse(
+                body[field] if default is _REQUIRED
+                else body.get(field, default)
+            )
+            for param, field, parse, default in fields
+        }
+        value = answer(getattr(server.queue, verb)(**kwargs))
+        if isinstance(result, str):
+            return {result: value}
+        return dict(zip(result, value))
+
+    return serve
+
+
+def _wire_verb(endpoint: _Endpoint):
+    """``endpoint``'s :class:`HttpJobQueue` method."""
+    params = [arg.param or arg.field for arg in endpoint.args]
+    known = set(params)
+    result = endpoint.result
+    read = endpoint.read or endpoint.answer
+
+    def verb(self: "HttpJobQueue", *args, **kwargs):
+        values = dict(zip(params, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or not values.keys() <= known:
+            raise TypeError(
+                f"{endpoint.verb}() takes ({', '.join(params)}), "
+                f"got {args!r} {kwargs!r}"
+            )
+        fields = {}
+        for arg, param in zip(endpoint.args, params):
+            value = values.get(param, arg.default)
+            if value is _REQUIRED:
+                raise TypeError(f"{endpoint.verb}() needs {param!r}")
+            fields[arg.field] = value if arg.send is None else arg.send(value)
+        if endpoint.empty is not None and not any(fields.values()):
+            return endpoint.empty()
+        payload = self._request(endpoint.method, endpoint.path, fields)
+        if isinstance(result, str):
+            return read(payload[result])
+        return read(*(payload[field] for field in result))
+
+    verb.__name__ = endpoint.verb
+    verb.__qualname__ = f"HttpJobQueue.{endpoint.verb}"
+    verb.__doc__ = (
+        f"``{endpoint.method} {endpoint.path}``: "
+        f":meth:`JobQueue.{endpoint.verb}` over the wire."
     )
-    return {"accepted": bool(accepted)}
+    return verb
 
 
-def _ep_fail(server: "QueueServer", body: dict) -> dict:
-    worker_id = body.get("worker_id")
-    server.queue.fail(
-        str(body["job_id"]),
-        str(body["error"]),
-        worker_id=None if worker_id is None else str(worker_id),
-    )
-    return {"ok": True}
+# -- server -----------------------------------------------------------------
+class _Text(namedtuple("_Text", "content_type render")):
+    """A route answering text of ``content_type`` instead of JSON."""
+
+    def __call__(self, server: "QueueServer", body: dict) -> str:
+        return self.render(server, body)
 
 
-def _ep_reap(server: "QueueServer", body: dict) -> dict:
-    return {"reaped": list(server.queue.reap_expired())}
-
-
-def _ep_attempts(server: "QueueServer", body: dict) -> dict:
-    if "job_ids" in body:
-        # Bulk form: one round-trip for a whole sweep's counters, so
-        # the runner's poison breaker costs O(1) requests per check
-        # instead of one per unfinished job.
-        ids = [j for j in str(body["job_ids"]).split(",") if j]
-        return {"attempts_map": server.queue.attempts_map(ids)}
-    return {"attempts": int(server.queue.attempts(str(body["job_id"])))}
+def _ep_health(server: "QueueServer", body: dict) -> dict:
+    return {"ok": True, "backend": type(server.queue).__name__}
 
 
 def _ep_heartbeat(server: "QueueServer", body: dict) -> dict:
@@ -208,78 +316,34 @@ def _ep_stats(server: "QueueServer", body: dict) -> dict:
     }
 
 
-def _ep_metrics(server: "QueueServer", body: dict) -> dict:
-    # Prometheus text, not JSON: the ``_text`` key routes the response
-    # through the handler's plain-text path.
-    return {
-        "_text": server.metrics_text(),
-        "_content_type": "text/plain; version=0.0.4",
-    }
-
-
-def _ep_trace(server: "QueueServer", body: dict) -> dict:
+def _ep_trace(server: "QueueServer", body: dict) -> str:
     limit = int(body.get("limit", 256))
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    return {
-        "_text": server.trace_text(limit),
-        "_content_type": "application/jsonlines",
+    return server.trace_text(limit)
+
+
+def _routes() -> dict:
+    """``(method, path) -> route(server, body) -> payload``: the
+    endpoints that are no queue verb, then the wire table's."""
+    routes = {
+        ("GET", "/health"): _ep_health,
+        ("GET", "/stats"): _ep_stats,
+        ("GET", "/metrics"): _Text(
+            "text/plain; version=0.0.4",
+            lambda server, body: server.metrics_text(),
+        ),
+        ("GET", "/trace"): _Text("application/jsonlines", _ep_trace),
+        ("POST", "/heartbeat"): _ep_heartbeat,
     }
+    shared: dict[tuple[str, str], list[_Endpoint]] = {}
+    for endpoint in _WIRE:
+        shared.setdefault((endpoint.method, endpoint.path), []).append(endpoint)
+    routes.update((key, _route(group)) for key, group in shared.items())
+    return routes
 
 
-def _ep_finished(server: "QueueServer", body: dict) -> dict:
-    return {"finished": sorted(server.queue.finished_ids())}
-
-
-def _ep_results(server: "QueueServer", body: dict) -> dict:
-    after = body.get("after") or None
-    limit = int(body.get("limit", 100))
-    page, cursor = server.queue.results_page(after=after, limit=limit)
-    return {"results": page, "next": cursor}
-
-
-def _ep_failures(server: "QueueServer", body: dict) -> dict:
-    return {"failures": dict(server.queue.failures())}
-
-
-def _ep_failure_details(server: "QueueServer", body: dict) -> dict:
-    return {"failures": dict(server.queue.failure_details())}
-
-
-def _ep_retry(server: "QueueServer", body: dict) -> dict:
-    return {"retried": bool(server.queue.retry(str(body["job_id"])))}
-
-
-def _ep_quarantine(server: "QueueServer", body: dict) -> dict:
-    return {
-        "quarantined": bool(
-            server.queue.quarantine(
-                str(body["job_id"]),
-                str(body.get("reason", "quarantined over the wire")),
-            )
-        )
-    }
-
-
-_ROUTES = {
-    ("GET", "/health"): _ep_health,
-    ("GET", "/stats"): _ep_stats,
-    ("GET", "/metrics"): _ep_metrics,
-    ("GET", "/trace"): _ep_trace,
-    ("GET", "/finished"): _ep_finished,
-    ("GET", "/results"): _ep_results,
-    ("GET", "/attempts"): _ep_attempts,
-    ("GET", "/failures"): _ep_failures,
-    ("GET", "/failure-details"): _ep_failure_details,
-    ("POST", "/submit"): _ep_submit,
-    ("POST", "/claim"): _ep_claim,
-    ("POST", "/ack"): _ep_ack,
-    ("POST", "/fail"): _ep_fail,
-    ("POST", "/reap"): _ep_reap,
-    ("POST", "/retry"): _ep_retry,
-    ("POST", "/quarantine"): _ep_quarantine,
-    ("POST", "/heartbeat"): _ep_heartbeat,
-}
+_ROUTES = _routes()
 
 
 class _QueueHTTPServer(ThreadingHTTPServer):
@@ -290,7 +354,8 @@ class _QueueHTTPServer(ThreadingHTTPServer):
 
 
 class _QueueRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the endpoint table; JSON in, JSON out."""
+    """Routes requests through ``_ROUTES``: JSON in, JSON out, or the
+    text a route declares."""
 
     protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
     server_version = "repro-queue/1"
@@ -302,15 +367,15 @@ class _QueueRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # stderr chatter off; logging on
         _LOG.debug("%s %s", self.address_string(), fmt % args)
 
-    def _send(self, status: int, payload: dict) -> None:
-        # An endpoint returning {"_text": ...} asked for a non-JSON
-        # response (Prometheus text, JSONL) — everything else is JSON.
-        if "_text" in payload:
-            body = str(payload["_text"]).encode("utf-8")
-            content_type = str(payload.get("_content_type", "text/plain"))
-        else:
+    def _send(
+        self, status: int, payload: dict | str, content_type: str | None = None
+    ) -> None:
+        # JSON unless the route declared a text content type.
+        if content_type is None:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
             content_type = "application/json"
+        else:
+            body = payload.encode("utf-8")
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
@@ -370,12 +435,13 @@ class _QueueRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = endpoint(self.server.queue_server, body)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an infinite number where an int is expected
             self._send(400, {"error": f"bad request: {exc!r}"})
         except Exception:
             self._send(500, {"error": traceback.format_exc()})
         else:
-            self._send(200, payload)
+            self._send(200, payload, getattr(endpoint, "content_type", None))
 
 
 class QueueServer:
@@ -589,6 +655,16 @@ class QueueServer:
 
 
 # -- client -----------------------------------------------------------------
+def _wire_verbs(cls):
+    """Give ``cls`` one method per ``_WIRE`` endpoint.  They are class
+    attributes, not ``__getattr__`` forwarding: the stubs ``cls``
+    inherits from :class:`JobQueue` would shadow that."""
+    for endpoint in _WIRE:
+        setattr(cls, endpoint.verb, _wire_verb(endpoint))
+    return cls
+
+
+@_wire_verbs
 class HttpJobQueue(JobQueue):
     """:class:`JobQueue` client speaking JSON/HTTP to a :class:`QueueServer`.
 
@@ -625,6 +701,9 @@ class HttpJobQueue(JobQueue):
     the retry-idempotency semantics above), ``"garble"`` (corrupt the
     response body), ``"delay"`` (stall briefly), or ``None``/``"ok"``.
     Leave it ``None`` in production; it costs nothing.
+
+    The queue verbs are built from ``_WIRE`` (see ``_wire_verbs``);
+    ``stats``, ``fleet`` and the non-queue extras are written out.
     """
 
     def __init__(
@@ -683,17 +762,21 @@ class HttpJobQueue(JobQueue):
         self,
         method: str,
         path: str,
-        body: dict | None = None,
-        query: dict | None = None,
+        fields: dict | None = None,
         *,
         parse_json: bool = True,
     ) -> dict | str:
+        """One request with bounded retries: ``fields`` ride in a GET's
+        query string (``None`` values left out) or as a POST's JSON
+        body."""
         target = self._prefix + path
-        if query:
-            pairs = {k: v for k, v in query.items() if v is not None}
+        payload = None
+        if method == "GET":
+            pairs = {k: v for k, v in (fields or {}).items() if v is not None}
             if pairs:
                 target += "?" + urlencode(pairs)
-        payload = None if body is None else json.dumps(body).encode("utf-8")
+        elif fields is not None:
+            payload = json.dumps(fields).encode("utf-8")
         headers = {"Content-Type": "application/json"} if payload else {}
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -786,76 +869,7 @@ class HttpJobQueue(JobQueue):
             f"last error: {last_error!r})"
         ) from last_error
 
-    # -- JobQueue protocol --------------------------------------------
-    def submit(self, spec: dict, *, job_id: str) -> str:
-        return str(
-            self._request(
-                "POST", "/submit", {"spec": dict(spec), "job_id": job_id}
-            )["job_id"]
-        )
-
-    def claim_batch(
-        self, worker_id: str, *, lease_seconds: float, limit: int = 1
-    ) -> list[Job]:
-        """Claim up to ``limit`` jobs in **one** HTTP round-trip.
-
-        This is the transport win bundling exists for: N tiny jobs cost
-        one request instead of N.  A lost *response* orphans the whole
-        bundle's lease, which expires and is reaped like any dead
-        worker's."""
-        _require_positive("limit", limit)
-        documents = self._request(
-            "POST",
-            "/claim",
-            {
-                "worker_id": worker_id,
-                "lease_seconds": lease_seconds,
-                "batch": limit,
-            },
-        )["jobs"]
-        return [
-            Job(doc["job_id"], doc["spec"], int(doc.get("attempts", 0)))
-            for doc in documents
-        ]
-
-    def ack(
-        self, job_id: str, result: dict, *, worker_id: str | None = None
-    ) -> bool:
-        return bool(
-            self._request(
-                "POST",
-                "/ack",
-                {"job_id": job_id, "result": result, "worker_id": worker_id},
-            )["accepted"]
-        )
-
-    def fail(
-        self, job_id: str, error: str, *, worker_id: str | None = None
-    ) -> None:
-        body = {"job_id": job_id, "error": error, "worker_id": worker_id}
-        self._request("POST", "/fail", body)
-
-    def reap_expired(self) -> list[str]:
-        return list(self._request("POST", "/reap", {})["reaped"])
-
-    def attempts(self, job_id: str) -> int:
-        """How many attempts this job has burned (reaps + failures)."""
-        return int(
-            self._request("GET", "/attempts", query={"job_id": job_id})[
-                "attempts"
-            ]
-        )
-
-    def attempts_map(self, job_ids) -> dict[str, int]:
-        """Attempt counters for many jobs in one round-trip."""
-        ids = list(job_ids)
-        if not ids:
-            return {}
-        payload = self._request(
-            "GET", "/attempts", query={"job_ids": ",".join(ids)}
-        )
-        return {k: int(v) for k, v in payload["attempts_map"].items()}
-
+    # -- JobQueue protocol: _WIRE's verbs (see _wire_verbs), and stats -
     def stats(self) -> QueueStats:
         payload = self._request("GET", "/stats")
         return QueueStats(
@@ -868,38 +882,6 @@ class HttpJobQueue(JobQueue):
     def fleet(self) -> dict[str, dict]:
         """Last-known worker heartbeats, as ``/stats`` reports them."""
         return dict(self._request("GET", "/stats")["workers"])
-
-    def finished_ids(self) -> set[str]:
-        return set(self._request("GET", "/finished")["finished"])
-
-    def results_page(
-        self, *, after: str | None = None, limit: int = 100
-    ) -> tuple[dict[str, dict], str | None]:
-        payload = self._request(
-            "GET", "/results", query={"after": after, "limit": limit}
-        )
-        return dict(payload["results"]), payload.get("next")
-
-    def failures(self) -> dict[str, str]:
-        return dict(self._request("GET", "/failures")["failures"])
-
-    def failure_details(self) -> dict[str, dict]:
-        """Dead-letter ledger: error, attempts, spec per failed job."""
-        return dict(self._request("GET", "/failure-details")["failures"])
-
-    def retry(self, job_id: str) -> bool:
-        """Move one dead-lettered job back to pending, attempts reset."""
-        return bool(
-            self._request("POST", "/retry", {"job_id": job_id})["retried"]
-        )
-
-    def quarantine(self, job_id: str, reason: str) -> bool:
-        """Dead-letter a pending or claimed job immediately."""
-        return bool(
-            self._request(
-                "POST", "/quarantine", {"job_id": job_id, "reason": reason}
-            )["quarantined"]
-        )
 
     # -- extras -------------------------------------------------------
     def heartbeat(self, beat: Heartbeat | dict) -> None:
@@ -917,7 +899,5 @@ class HttpJobQueue(JobQueue):
 
     def trace_tail(self, limit: int = 256) -> str:
         """The newest ``limit`` fleet spans as JSONL (meta row first)."""
-        return self._request(
-            "GET", "/trace", query={"limit": limit}, parse_json=False
-        )
+        return self._request("GET", "/trace", {"limit": limit}, parse_json=False)
 

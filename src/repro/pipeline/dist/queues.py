@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -134,7 +135,8 @@ class JobQueue(Protocol):
       per-job: a worker that dies after acking job *k* of *N* strands
       only the unacked remainder, which ``reap_expired`` returns to
       pending when the shared deadline passes.  An empty list means
-      nothing is pending.
+      nothing is pending.  A lease that is not finite, or negative, is
+      a ``ValueError``: it could never be reaped.
     * ``ack`` finishes a claimed job with its result document and
       returns ``True``.  A **stale** ack — the job's lease was already
       reaped (and possibly reassigned to another worker, when
@@ -281,6 +283,10 @@ class _QueueCore(JobQueue):
         still claimed by its own move, and losing a race skips to the
         next candidate, so concurrent claimers never double-claim."""
         _require_positive("limit", limit)
+        if not (math.isfinite(lease_seconds) and lease_seconds >= 0):
+            raise ValueError(
+                f"lease_seconds must be finite and >= 0, got {lease_seconds}"
+            )
         worker = _clean(worker_id)
         jobs: list[Job] = []
         with self._lock:

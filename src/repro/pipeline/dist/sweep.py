@@ -355,7 +355,7 @@ class QueueRunner:
         the clean spec: the annotation is an optimization, never a
         requirement."""
         from repro.pipeline.tasks import spec_kind
-        from repro.pipeline.registry import codec_spec
+        from repro.pipeline.registry import _simulates
         from repro.video import SceneConfig, generate_sequence
 
         try:
@@ -372,9 +372,7 @@ class QueueRunner:
                     isinstance(scene, dict)
                     and spec_kind(spec) in ("encode", "ladder-rendition")
                     # simulated codecs never touch frames; skip the render
-                    and not hasattr(
-                        codec_spec(str(spec.get("codec"))).factory, "simulate"
-                    )
+                    and not _simulates(str(spec.get("codec")))
                 )
             except Exception:
                 framed = False

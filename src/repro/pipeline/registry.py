@@ -94,36 +94,39 @@ class CodecSpec:
 
 
 #: built-in codecs: name -> (factory as "module:attr", config class,
-#: description)
+#: description, whether the factory only simulates)
 _BUILTINS = {
     "ctvc": (
         "repro.codec.ctvc:CTVCNet",
         CTVCConfig,
         "CTVC-Net CNN-Transformer hybrid codec (the paper's learned codec)",
+        False,
     ),
     "classical": (
         "repro.codec.classical:ClassicalCodec",
         ClassicalCodecConfig,
         "block-DCT hybrid codec (the measured H.26x stand-in)",
+        False,
     ),
     "rd-model": (
         "repro.codec.rd_models:RDModelCodec",
         RDModelConfig,
         "calibrated literature RD model (Table I BDBR vs the H.265 anchor); "
         "simulated rate/quality reports, no bitstream",
+        True,
     ),
 }
 
 
 def _builtin_spec(name: str, factory: Callable[..., VideoCodec]) -> CodecSpec:
-    _, config_cls, description = _BUILTINS[name]
+    _, config_cls, description, _ = _BUILTINS[name]
     return CodecSpec(name, factory, config_cls, description)
 
 
 _CODECS = Registry(
     "codec",
     CodecRegistryError,
-    builtins={name: factory for name, (factory, _, _) in _BUILTINS.items()},
+    builtins={name: factory for name, (factory, *_) in _BUILTINS.items()},
     make=_builtin_spec,
 )
 
@@ -186,6 +189,15 @@ def _config_cls(name: str) -> type[SerializableConfig]:
     codec's module (the spec builder validates configs NumPy-free)."""
     spec = _CODECS.get(name, load=False)
     return _BUILTINS[name][1] if spec is None else spec.config_cls
+
+
+def _simulates(name: str) -> bool:
+    """Whether ``name``'s factory has ``simulate`` (its jobs never read
+    frames), without importing a built-in codec's module."""
+    spec = _CODECS.get(name, load=False)
+    if spec is None:
+        return _BUILTINS[name][3]
+    return hasattr(spec.factory, "simulate")
 
 
 def codec_config(

@@ -309,9 +309,11 @@ def test_shared_frames_submit_renders_and_publishes():
     jobs = queue.claim_batch("probe", lease_seconds=60.0, limit=10)
     segments = {job.spec["frames_shm"]["name"] for job in jobs}
     released = runner.release_shared_frames()
-    result = [len(jobs), len(segments), released, "numpy" in sys.modules]
+    result = [len(jobs), len(segments), released, "numpy" in sys.modules,
+              [name for name in ("scipy", "repro.nn", "repro.codec.ctvc")
+               if name in sys.modules]]
     """)
-    assert result == [4, 1, 1, True]
+    assert result == [4, 1, 1, True, []]
 
 
 #: ``repro sweep``'s grid as perfbench's ``sweep_fleet`` runs it (four

@@ -4,13 +4,17 @@ sweep/DSE parity over HTTP worker processes (including a killed
 worker), server restart + resume over a durable backend, and the
 worker fleet's scaling decisions."""
 
+import http.client
 import json
 import multiprocessing
 import os
+import re
 import socket
 import struct
 import threading
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -704,3 +708,193 @@ class TestWorkerFleet:
             assert len(queue.results()) == len(specs)
             # heartbeats from the fleet's workers reached /stats
             assert queue.fleet()
+
+
+def _storage(name, tmp_path):
+    return (
+        MemoryJobQueue() if name == "memory"
+        else DirectoryJobQueue(tmp_path / "q")
+    )
+
+
+@pytest.fixture(params=["memory", "directory", "http-memory", "http-directory"])
+def storage_queue(request, tmp_path):
+    """Both storages, called directly and served over HTTP."""
+    transport, _, storage = request.param.rpartition("-")
+    if not transport:
+        yield _storage(storage, tmp_path)
+    else:
+        with QueueServer(_storage(storage, tmp_path)) as server:
+            yield HttpJobQueue(server.url)
+
+
+class TestLeaseValidation:
+    @pytest.mark.parametrize(
+        "lease", [float("inf"), float("-inf"), float("nan"), -1.0]
+    )
+    def test_unbounded_or_negative_lease_is_refused(self, storage_queue,
+                                                    lease):
+        """A lease that could never expire (or expires before it
+        starts) is a clean error on every storage — a 400 over the
+        wire — and the job stays pending."""
+        storage_queue.submit({"x": 1}, job_id="j")
+        error, match = (
+            (HttpQueueError, "HTTP 400: .*lease_seconds must be finite")
+            if isinstance(storage_queue, HttpJobQueue)
+            else (ValueError, "lease_seconds must be finite")
+        )
+        with pytest.raises(error, match=match):
+            storage_queue.claim_batch("w", lease_seconds=lease)
+        stats = storage_queue.stats()
+        assert (stats.pending, stats.claimed) == (1, 0)
+
+    @pytest.mark.parametrize("storage", ["memory", "directory"])
+    def test_raw_overflowing_lease_is_a_400(self, storage, tmp_path):
+        """``1e999`` parses to infinity on the server: refused, never a
+        lease that outlives every reap (memory storage) or a 500 from
+        the clock's overflow (directory storage)."""
+        with QueueServer(_storage(storage, tmp_path)) as server:
+            queue = HttpJobQueue(server.url)
+            queue.submit({"x": 1}, job_id="j")
+            connection = http.client.HTTPConnection(server.host, server.port)
+            connection.request(
+                "POST", "/claim",
+                body=b'{"worker_id": "w", "lease_seconds": 1e999}',
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert b"lease_seconds" in response.read()
+            connection.close()
+            assert queue.stats().pending == 1
+
+    @pytest.mark.parametrize("path, body", [
+        ("/claim", b'{"worker_id": "w", "lease_seconds": 5, "batch": 1e999}'),
+        ("/heartbeat", b'{"worker_id": "w", "completed": 1e999}'),
+    ])
+    def test_infinite_count_is_a_400(self, path, body):
+        """An infinite number where the server wants an int is bad
+        input, not a 500 carrying the server's traceback."""
+        with QueueServer(MemoryJobQueue()) as server:
+            connection = http.client.HTTPConnection(server.host, server.port)
+            connection.request("POST", path, body=body)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert b"OverflowError" in response.read()
+            connection.close()
+
+    def test_zero_lease_still_claims_and_expires(self, storage_queue):
+        storage_queue.submit({"x": 1}, job_id="j")
+        assert [job.job_id for job in storage_queue.claim_batch(
+            "w", lease_seconds=0.0)] == ["j"]
+        time.sleep(0.01)
+        assert storage_queue.reap_expired() == ["j"]
+
+
+#: the HTTP queue's wire traffic for one scripted session
+#: (``TestWireGolden``): every request's method, target and body, and
+#: every response's status, content type and body, time-varying values
+#: masked.
+WIRE_GOLDEN = Path(__file__).with_name("golden_wire.json")
+
+_MASKS = (
+    # fleet liveness: seconds since the beat, and its wall-clock time
+    (re.compile(r'"(age_seconds|last_seen_unix)": [-+.eE0-9]+'),
+     r'"\1": "<masked>"'),
+    # latency histograms in the Prometheus text
+    (re.compile(r"(_seconds_(?:bucket|sum|count)(?:\{[^}]*\})?) \S+"),
+     r"\1 <masked>"),
+    # the trace's meta row names the serving process
+    (re.compile(r'^\{"kind": "meta".*$', re.MULTILINE), "<meta>"),
+)
+
+
+def _masked(text: str) -> str:
+    for pattern, replacement in _MASKS:
+        text = pattern.sub(replacement, text)
+    return text
+
+
+def _wire_session(queue: HttpJobQueue) -> None:
+    """Every ``HttpJobQueue`` verb once (claim and attempts in both
+    forms), then a 404 and a 400, against a ``max_attempts=2`` queue."""
+    queue.health()
+    queue.submit({"n": 1}, job_id="a")
+    queue.submit({"n": 2}, job_id="b")
+    queue.submit({"n": 3, "tags": ["x", "y"]}, job_id="c d")
+    queue.claim_batch("w1", lease_seconds=30.0, limit=2)
+    queue.ack("a", {"bpp": 0.5, "psnr": 31.25}, worker_id="w1")
+    queue.fail("b", "boom", worker_id="w1")
+    queue.claim("w2", lease_seconds=0.0)  # b, expired on arrival
+    queue.reap_expired()  # b's second attempt: dead-lettered
+    queue.attempts("c d")
+    queue.attempts_map(["b", "c d", "zz"])
+    queue.attempts_map([])  # answered without a request
+    queue.heartbeat({
+        "worker_id": "w1", "completed": 1, "failed": 1,
+        "last_job_id": "b",
+        "spans": [{"kind": "span", "name": "encode", "span_id": "s-1",
+                   "parent_id": None, "job_id": "a", "start_unix": 1.5,
+                   "dur_s": 0.25}],
+    })
+    queue.stats()
+    queue.fleet()
+    queue.finished_ids()
+    queue.results_page(limit=1)
+    queue.results()
+    queue.failures()
+    queue.failure_details()
+    queue.retry("b")
+    queue.quarantine("c d", "poison")
+    queue.metrics_text()
+    queue.trace_tail(limit=4)
+    with pytest.raises(HttpQueueError, match="404"):
+        queue._request("GET", "/nope")
+    with pytest.raises(HttpQueueError, match="400"):
+        queue._request("POST", "/submit", {"spec": {"n": 4}})
+
+
+def record_wire_session() -> list[dict]:
+    """Run :func:`_wire_session` through a live server and return its
+    traffic as the stdlib HTTP client saw it."""
+    exchanges: list[dict] = []
+    send = http.client.HTTPConnection.request
+    read = http.client.HTTPResponse.read
+
+    def recording_send(self, method, url, body=None, headers={}, **kwargs):
+        exchanges.append({
+            "method": method,
+            "target": url,
+            "body": None if body is None else body.decode("utf-8"),
+        })
+        return send(self, method, url, body, headers, **kwargs)
+
+    def recording_read(self, amt=None):
+        data = read(self, amt)
+        exchanges[-1].update(
+            status=self.status,
+            content_type=self.getheader("Content-Type"),
+            response=_masked(data.decode("utf-8")),
+        )
+        return data
+
+    with QueueServer(MemoryJobQueue(max_attempts=2)) as server, \
+            mock.patch.object(http.client.HTTPConnection, "request",
+                              recording_send), \
+            mock.patch.object(http.client.HTTPResponse, "read",
+                              recording_read):
+        queue = HttpJobQueue(server.url)
+        try:
+            _wire_session(queue)
+        finally:
+            queue.close()
+    return exchanges
+
+
+class TestWireGolden:
+    def test_wire_bytes_match_the_golden(self):
+        """The request and response bytes of every queue endpoint are
+        pinned: a change to the wire format fails here first.  Rebuild
+        the golden with ``record_wire_session()`` only for a deliberate
+        format change."""
+        golden = json.loads(WIRE_GOLDEN.read_text(encoding="utf-8"))
+        assert record_wire_session() == golden

@@ -20,6 +20,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
   label) must equal, at its printed precision, the
   ``BENCH_codec.json`` value of the key the row names in the same
   position (``{a,b}`` expands left to right).
+* **wire routes** — the `` `METHOD /path` `` table rows of
+  ``docs/distributed.md`` and ``docs/observability.md`` together name
+  exactly the queue server's routes (``net._ROUTES``), no more and no
+  fewer; a query string in a row is ignored.
 
 Exit status is the number of failing files (0 = everything holds).
 """
@@ -44,6 +48,10 @@ _PERFORMANCE = re.compile(r"^## Performance$(.*?)(?=^## |\Z)", re.MULTILINE | re
 _NUMBER = re.compile(r"\d+(?:\.\d+)?")
 _BRACES = re.compile(r"\{([^}]*)\}")
 _BENCH_COLUMN = "BENCH keys"
+#: a table row opening with `` `GET /path?query` ``.
+_ROUTE_ROW = re.compile(r"^\|\s*`(GET|POST) (/[^`?\s]*)", re.MULTILINE)
+#: the guides whose tables document the queue server's endpoints.
+_WIRE_DOCS = ("distributed.md", "observability.md")
 
 
 def check_links(path: pathlib.Path, text: str) -> list[str]:
@@ -145,6 +153,26 @@ def check_bench_cells(path: pathlib.Path, text: str, bench: dict) -> list[str]:
     return errors
 
 
+def check_wire_routes() -> list[str]:
+    from repro.pipeline.dist.net import _ROUTES
+
+    documented = {
+        match.groups()
+        for name in _WIRE_DOCS
+        for match in _ROUTE_ROW.finditer(
+            (REPO / "docs" / name).read_text(encoding="utf-8")
+        )
+    }
+    return [
+        f"docs/{'|'.join(_WIRE_DOCS)}: {method} {path} {problem}"
+        for routes, problem in (
+            (set(_ROUTES) - documented, "is served but not documented"),
+            (documented - set(_ROUTES), "is documented but not served"),
+        )
+        for method, path in sorted(routes)
+    ]
+
+
 def main() -> int:
     files = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
     bench = json.loads((REPO / "BENCH_codec.json").read_text(encoding="utf-8"))
@@ -170,6 +198,13 @@ def main() -> int:
                 print(f"FAIL {error}")
         else:
             print(f"ok   {path.relative_to(REPO)}")
+    wire_errors = check_wire_routes()
+    for error in wire_errors:
+        print(f"FAIL {error}")
+    if wire_errors:
+        failing_files += 1
+    else:
+        print(f"ok   wire routes in docs/{{{','.join(_WIRE_DOCS)}}}")
     print(
         f"{len(files)} file(s), {checked_blocks} python block(s), "
         f"{failing_files} failing"
