@@ -20,9 +20,10 @@ Measures, on the bench_codec scene (64x96, 3 frames, seed 7):
   ``{encode,decode}_x_vs_cacm`` speedups.
 * **rate_gap** — the rANS rate gap: stream bytes of a 3-frame I-P-P
   GOP at 352x288 (seed 1) coded by ``cacm`` and by ``rans``, for the
-  classical codec and CTVC-Net (N=12), with the entropy payloads per
-  packet and each rANS payload's lane count beside them (the lane
-  states' flush is what the gap pays for).
+  classical codec and CTVC-Net (N=12), with each packet's entropy
+  payload count (two for a band-count packet: band counts, then the
+  coefficients they select) and each rANS payload's lane count beside
+  them (the lane states' flush is what the gap pays for).
 * **substrate** — CTVC-Net (N=12) P-frame encode and decode ms at
   352x288 with the float64 ``reference`` nets and the float32 ``fast``
   ones, plus ``fast``'s ``x_vs_reference``, ``psnr_delta_db`` and
@@ -228,13 +229,12 @@ def bench_rate_gap() -> dict:
             stream = make(backend).encode_sequence(frames)
             row[f"{backend}_bytes"] = len(stream.serialize())
             if backend == "rans":
-                row["payloads_per_packet"] = max(
+                row["payloads_per_packet"] = [
                     len(packet.chunks) for packet in stream.packets
-                )
+                ]
                 row["rans_lanes"] = [
-                    payload[0]
+                    [payload[0] for payload in packet.chunks.values()]
                     for packet in stream.packets
-                    for payload in packet.chunks.values()
                 ]
         row["rans_extra"] = row["rans_bytes"] / row["cacm_bytes"] - 1.0
         report[codec_name] = row
@@ -945,7 +945,7 @@ def main(argv=None) -> int:
             f"  {codec_name:10s} cacm {row['cacm_bytes']:6d}B "
             f"rans {row['rans_bytes']:6d}B "
             f"({100 * row['rans_extra']:+.1f}%)  "
-            f"{row['payloads_per_packet']} payload/packet, "
+            f"payloads/packet {row['payloads_per_packet']}, "
             f"lanes {row['rans_lanes']}"
         )
 

@@ -2,12 +2,13 @@
 
 A complete, measured conventional codec: I-frames are 8x8 block-DCT
 transform coded in YCbCr 4:2:0; P-frames use block-matching motion
-compensation plus DCT-coded residuals; everything is entropy coded
-under per-band Laplacian models — through the pluggable entropy
-backend named in the config (vectorized rANS by default, CACM'87
-arithmetic coding as the reference) — and packed into a real
-bitstream.  The decoder reconstructs bit-exactly what the encoder's
-closed loop reconstructed, whichever backend wrote the stream.
+compensation plus DCT-coded residuals; each 8x8 block codes only the
+zigzag bands up to its last nonzero coefficient, under per-band
+Laplacian models — through the pluggable entropy backend named in the
+config (vectorized rANS by default, CACM'87 arithmetic coding as the
+reference) — and packed into a real bitstream.  The decoder
+reconstructs bit-exactly what the encoder's closed loop reconstructed,
+whichever backend wrote the stream.
 
 Three roles in the reproduction (DESIGN.md §2):
 
@@ -19,6 +20,9 @@ Three roles in the reproduction (DESIGN.md §2):
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -54,6 +58,7 @@ from .sessions import (
 )
 
 __all__ = [
+    "BAND_COUNT_PAYLOADS",
     "MAX_FRAME_SIDE",
     "PACKET_PAYLOAD",
     "ClassicalCodecConfig",
@@ -74,6 +79,14 @@ _MIN_SUPPORT = 16
 #: Zigzag frequency bands sharing one Laplacian scale each:
 #: DC, low AC, mid AC, high AC.
 _BANDS = ((0, 1), (1, 6), (6, 21), (21, 64))
+#: ``_BAND_RANK[i]`` is one more than the band of zigzag position ``i``,
+#: so a block's band count is the largest rank among its nonzeros.
+_BAND_RANK = np.repeat(np.arange(1, len(_BANDS) + 1), [hi - lo for lo, hi in _BANDS])
+#: Bits per band count symbol in a plane's count model side info.
+_COUNT_CODE_BITS = 4
+_COUNT_CODE_MAX = (1 << _COUNT_CODE_BITS) - 1
+#: Mantissa bits (of f16's ten) a band scale keeps.
+_SCALE_MANTISSA_BITS = 3
 
 
 def zigzag_indices(size: int = _BLOCK) -> np.ndarray:
@@ -174,9 +187,17 @@ _PLANE_NAMES = ("y", "cb", "cr")
 
 #: The one chunk of a packet that carries one entropy payload: every
 #: segment the frame codes, interleaved under one set of coder states.
-#: Packets whose chunks are named per segment group (``y``/``cb``/``cr``,
-#: ``mv``, ``motion``/``residual``) are the read-only per-chunk layout.
+#: CTVC-Net P-frames are written this way; classical packets written
+#: before band counts existed are read-only.  Packets whose chunks are
+#: named per segment group (``y``/``cb``/``cr``, ``mv``,
+#: ``motion``/``residual``) are the read-only per-chunk layout.
 PACKET_PAYLOAD = "e"
+
+#: The two chunks of a band-count packet, the layout of every classical
+#: frame and CTVC-Net I-frame: ``"h"`` holds the segments whose lengths
+#: the meta fixes (the motion field, then each plane's band counts),
+#: ``"b"`` the coefficients those counts select.
+BAND_COUNT_PAYLOADS = ("h", "b")
 
 
 def stream_entropy(
@@ -195,13 +216,14 @@ def stream_entropy(
 def encode_packet_segments(
     packet: FramePacket,
     entropy: EntropyBackend,
-    segments: list[tuple[np.ndarray, SymbolModel]],
+    payloads: dict[str, list[tuple[np.ndarray, SymbolModel]]],
     codec: str,
 ) -> None:
-    """Entropy-code every segment of a frame, in order, as the packet's
-    one payload (chunk :data:`PACKET_PAYLOAD`)."""
+    """Entropy-code each payload's segments, in order, as the packet
+    chunk its name gives (one ``entropy`` stage lap per packet)."""
     timer = encode_stage_timer(codec)
-    packet.add_chunk(PACKET_PAYLOAD, entropy.encode_segments(segments))
+    for name, segments in payloads.items():
+        packet.add_chunk(name, entropy.encode_segments(segments))
     if timer:
         timer.lap("entropy")
 
@@ -241,19 +263,89 @@ def decode_packet_segments(
     ]
 
 
-def _band_scales(coeffs: np.ndarray) -> list[int]:
-    """Laplacian MLE scale per zigzag band, as f32 bit patterns
-    (compact, exact side info — encoder and decoder build identical
-    probability models from it)."""
+def _block_count(h: int, w: int) -> int:
+    return -(-h // _BLOCK) * -(-w // _BLOCK)
+
+
+def _band_counts(quantized: np.ndarray) -> np.ndarray:
+    """Per block, how many leading zigzag bands it codes: the bands up
+    to its last nonzero coefficient (0 for an all-zero block)."""
+    return np.max((quantized != 0) * _BAND_RANK, axis=1)
+
+
+def _band_scales(bands: list[np.ndarray]) -> list[int]:
+    """Laplacian MLE scale of each zigzag band's coded coefficients, as
+    f16 bit patterns (compact, exact side info — encoder and decoder
+    build identical probability models from it).
+
+    A scale keeps :data:`_SCALE_MANTISSA_BITS` of its mantissa (eight
+    steps per octave, within 6.25% of the fit): scales fit on the
+    coded coefficients alone would otherwise take so many values that
+    few planes share a cached model.  A band no block codes gets the
+    scale floor."""
+    drop = 10 - _SCALE_MANTISSA_BITS
     scales = []
-    for lo, hi in _BANDS:
-        band = coeffs[:, lo:hi]
-        scales.append(f16_bits(LaplacianModel.fit_scale(band)))
+    for band in bands:
+        bits = f16_bits(LaplacianModel.fit_scale(band) if band.size else 0.0)
+        scales.append((bits + (1 << (drop - 1))) >> drop << drop)
     return scales
 
 
 def _band_models(scale_bits: list[int], support: int) -> list[LaplacianModel]:
     return [cached_laplacian(s, support) for s in scale_bits]
+
+
+def _count_side_info(counts: np.ndarray) -> int | None:
+    """A plane's band count model as one integer: for each count ``k``
+    a 4-bit code in bits ``4k..4k+3``, its frequency ``2**code``.  The
+    most frequent count gets the top code and the others their log2
+    share of it; a count no block has gets code 0.  ``None`` (no side
+    info, the uniform model) when that codes the counts in fewer bits
+    than the fitted model and its meta entry would."""
+    hist = np.bincount(counts, minlength=len(_BANDS) + 1).tolist()
+    top = max(hist)
+    codes = [
+        max(0, _COUNT_CODE_MAX + round(math.log2(n / top))) if n else 0 for n in hist
+    ]
+    bits = sum(code << (_COUNT_CODE_BITS * k) for k, code in enumerate(codes))
+    total = sum(1 << code for code in codes)
+    fitted = sum(n * (math.log2(total) - code) for n, code in zip(hist, codes))
+    fitted += 8 * len(f',"c":{bits}')
+    return bits if fitted < counts.size * math.log2(len(hist)) else None
+
+
+@functools.lru_cache(maxsize=32)
+def _count_model(bits: int | None) -> SymbolModel:
+    """The band count model :func:`_count_side_info` describes; cached
+    so a decoder in the encoder's process reuses its rANS tables (about
+    130 KB a model, ~60 us to build).  A 640x360 clip's planes use 15-16
+    distinct models and a 96x64 sweep worker up to 12, so 32 holds
+    either working set; 8 would thrash the first."""
+    if bits is None:
+        return cached_uniform_model(len(_BANDS) + 1)
+    codes = [
+        (bits >> (_COUNT_CODE_BITS * k)) & _COUNT_CODE_MAX
+        for k in range(len(_BANDS) + 1)
+    ]
+    return SymbolModel(np.left_shift(1, codes))
+
+
+def _band_counted(packet: FramePacket) -> bool:
+    """Whether a packet is written in the band-count layout."""
+    return list(packet.chunks) == list(BAND_COUNT_PAYLOADS)
+
+
+def _check_counts(counts: np.ndarray, size: int, plane: str) -> np.ndarray:
+    """A plane's decoded band counts, one per block and each at most the
+    band total: anything else would size coefficient segments past the
+    plane's geometry."""
+    if counts.shape != (size,) or (
+        size and not 0 <= counts.min() <= counts.max() <= len(_BANDS)
+    ):
+        raise StreamCorruptionError(
+            f"plane {plane} band counts are not {size} values in 0..{len(_BANDS)}"
+        )
+    return counts
 
 
 class _PlaneCoder:
@@ -263,20 +355,25 @@ class _PlaneCoder:
     carried as side information, so small quantization steps never clip
     DC coefficients.
 
-    Since format version 2 the four zigzag bands are coded as
-    contiguous per-band segments (all blocks' DC, then all low AC, ...)
-    so any entropy backend codes them with vectorized symbol mapping;
-    version-1 streams interleaved the bands block by block and decode
-    through :class:`_BlockInterleavedCacm`.  The coder quantizes and
-    reconstructs; the codec entropy-codes a frame's segments together.
+    Each 8x8 block codes a *band count*: how many of the four zigzag
+    bands lead up to its last nonzero coefficient (0 for an all-zero
+    block).  Only the coefficients of those bands are entropy coded,
+    as contiguous per-band segments (all counted blocks' DC, then their
+    low AC, ...), so any backend maps them vectorized; the band counts
+    code under a per-plane model (side info ``"c"``).  Packets written
+    before band counts code every band of every block (all counts 4);
+    version-1 streams also interleaved the bands block by block and
+    decode through :class:`_BlockInterleavedCacm`.  The coder quantizes
+    and reconstructs; the codec entropy-codes a frame's segments.
     """
 
     def __init__(self, qstep: float, support: int):
         self.qstep = qstep
         self.max_support = support
 
-    def encode(self, plane: np.ndarray) -> tuple[list, dict, np.ndarray]:
-        """Returns (band segments, side-info meta, reconstructed plane)."""
+    def encode(self, plane: np.ndarray) -> tuple[tuple, list, dict, np.ndarray]:
+        """Returns (band count segment, band segments, side-info meta,
+        reconstructed plane)."""
         # None while tracing is off: each stage boundary then costs
         # one truthiness check, and no clock is ever read.
         timer = encode_stage_timer("classical")
@@ -291,35 +388,41 @@ class _PlaneCoder:
         support = int(np.clip(np.max(np.abs(raw)), _MIN_SUPPORT, 4 * self.max_support))
         quantized = np.clip(raw, -support, support).astype(np.int64)
 
-        scales = _band_scales(quantized)
-        models = _band_models(scales, support)
+        counts = _band_counts(quantized)
+        bands = [quantized[counts > k, lo:hi] for k, (lo, hi) in enumerate(_BANDS)]
+        meta = {"s": _band_scales(bands), "u": support}
+        count_bits = _count_side_info(counts)
+        if count_bits is not None:
+            meta["c"] = count_bits
         segments = [
-            (quantized[:, lo:hi].ravel() + support, model.model)
-            for (lo, hi), model in zip(_BANDS, models)
+            (band.ravel() + support, model.model)
+            for band, model in zip(bands, _band_models(meta["s"], support))
         ]
         if timer:
             timer.lap("quantize")
         recon = self._reconstruct(quantized, padded.shape)
-        meta = {"s": scales, "u": support}
-        return segments, meta, recon[:h, :w]
+        return (counts, _count_model(count_bits)), segments, meta, recon[:h, :w]
 
     @staticmethod
-    def specs(meta: dict, h: int, w: int) -> list[tuple[int, SymbolModel]]:
-        """The four band segments a plane of this size codes."""
-        nblocks = -(-h // _BLOCK) * -(-w // _BLOCK)
+    def band_specs(meta: dict, counts: np.ndarray) -> list[tuple[int, SymbolModel]]:
+        """The four band segments of a plane whose blocks code
+        ``counts`` bands each."""
         return [
-            (nblocks * (hi - lo), model.model)
-            for (lo, hi), model in zip(_BANDS, _band_models(meta["s"], meta["u"]))
+            (int(np.count_nonzero(counts > k)) * (hi - lo), model.model)
+            for k, ((lo, hi), model) in enumerate(
+                zip(_BANDS, _band_models(meta["s"], meta["u"]))
+            )
         ]
 
-    def decode(self, bands: list[np.ndarray], meta: dict, h: int, w: int) -> np.ndarray:
-        """The plane from its decoded band symbols."""
+    def decode(
+        self, counts: np.ndarray, bands: list[np.ndarray], meta: dict, h: int, w: int
+    ) -> np.ndarray:
+        """The plane from its band counts and decoded band symbols."""
         ph = h + ((-h) % _BLOCK)
         pw = w + ((-w) % _BLOCK)
-        nblocks = (ph // _BLOCK) * (pw // _BLOCK)
-        quantized = np.empty((nblocks, 64), dtype=np.int64)
-        for (lo, hi), symbols in zip(_BANDS, bands):
-            quantized[:, lo:hi] = (symbols - meta["u"]).reshape(nblocks, hi - lo)
+        quantized = np.zeros((counts.size, 64), dtype=np.int64)
+        for k, ((lo, hi), symbols) in enumerate(zip(_BANDS, bands)):
+            quantized[counts > k, lo:hi] = (symbols - meta["u"]).reshape(-1, hi - lo)
         return self._reconstruct(quantized, (ph, pw))[:h, :w]
 
     def _reconstruct(self, quantized: np.ndarray, shape: tuple[int, int]):
@@ -374,7 +477,7 @@ class ClassicalCodec:
         y, cb, cr = self._planes(frame)
         luma_coder, chroma_coder = self._plane_coders()
         packet = FramePacket(frame_type="I")
-        segments = []
+        head, body = [], []
         recon_planes = []
         metas = []
         for name, plane, coder in (
@@ -382,11 +485,12 @@ class ClassicalCodec:
             ("cb", cb - 128.0, chroma_coder),
             ("cr", cr - 128.0, chroma_coder),
         ):
-            bands, side, recon = coder.encode(plane)
-            segments += bands
+            counts, bands, side, recon = coder.encode(plane)
+            head.append(counts)
+            body += bands
             metas.append({"p": name, "sd": side, "hw": list(plane.shape)})
             recon_planes.append(recon + 128.0)
-        encode_packet_segments(packet, self.entropy, segments, "classical")
+        self._add_payloads(packet, head, body)
         packet.meta["P"] = metas
         if self._frame_qp is not None:
             packet.meta["rq"] = f16_bits(self._frame_qp)
@@ -404,24 +508,73 @@ class ClassicalCodec:
         the stream header declares; without it the planes may take any
         size up to :data:`MAX_FRAME_SIDE`."""
         metas = self._check_planes(packet, geometry)
-        bands = decode_packet_segments(
-            packet, entropy or self.entropy, self._plane_groups(metas)
-        )
+        _, planes = self._decode_symbols(packet, entropy or self.entropy, metas)
         luma_coder, chroma_coder = self._plane_coders(qp=self._packet_qp(packet))
-        planes = [
-            coder.decode(plane_bands, meta["sd"], *meta["hw"]) + 128.0
-            for coder, plane_bands, meta in zip(
-                (luma_coder, chroma_coder, chroma_coder), bands, metas
+        return self._frame_from_planes(
+            *(
+                coder.decode(counts, bands, meta["sd"], *meta["hw"]) + 128.0
+                for coder, (counts, bands), meta in zip(
+                    (luma_coder, chroma_coder, chroma_coder), planes, metas
+                )
             )
-        ]
-        return self._frame_from_planes(*planes)
+        )
+
+    def _add_payloads(self, packet: FramePacket, head: list, body: list) -> None:
+        """Code a frame's segments as the two band-count payloads."""
+        head_name, body_name = BAND_COUNT_PAYLOADS
+        encode_packet_segments(
+            packet, self.entropy, {head_name: head, body_name: body}, "classical"
+        )
 
     @staticmethod
-    def _plane_groups(metas: list[dict]) -> list[tuple[str, list]]:
-        """Segment groups of the validated y, cb, cr plane meta."""
-        return [
-            (meta["p"], _PlaneCoder.specs(meta["sd"], *meta["hw"])) for meta in metas
+    def _decode_symbols(
+        packet: FramePacket,
+        entropy: EntropyBackend,
+        metas: list[dict],
+        motion: tuple[int, SymbolModel] | None = None,
+    ) -> tuple[np.ndarray | None, list[tuple[np.ndarray, list[np.ndarray]]]]:
+        """The motion symbols (``None`` without a ``motion`` spec) and
+        each plane's ``(band counts, band symbols)`` of a packet whose
+        meta :meth:`_check_planes` validated.
+
+        A band-count packet decodes its first payload (motion, counts),
+        checks the counts, then decodes the coefficients they select.
+        Packets of the older layouts code every band of every block."""
+        head = [motion] if motion else []
+        sizes = [_block_count(*meta["hw"]) for meta in metas]
+        if not _band_counted(packet):
+            counts = [np.full(size, len(_BANDS), dtype=np.int64) for size in sizes]
+            decoded = decode_packet_segments(
+                packet,
+                entropy,
+                ([("mv", head)] if motion else [])
+                + [
+                    (meta["p"], _PlaneCoder.band_specs(meta["sd"], c))
+                    for c, meta in zip(counts, metas)
+                ],
+            )
+            moved = decoded[0][0] if motion else None
+            return moved, list(zip(counts, decoded[len(head) :]))
+        head_name, body_name = BAND_COUNT_PAYLOADS
+        symbols = entropy.decode_segments(
+            packet.chunks[head_name],
+            head
+            + [
+                (size, _count_model(meta["sd"].get("c")))
+                for size, meta in zip(sizes, metas)
+            ],
+        )
+        moved = symbols[0] if motion else None
+        counts = [
+            _check_counts(c, size, meta["p"])
+            for c, size, meta in zip(symbols[len(head) :], sizes, metas)
         ]
+        specs = [_PlaneCoder.band_specs(meta["sd"], c) for c, meta in zip(counts, metas)]
+        flat = entropy.decode_segments(
+            packet.chunks[body_name], [spec for plane in specs for spec in plane]
+        )
+        bands = [flat[i : i + len(_BANDS)] for i in range(0, len(flat), len(_BANDS))]
+        return moved, list(zip(counts, bands))
 
     def _check_planes(
         self, packet: FramePacket, geometry: tuple[int, int] | None
@@ -430,8 +583,9 @@ class ClassicalCodec:
         any buffer: planes ``y``, ``cb``, ``cr``, whose
         ``hw`` are the luma ``geometry`` (any valid frame size when it
         is None) and its 4:2:0 chroma halves, and whose ``sd`` holds a
-        support ``u`` inside the encoder's clamp and exactly four
-        finite 16-bit band scales ``s``."""
+        support ``u`` inside the encoder's clamp, exactly four finite
+        16-bit band scales ``s`` and, in a band-count packet, either no
+        count model ``c`` (the uniform one) or five 4-bit codes."""
         metas = packet.meta.get("P")
         if not (
             isinstance(metas, list)
@@ -447,6 +601,7 @@ class ClassicalCodec:
         h, w = geometry
         chroma = [h // 2, w // 2]
         max_support = 4 * self.config.support
+        counted = _band_counted(packet)
         for meta, shape in zip(metas, ([h, w], chroma, chroma)):
             name, hw, side = meta["p"], meta.get("hw"), meta.get("sd")
             if not (_is_int_list(hw, 2) and hw == shape):
@@ -467,6 +622,14 @@ class ClassicalCodec:
             ):
                 raise StreamCorruptionError(
                     f"plane {name} needs {len(_BANDS)} finite 16-bit band scales"
+                )
+            count_bits = side.get("c")
+            if counted and "c" in side and not (
+                type(count_bits) is int
+                and 0 <= count_bits < 1 << (_COUNT_CODE_BITS * (len(_BANDS) + 1))
+            ):
+                raise StreamCorruptionError(
+                    f"plane {name} band count model {count_bits!r}"
                 )
         return metas
 
@@ -585,7 +748,8 @@ class ClassicalCodec:
             mv = self._refine_half_pel(y, ry, mv)
         packet = FramePacket(frame_type="P")
         packet.meta.update({"mvs": list(mv.shape), "hp": int(cfg.half_pel)})
-        segments = [(mv.ravel() + self._mv_max_abs, self._motion_model())]
+        head = [(mv.ravel() + self._mv_max_abs, self._motion_model())]
+        body = []
 
         luma_coder, chroma_coder = self._plane_coders()
         recon_planes = []
@@ -597,13 +761,14 @@ class ClassicalCodec:
         ):
             h, w = plane.shape
             prediction = self._predict_plane(ref, mv, h, w, chroma)
-            bands, side, residual_recon = coder.encode(plane - prediction)
-            segments += bands
+            counts, bands, side, residual_recon = coder.encode(plane - prediction)
+            head.append(counts)
+            body += bands
             metas.append({"p": name, "sd": side, "hw": [h, w]})
             recon_planes.append(
                 np.clip(prediction + residual_recon, 0.0, 255.0)
             )
-        encode_packet_segments(packet, self.entropy, segments, "classical")
+        self._add_payloads(packet, head, body)
         packet.meta["P"] = metas
         if self._frame_qp is not None:
             packet.meta["rq"] = f16_bits(self._frame_qp)
@@ -624,26 +789,26 @@ class ClassicalCodec:
         geometry = reference.shape[1:]
         metas = self._check_planes(packet, geometry)
         shape = self._motion_shape(packet.meta, geometry)
-        motion, *bands = decode_packet_segments(
+        motion, plane_symbols = self._decode_symbols(
             packet,
             entropy or self.entropy,
-            [("mv", [(int(np.prod(shape)), self._motion_model())])]
-            + self._plane_groups(metas),
+            metas,
+            (int(np.prod(shape)), self._motion_model()),
         )
-        mv = (motion[0] - self._mv_max_abs).reshape(shape)
+        mv = (motion - self._mv_max_abs).reshape(shape)
         ry, rcb, rcr = self._planes(reference)
         luma_coder, chroma_coder = self._plane_coders(qp=self._packet_qp(packet))
         planes = []
-        for meta, plane_bands, ref, coder, chroma in zip(
+        for meta, (counts, plane_bands), ref, coder, chroma in zip(
             metas,
-            bands,
+            plane_symbols,
             (ry, rcb, rcr),
             (luma_coder, chroma_coder, chroma_coder),
             (False, True, True),
         ):
             h, w = meta["hw"]
             prediction = self._predict_plane(ref, mv, h, w, chroma)
-            residual = coder.decode(plane_bands, meta["sd"], h, w)
+            residual = coder.decode(counts, plane_bands, meta["sd"], h, w)
             planes.append(np.clip(prediction + residual, 0.0, 255.0))
         return self._frame_from_planes(*planes)
 

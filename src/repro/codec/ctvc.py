@@ -45,6 +45,7 @@ from .bitstream import (
     f16_from_bits,
 )
 from .classical import (
+    PACKET_PAYLOAD,
     ClassicalCodec,
     decode_packet_segments,
     encode_packet_segments,
@@ -393,7 +394,10 @@ class CTVCNet:
 
         packet = FramePacket(frame_type="P")
         encode_packet_segments(
-            packet, self.entropy, motion_code.segments + residual_code.segments, "ctvc"
+            packet,
+            self.entropy,
+            {PACKET_PAYLOAD: motion_code.segments + residual_code.segments},
+            "ctvc",
         )
         packet.meta.update(
             {

@@ -53,6 +53,7 @@ __all__ = [
     "get_recorder",
     "load_trace",
     "render_trace_tree",
+    "reset_recorder",
     "set_job_id",
     "span",
     "trace_meta",
@@ -252,6 +253,14 @@ _RECORDER = FlightRecorder()
 
 def get_recorder() -> FlightRecorder:
     """The process flight recorder every finished span lands in."""
+    return _RECORDER
+
+
+def reset_recorder() -> FlightRecorder:
+    """Replace the process flight recorder with an empty one (a forked
+    worker, whose copy of the parent's ring is not its own)."""
+    global _RECORDER
+    _RECORDER = FlightRecorder()
     return _RECORDER
 
 

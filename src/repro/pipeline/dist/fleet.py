@@ -28,6 +28,9 @@ import multiprocessing
 import os
 import time
 
+from repro.obs.metrics import reset_registry
+from repro.obs.tracing import reset_recorder
+
 from .net import HttpJobQueue, HttpQueueError
 from .queues import DirectoryJobQueue, JobQueue, MemoryJobQueue, QueueStats
 from .worker import run_worker
@@ -92,9 +95,15 @@ def worker_entry(
     truth); they carry the worker's metrics and, with tracing on, its
     spans.  Top-level (picklable) on purpose, so it works under both
     the ``fork`` and ``spawn`` multiprocessing start methods.
+
+    The process's metrics registry and span ring start empty: a forked
+    worker inherits its parent's, and its heartbeats would ship them as
+    its own (the submitter's request counts, the runner's spans).
     """
     if queue_dir is None and queue_url is None:
         raise ValueError("worker_entry needs queue_dir or queue_url")
+    reset_registry()
+    reset_recorder()
     queue = open_queue(
         queue_dir=queue_dir, queue_url=queue_url, max_attempts=max_attempts
     )

@@ -94,7 +94,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import trace_meta
 
-from .queues import Job, JobQueue, QueueStats, _require_positive
+from .queues import Job, JobQueue, QueueStats, _clean, _require_positive
 from .worker import Heartbeat
 
 __all__ = [
@@ -151,6 +151,15 @@ def _split_ids(value) -> list[str]:
     return [job_id for job_id in str(value).split(",") if job_id]
 
 
+def _join_ids(job_ids) -> str:
+    """The wire form of many ids: comma-joined, an id holding a comma
+    sent as the id the queue cleans it to (cleaning is idempotent, so
+    the server's own cleaning keeps it)."""
+    return ",".join(
+        _clean(job_id) if "," in str(job_id) else str(job_id) for job_id in job_ids
+    )
+
+
 def _positive_limit(limit: int) -> int:
     _require_positive("limit", limit)
     return limit
@@ -196,7 +205,7 @@ _WIRE = (
               "ok", lambda _: True, lambda _: None),
     _Endpoint("POST", "/reap", "reap_expired", (), "reaped", list),
     _Endpoint("GET", "/attempts", "attempts_map",
-              (_Arg("job_ids", _split_ids, send=",".join),),
+              (_Arg("job_ids", _split_ids, send=_join_ids),),
               "attempts_map", dict,
               lambda counts: {k: int(v) for k, v in counts.items()}, dict),
     _Endpoint("GET", "/attempts", "attempts", (_Arg("job_id", str),),

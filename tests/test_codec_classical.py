@@ -1,5 +1,7 @@
 """Tests for the classical block-DCT codec (H.26x stand-in)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.codec import (
     StreamCorruptionError,
     zigzag_indices,
 )
-from repro.codec.classical import PACKET_PAYLOAD, decode_packet_segments
+from repro.codec.classical import BAND_COUNT_PAYLOADS, _count_model
 from repro.codec.modules import block_match
 from repro.metrics import psnr
 from repro.video import SceneConfig, generate_sequence
@@ -82,20 +84,20 @@ class TestInterCoding:
         codec = ClassicalCodec(ClassicalCodecConfig(qp=8.0))
         _, ref = codec.encode_intra(frames[0])
         packet, _ = codec.encode_inter(frames[1], ref)
-        # the motion field is the first segment group of the packet's
-        # one entropy payload
-        assert list(packet.chunks) == [PACKET_PAYLOAD]
+        # the motion field is the first segment of the packet's first
+        # payload, ahead of the band counts
+        assert list(packet.chunks) == list(BAND_COUNT_PAYLOADS)
         assert packet.meta["mvs"] == [2, 8, 12]
-        motion, *planes = decode_packet_segments(
+        motion, planes = codec._decode_symbols(
             packet,
             codec.entropy,
-            [("mv", [(2 * 8 * 12, codec._motion_model())])]
-            + codec._plane_groups(packet.meta["P"]),
+            codec._check_planes(packet, (64, 96)),
+            (2 * 8 * 12, codec._motion_model()),
         )
         y, ry = codec._planes(frames[1])[0], codec._planes(ref)[0]
         expected = block_match(y, ry, 8, 8)
-        assert np.array_equal(motion[0] - codec._mv_max_abs, expected.ravel())
-        assert len(planes) == 3
+        assert np.array_equal(motion - codec._mv_max_abs, expected.ravel())
+        assert [counts.size for counts, _ in planes] == [96, 24, 24]
 
 
 class TestSequenceCoding:
@@ -349,3 +351,141 @@ class TestHostilePlaneMeta:
         header = dict(stream.header, height=height, width=width)
         with pytest.raises(StreamCorruptionError, match="frame geometry"):
             codec.open_decoder(header)
+
+
+class TestHostileBandCounts:
+    """A band-count packet whose payloads disagree with its meta, or
+    with each other, raises ``StreamCorruptionError`` before anything
+    is sized from it: never an ``IndexError`` or a ``MemoryError``."""
+
+    @pytest.fixture(scope="class", params=["rans", "cacm"])
+    def coded(self, request):
+        clip = generate_sequence(SceneConfig(height=32, width=48, frames=2, seed=3))
+        codec = ClassicalCodec(
+            ClassicalCodecConfig(qp=8.0, entropy_backend=request.param)
+        )
+        stream = codec.encode_sequence(clip)
+        return codec, stream.packets, codec.decode_sequence(stream)
+
+    @staticmethod
+    def decode(codec, packets, index):
+        """Decode packet ``index`` of the clip (its I-frame first)."""
+        reference = codec.decode_intra(packets[0])
+        if index == 0:
+            return reference
+        return codec.decode_inter(packets[1], reference)
+
+    @staticmethod
+    def with_chunks(packet, chunks):
+        crafted = copy.deepcopy(packet)
+        crafted.chunks = chunks
+        return crafted
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["I", "P"])
+    def test_counts_selecting_more_than_the_second_payload_holds(self, coded, index):
+        """Every block claims all four bands; the coefficient payload
+        holds far fewer symbols than that selects."""
+        codec, packets, _ = coded
+        packet = packets[index]
+        metas = codec._check_planes(packet, (32, 48))
+        motion = (2 * 4 * 6, codec._motion_model()) if index else None
+        moved, planes = codec._decode_symbols(packet, codec.entropy, metas, motion)
+        head = [(moved, motion[1])] if index else []
+        head += [
+            (np.full(counts.size, 4), _count_model(meta["sd"].get("c")))
+            for (counts, _), meta in zip(planes, metas)
+        ]
+        crafted = self.with_chunks(
+            packet, {"h": codec.entropy.encode_segments(head), "b": packet.chunks["b"]}
+        )
+        edited = list(packets)
+        edited[index] = crafted
+        if codec.entropy.name == "cacm":
+            # CACM reads zero bits past a payload's end by design, so a
+            # short payload decodes (to other coefficients) rather than
+            # failing; it still never escapes as another error type
+            assert self.decode(codec, edited, index).shape == (3, 32, 48)
+            return
+        with pytest.raises(StreamCorruptionError, match="truncated rANS"):
+            self.decode(codec, edited, index)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda chunks: {"h": chunks["h"]},
+            lambda chunks: {"b": chunks["b"]},
+            lambda chunks: {**chunks, "x": b""},
+            lambda chunks: {"b": chunks["b"], "h": chunks["h"]},
+        ],
+        ids=["missing-b", "missing-h", "extra", "swapped"],
+    )
+    @pytest.mark.parametrize("index", [0, 1], ids=["I", "P"])
+    def test_missing_or_extra_payload_raises(self, coded, index, edit):
+        codec, packets, _ = coded
+        edited = list(packets)
+        edited[index] = self.with_chunks(packets[index], edit(packets[index].chunks))
+        with pytest.raises(StreamCorruptionError, match="packet chunks"):
+            self.decode(codec, edited, index)
+
+    @pytest.mark.parametrize("chunk", ["h", "b"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["I", "P"])
+    def test_truncated_payload_raises(self, coded, index, chunk):
+        codec, packets, decoded = coded
+        edited = list(packets)
+        chunks = dict(packets[index].chunks)
+        chunks[chunk] = chunks[chunk][: len(chunks[chunk]) // 2]
+        edited[index] = self.with_chunks(packets[index], chunks)
+        if codec.entropy.name == "cacm":
+            # zero-padded past the cut: decodes, to a different frame
+            frame = self.decode(codec, edited, index)
+            assert not np.array_equal(frame, decoded[index])
+            return
+        with pytest.raises(StreamCorruptionError, match="rANS payload"):
+            self.decode(codec, edited, index)
+
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            lambda counts: np.where(counts == counts.max(), 5, counts),
+            lambda counts: np.full_like(counts, -1),
+            lambda counts: counts[:-1],
+            lambda counts: np.concatenate([counts, counts]),
+        ],
+        ids=["count-5", "negative", "short", "long"],
+    )
+    @pytest.mark.parametrize("index", [0, 1], ids=["I", "P"])
+    def test_out_of_geometry_counts_raise(self, coded, monkeypatch, index, forged):
+        """A backend that hands back counts no plane of this size can
+        hold (outside 0..4, or not one per block) is stopped before the
+        coefficient payload is sized or decoded."""
+        codec, packets, _ = coded
+        real = codec.entropy.decode_segments
+        calls = []
+
+        def forging(data, specs):
+            symbols = real(data, specs)
+            calls.append(len(specs))
+            if len(calls) == 1:  # the first payload: forge the y counts
+                symbols[-3] = forged(symbols[-3])
+            return symbols
+
+        if index:
+            reference = codec.decode_intra(packets[0])
+        monkeypatch.setattr(codec.entropy, "decode_segments", forging)
+        with pytest.raises(StreamCorruptionError, match="plane y band counts"):
+            if index:
+                codec.decode_inter(packets[1], reference)
+            else:
+                codec.decode_intra(packets[0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", [2**20, -1, 1.5, "abc", None])
+    @pytest.mark.parametrize("index", [0, 1], ids=["I", "P"])
+    def test_malformed_count_model_raises(self, coded, index, value):
+        codec, packets, _ = coded
+        edited = list(packets)
+        crafted = copy.deepcopy(packets[index])
+        crafted.meta["P"][1]["sd"]["c"] = value
+        edited[index] = crafted
+        with pytest.raises(StreamCorruptionError, match="plane cb band count model"):
+            self.decode(codec, edited, index)

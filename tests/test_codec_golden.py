@@ -1,5 +1,6 @@
-"""Golden-bitstream compatibility: version-1 streams and per-chunk
-version-4 streams still decode, and new packets carry one payload.
+"""Golden-bitstream compatibility: version-1 streams and per-chunk and
+one-payload version-4 streams still decode, and new packets carry the
+payloads of their layout.
 
 The first two base64 blobs below were produced by the seed (pre-entropy-
 backend) coder at commit 0df5600: format version 1, CACM'87 arithmetic
@@ -330,7 +331,140 @@ def test_headerless_float64_ctvc_packets_miss_under_the_default_substrate(backen
     assert _frames_digest(decoded) == V4_PER_CHUNK_FRAMES["ctvc"]
 
 
-# -- the per-packet layout every encoder writes --------------------------------
+# -- version-4 one-payload goldens --------------------------------------------
+#
+# Written by the one-payload encoder (every segment of a frame in one
+# entropy payload, chunk ``"e"``), before classical planes coded band
+# counts.  Same scene and codecs as the per-chunk goldens, CTVC-Net in
+# the ``reference`` substrate; they decode to the same frames.
+
+GOLDEN_CLASSICAL_ONE_PAYLOAD_RANS = (
+    "TlZDQQQAcwAAAHsiaGVhZGVyIjp7ImNvZGVjIjoiY2xhc3NpY2FsLWRjdCIsImVudHJvcHki"
+    "OiJyYW5zIiwiZ29wIjo4LCJoZWlnaHQiOjMyLCJxcCI6MTIuMCwicmF0ZV9jb250cm9sIjoi"
+    "Y3FwIiwid2lkdGgiOjQ4fX2ywbI3qwIAAF95a5LyAAAAeyJtIjp7IlAiOlt7Imh3IjpbMzIs"
+    "NDhdLCJwIjoieSIsInNkIjp7InMiOlsyMDEyMCwxNzU4MywxNTAzMCwxMTM1MV0sInUiOjY5"
+    "fX0seyJodyI6WzE2LDI0XSwicCI6ImNiIiwic2QiOnsicyI6WzE1NTMxLDE1ODcyLDEyNTM4"
+    "LDUxNDVdLCJ1IjoxNn19LHsiaHciOlsxNiwyNF0sInAiOiJjciIsInNkIjp7InMiOlsxNTg3"
+    "MiwxNDk1MCwxMjM1Niw1MTQ1XSwidSI6MTZ9fV19LCJuIjpbImUiXSwidCI6IkkiLCJ6Ijpb"
+    "NDM3XX0SogAAAKGvqM0CAG30ADwBAK93xAcLALY4JsUFADs7DYgCACKy37rnAPTpBqNIF9El"
+    "RagoAGnUPxX9E0tj/5tJAPKmOVMAAC0vquemAeTIpNgCABXF/TABACFIDrkeAFgRwS8sAHPM"
+    "SK2GAFAba+C6BxOHOIHVwz4kKLgVkCqtxdWeCwpZ2uHqvuuvz5jn0ujZXojSPSaZX+WJHtIY"
+    "eBnoOvsuoqcWLhMBPlo8POxpsVtKvbc0viOyaguC8fucXQPxb9awLdmf7xTs7xWmLzY1nLHR"
+    "l+Z3Z0wZY2HQPj/ThF5U3tQKIeFXP3ba6QEguC9nGBnI1j2kQ2eRgDeZEK0EfpoVleQ0Urgz"
+    "VcCSANtCtrgzJco6pFWT8reenEd+BBkUXARxGui5JSyYHf9Bt/aQGxbqarprr4Ebkp8o1LEi"
+    "wlqnx+DFAJ1BxTuksuUZzwizAOzYTOsO5+TSMEhAgqPc9kD3u3+4f3Z3AIhRM6Jex3too1nr"
+    "eqkqQUzl3PI3WEWAynk+d4wQbZZIQEgAKRdvlp/en0JLM9mYCjTdVdV5/IQyi4N3sld2fHNA"
+    "kEBNhMokjFzg+pQCAACCbq5mBwEAAHsibSI6eyJQIjpbeyJodyI6WzMyLDQ4XSwicCI6Inki"
+    "LCJzZCI6eyJzIjpbMTYxMjgsMTU1MTQsMTQyOTAsMTE0MzFdLCJ1IjoxNn19LHsiaHciOlsx"
+    "NiwyNF0sInAiOiJjYiIsInNkIjp7InMiOlsxNTAxOSwxMzM4MCwxMjcyMCw5MjAwXSwidSI6"
+    "MTZ9fSx7Imh3IjpbMTYsMjRdLCJwIjoiY3IiLCJzZCI6eyJzIjpbMTM2NTMsMTMxNzUsMTIy"
+    "NDIsNzE1Ml0sInUiOjE2fX1dLCJocCI6MCwibXZzIjpbMiw0LDZdfSwibiI6WyJlIl0sInQi"
+    "OiJQIiwieiI6WzM5M119EowAAAAwJbeiAAD7JFWOggRYJGScAADoIi21AQD9o3G5AABX40Eo"
+    "AQDKowYcDAquoo4gCgHxHjUxBABP4MGEBgB84zYSBABE5S3jrwDInFs1AgCnZHpnBgDnXu+N"
+    "CRtR4VMrIgB5JTJLkgHOICDkdwJyYcGhPmX4op1i2ySTosKiKWJkrPI0EqzzL2Jxn9cxlPef"
+    "fE7j0S3sbGIvlDn0VMSfQ7PAi4EagKekl25BDVuvBUX8Tc5QfvApmk+Xtx159ryS1q2AymsO"
+    "KZxLuOHF2oQDX854V1Z/jAUk34HTTlaqL0Guc0amlvd1SKCitB4tuvqT1xh0E9HyA/U4kI0v"
+    "jK4U1KFmfXmjhh80VwA/M3L0ZvFTeJCL0UOjau1wE46zsehJc7kYinPDd1ff2hC1JhYP6imF"
+    "XQvpv7BowW3uP0UPlJD9UsgzpsLzfruCM405E50CgNj6gfB/w39qd+S+neTjWTRxbutqPPC2"
+    "tOclXRtSU0bySx+7AKa+J0iMaBMZDU+7gFPcDjNrAAAAAA=="
+)
+GOLDEN_CLASSICAL_ONE_PAYLOAD_CACM = (
+    "TlZDQQQAcwAAAHsiaGVhZGVyIjp7ImNvZGVjIjoiY2xhc3NpY2FsLWRjdCIsImVudHJvcHki"
+    "OiJjYWNtIiwiZ29wIjo4LCJoZWlnaHQiOjMyLCJxcCI6MTIuMCwicmF0ZV9jb250cm9sIjoi"
+    "Y3FwIiwid2lkdGgiOjQ4fX13QhCzSQIAAJz+uBzyAAAAeyJtIjp7IlAiOlt7Imh3IjpbMzIs"
+    "NDhdLCJwIjoieSIsInNkIjp7InMiOlsyMDEyMCwxNzU4MywxNTAzMCwxMTM1MV0sInUiOjY5"
+    "fX0seyJodyI6WzE2LDI0XSwicCI6ImNiIiwic2QiOnsicyI6WzE1NTMxLDE1ODcyLDEyNTM4"
+    "LDUxNDVdLCJ1IjoxNn19LHsiaHciOlsxNiwyNF0sInAiOiJjciIsInNkIjp7InMiOlsxNTg3"
+    "MiwxNDk1MCwxMjM1Niw1MTQ1XSwidSI6MTZ9fV19LCJuIjpbImUiXSwidCI6IkkiLCJ6Ijpb"
+    "MzM5XX3AGtQ79fMrPbS+B0SRstBjvcDKrwMB6VtDvZABuLBf+S0L8LA6fMbEocMdjoUoXl0s"
+    "wHN89ii0iQYdzvvEewJZvEXD13sWL/v/ci7gIYPZ+pP0VVGeBUemcpax/FN31PcCEv+smV78"
+    "jQfeKdLLr/NYuhcswwBDlfYijjlEni/QEpRnoQeHE5hd/fMj4qgv43B1pzUrJAx19zEtLj+f"
+    "Gt2VLe0w4NSh3XqTrQIZmSlzq4X7PiEjBWSWBFg0f9Ykh2Ys6JjdVS1bzcR/o+PoZuGdE6cR"
+    "qnGWmjkJCFtIRRQIcfJja5lD84+NzrPEoeLdxvztdRp1qhr1/xvBxcsniQrhs3qrUOj7nrun"
+    "VVG2GXuBlkfhCjZU/2RuxH9pWwiYEfSvbk6t/ITVaCLu9kPMoWr/tOlBUKifx8WvLqyFtdlU"
+    "jCUh5zIdD+F1UuSIaGbAX9cazfgyAgAAIBmEigcBAAB7Im0iOnsiUCI6W3siaHciOlszMiw0"
+    "OF0sInAiOiJ5Iiwic2QiOnsicyI6WzE2MTI4LDE1NTE0LDE0MjkwLDExNDMxXSwidSI6MTZ9"
+    "fSx7Imh3IjpbMTYsMjRdLCJwIjoiY2IiLCJzZCI6eyJzIjpbMTUwMTksMTMzODAsMTI3MjAs"
+    "OTIwMF0sInUiOjE2fX0seyJodyI6WzE2LDI0XSwicCI6ImNyIiwic2QiOnsicyI6WzEzNjUz"
+    "LDEzMTc1LDEyMjQyLDcxNTJdLCJ1IjoxNn19XSwiaHAiOjAsIm12cyI6WzIsNCw2XX0sIm4i"
+    "OlsiZSJdLCJ0IjoiUCIsInoiOlsyOTVdfY////9eBtxrJsaRVqVNUIBQ9QrW0qIn75abNk26"
+    "8fvpkMlsYeleLqlC+yuQi/yMkpm6CV4VgRNmvBYw1rv/MRoWeTXAJY/drIUSeOYXv1iM1hk5"
+    "UyJe3sX6QMEt/p9AwLZNPJhY5rlBxqG0GW80+z4bEHZbhx0eqs6cymKzm/9Z+QizxjN8ohoq"
+    "YvSOJ2sde7K/SnprKIvTOQxMYeu2psoI1uoU5+VODB8DvG0GSbLDRlbsqPFDEOpCG3flVLVl"
+    "YuVfmjrtAjEOaD4FeiG6Hnk9VBClimO0Msg/iRk2dIvY1PXvErACP/UzQaddGxFxNoFMtBYR"
+    "pPxPWW10mdFP8HHJl4A8SiIYhQRWZ/SZ2Jhv612eCbtHfyYb2Xd6GnJuGfPD4/Mj4v8AAAAA"
+)
+GOLDEN_CTVC_ONE_PAYLOAD_RANS = (
+    "TlZDQQQAjAAAAHsiaGVhZGVyIjp7ImNoYW5uZWxzIjo4LCJjb2RlYyI6ImN0dmMtbmV0Iiwi"
+    "ZW50cm9weSI6InJhbnMiLCJnb3AiOjgsImhlaWdodCI6MzIsInFzdGVwIjo4LjAsInJhdGVf"
+    "Y29udHJvbCI6ImNxcCIsInZhcmlhbnQiOiJmcCIsIndpZHRoIjo0OH19AR2ZNm0CAADvW8MA"
+    "8gAAAHsibSI6eyJQIjpbeyJodyI6WzMyLDQ4XSwicCI6InkiLCJzZCI6eyJzIjpbMTk2OTYs"
+    "MTcxODYsMTQ1MTgsMTA1MThdLCJ1Ijo1Mn19LHsiaHciOlsxNiwyNF0sInAiOiJjYiIsInNk"
+    "Ijp7InMiOlsxNTM2MCwxNTQyOCwxMTAzNiw1MTQ1XSwidSI6MTZ9fSx7Imh3IjpbMTYsMjRd"
+    "LCJwIjoiY3IiLCJzZCI6eyJzIjpbMTU1MzEsMTQ0NzMsMTEzMzIsNTE0NV0sInUiOjE2fX1d"
+    "fSwibiI6WyJlIl0sInQiOiJJIiwieiI6WzM3NV19EoMAAAAEMNBBSAahtL8p8RLod6vACACC"
+    "eJaMAAByu0cBIQIPcuETAQCBavwnzQNrJP73Zgr5k2P7AgClIzvTPwh55r9OAAACb0VhrQoG"
+    "SfRFAADKRNX/nQIBiEQPagAMEbWLEgBrzEAPCAA7mxnYCgDWA9Ckd2+qpVrQx2cV5sh+5g59"
+    "Pw6hkRwrNZCcuv2D5discahmWW7prmW6/TApcM4R/BpN27BcC5G7Dz1bS2WsxOtAWcktp0Dp"
+    "AjrwNGPVb/Nc8aq8vly5GDsL3k/NRjGFIC+ddigaGC6UNsB65FVLl6VXAIZzX9IOwf495nt7"
+    "YM32f6uxeud1Q3+xBi+4ZBRC3hLwREI4CtWtyxqHyb3IRz5mR7RalM68C8/zhEYInlCZwqOv"
+    "T4xuGHybqIneqGAodo9oKzmXl0USDyFmhhdiYRkEq+QH+5u/cTMAbK4nHxWMBZh4/hd8/Bl/"
+    "MnPW5Dj3nEC/oHzHrtb9CMI/QJL/X71/gVlpCQEAAP8WbGbmAAAAeyJtIjp7ImFtIjoxNDM3"
+    "NywiYXIiOjEzODA5LCJtbSI6eyJodyI6WzgsMiwzXSwicSI6MTg0MzIsInMiOls1MTQ1LDE1"
+    "MzYwLDUxNDUsNTE0NSw1MTQ1LDUxNDUsNTE0NSw1MTQ1XSwidSI6Mn0sInJtIjp7Imh3Ijpb"
+    "OCwyLDNdLCJxIjoxODQzMiwicyI6WzE3NTc5LDE4MjE5LDE2NTU1LDE1MDE5LDE2MDQzLDE0"
+    "MzM2LDE1MDE5LDE1MzYwXSwidSI6MTJ9fSwibiI6WyJlIl0sInQiOiJQIiwieiI6WzMxXX0B"
+    "CgAAABKgrpkDADHxyQStZfWNF840znU9U7jGkA8UAAAAAA=="
+)
+GOLDEN_CTVC_ONE_PAYLOAD_CACM = (
+    "TlZDQQQAjAAAAHsiaGVhZGVyIjp7ImNoYW5uZWxzIjo4LCJjb2RlYyI6ImN0dmMtbmV0Iiwi"
+    "ZW50cm9weSI6ImNhY20iLCJnb3AiOjgsImhlaWdodCI6MzIsInFzdGVwIjo4LjAsInJhdGVf"
+    "Y29udHJvbCI6ImNxcCIsInZhcmlhbnQiOiJmcCIsIndpZHRoIjo0OH192hnTpA4CAAD8JbGP"
+    "8gAAAHsibSI6eyJQIjpbeyJodyI6WzMyLDQ4XSwicCI6InkiLCJzZCI6eyJzIjpbMTk2OTYs"
+    "MTcxODYsMTQ1MTgsMTA1MThdLCJ1Ijo1Mn19LHsiaHciOlsxNiwyNF0sInAiOiJjYiIsInNk"
+    "Ijp7InMiOlsxNTM2MCwxNTQyOCwxMTAzNiw1MTQ1XSwidSI6MTZ9fSx7Imh3IjpbMTYsMjRd"
+    "LCJwIjoiY3IiLCJzZCI6eyJzIjpbMTU1MzEsMTQ0NzMsMTEzMzIsNTE0NV0sInUiOjE2fX1d"
+    "fSwibiI6WyJlIl0sInQiOiJJIiwieiI6WzI4MF19wgCIJ2JVm45KRf5dFmVH1kecRVcUNTI6"
+    "HOogQvHv7jbyPG7fNSNUK0e6GXS5ThGdTMIG0B7nOvjPgGiww0QY844wG9RN7uA6eXWny0e6"
+    "gdaBk8XCefln94qJtVx0VcyLvPHek9Xwfo7TRJ/zbj0mJR0xUaJESIcJr4q753TDqbqNV87J"
+    "dNhORYUZCtZpxa5HZ9kpxvFp0W1ePTrzUNrfEpaKLGSEIUUcVRyEhz/XwHkShepjWhqG81aV"
+    "GID7WXdAQlzJoo9vhJfCVlWlxBSsJs4oG9+mqt65hca25tWM3FX1l5UyS6qSyMTYw4yQJHfj"
+    "k8cv3NA+dvtZr3q7/hdQqtoekpVMyyu79iWuAWhMehts7LCas226sP8AAADjto7P5gAAAHsi"
+    "bSI6eyJhbSI6MTQzNzcsImFyIjoxMzgwOSwibW0iOnsiaHciOls4LDIsM10sInEiOjE4NDMy"
+    "LCJzIjpbNTE0NSwxNTM2MCw1MTQ1LDUxNDUsNTE0NSw1MTQ1LDUxNDUsNTE0NV0sInUiOjJ9"
+    "LCJybSI6eyJodyI6WzgsMiwzXSwicSI6MTg0MzIsInMiOlsxNzU3OSwxODIxOSwxNjU1NSwx"
+    "NTAxOSwxNjA0MywxNDMzNiwxNTAxOSwxNTM2MF0sInUiOjEyfX0sIm4iOlsiZSJdLCJ0Ijoi"
+    "UCIsInoiOlsyMV193IXdRIP3Yp11m5JqesiHNqwDoi9AAAAAAA=="
+)
+
+ONE_PAYLOAD = {
+    ("classical", "rans"): GOLDEN_CLASSICAL_ONE_PAYLOAD_RANS,
+    ("classical", "cacm"): GOLDEN_CLASSICAL_ONE_PAYLOAD_CACM,
+    ("ctvc", "rans"): GOLDEN_CTVC_ONE_PAYLOAD_RANS,
+    ("ctvc", "cacm"): GOLDEN_CTVC_ONE_PAYLOAD_CACM,
+}
+
+
+@pytest.mark.parametrize("kind,backend", sorted(ONE_PAYLOAD))
+def test_one_payload_stream_decodes_to_pinned_frames(kind, backend):
+    blob = base64.b64decode(ONE_PAYLOAD[(kind, backend)])
+    stream = SequenceBitstream.parse(blob)
+    assert stream.version == 4
+    assert stream.header["entropy"] == backend
+    assert [list(p.chunks) for p in stream.packets] == [["e"], ["e"]]
+    assert stream.serialize() == blob
+    decoded = _v4_codec(kind, "rans").decode_sequence(stream)
+    assert _frames_digest(decoded) == V4_PER_CHUNK_FRAMES[kind]
+    codec = _v4_codec(kind, backend)
+    if kind == "ctvc":
+        codec = CTVCNet(codec.config.replace(substrate="reference"))
+    intra = codec if kind == "classical" else codec.intra_codec
+    first = intra.decode_intra(stream.packets[0])
+    direct = [first, codec.decode_inter(stream.packets[1], first)]
+    assert _frames_digest(direct) == V4_PER_CHUNK_FRAMES[kind]
+
+
+# -- the layouts every encoder writes ------------------------------------------
 
 
 def _count_calls(monkeypatch, backend, name) -> list:
@@ -345,24 +479,55 @@ def _count_calls(monkeypatch, backend, name) -> list:
     return calls
 
 
+#: chunks of a new 3-frame GOP (I P P): band-count packets for every
+#: classical frame and CTVC-Net's I-frame, one payload per CTVC-Net
+#: P-frame.
+NEW_LAYOUT = {
+    "classical": [["h", "b"], ["h", "b"], ["h", "b"]],
+    "ctvc": [["h", "b"], ["e"], ["e"]],
+}
+
+
 @pytest.mark.parametrize("kind", ["classical", "ctvc"])
 @pytest.mark.parametrize("backend", ["rans", "cacm"])
-def test_every_packet_carries_one_entropy_payload(monkeypatch, kind, backend):
-    """One ``encode_segments`` call per packet on the way in, one
-    ``decode_segments`` call per packet on the way out."""
+def test_every_packet_carries_the_payloads_of_its_layout(monkeypatch, kind, backend):
+    """One ``encode_segments`` call per chunk on the way in, one
+    ``decode_segments`` call per chunk on the way out."""
     from repro.codec import get_entropy_backend
-    from repro.codec.classical import PACKET_PAYLOAD
+    from repro.codec.classical import BAND_COUNT_PAYLOADS, PACKET_PAYLOAD
 
+    assert NEW_LAYOUT["ctvc"][1:] == [[PACKET_PAYLOAD]] * 2
+    assert NEW_LAYOUT["classical"][0] == list(BAND_COUNT_PAYLOADS)
     frames = generate_sequence(SceneConfig(height=32, width=48, frames=3, seed=11))
     codec = _v4_codec(kind, backend)
     entropy = get_entropy_backend(backend)
+    chunks = sum(len(names) for names in NEW_LAYOUT[kind])
     encodes = _count_calls(monkeypatch, entropy, "encode_segments")
     stream = codec.encode_sequence(frames)
-    assert len(encodes) == 3
-    assert [list(p.chunks) for p in stream.packets] == [[PACKET_PAYLOAD]] * 3
+    assert len(encodes) == chunks
+    assert [list(p.chunks) for p in stream.packets] == NEW_LAYOUT[kind]
     decodes = _count_calls(monkeypatch, entropy, "decode_segments")
     assert len(codec.decode_sequence(stream)) == 3
-    assert len(decodes) == 3
+    assert len(decodes) == chunks
+
+
+@pytest.mark.parametrize("rate_control", [None, "cqp"])
+@pytest.mark.parametrize("kind,backend", sorted(ONE_PAYLOAD))
+def test_new_streams_decode_to_the_golden_frames(kind, backend, rate_control):
+    """Band counts change where coefficients are coded, not which: a
+    stream written today decodes to the frames the golden streams of
+    the older layouts decode to, byte for byte."""
+    frames = generate_sequence(SceneConfig(height=32, width=48, frames=2, seed=11))
+    codec = _v4_codec(kind, backend)
+    codec = type(codec)(
+        codec.config.replace(rate_control=rate_control)
+        if kind == "classical"
+        else codec.config.replace(rate_control=rate_control, substrate="reference")
+    )
+    stream = SequenceBitstream.parse(codec.encode_sequence(frames).serialize())
+    assert [list(p.chunks) for p in stream.packets] == NEW_LAYOUT[kind][:2]
+    decoded = _v4_codec(kind, "rans").decode_sequence(stream)
+    assert _frames_digest(decoded) == V4_PER_CHUNK_FRAMES[kind]
 
 
 @pytest.mark.parametrize("kind", ["classical", "ctvc"])

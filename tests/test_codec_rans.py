@@ -558,17 +558,17 @@ def _digest(chunks):
 @pytest.mark.parametrize(
     "kind,stream_digest,frames_digest",
     [
-        ("classical", "c1ae6f5da4003ca1", "b2f5a1a1b5394d31"),
-        ("ctvc", "b6fb31b49edbe5b8", "14eaf482f6495e22"),
+        ("classical", "2bb852d79c365ffd", "b2f5a1a1b5394d31"),
+        ("ctvc", "dacb1d0365697471", "14eaf482f6495e22"),
     ],
 )
 def test_benchmark_scene_digests_are_pinned(kind, stream_digest, frames_digest):
     """The streams and decoded frames of the benchmark scenes (classical
     at 640x360, six frames; CTVC-Net N=12 at 352x288, three frames;
     scene seed 1) match pinned digests.  The frame digests were recorded
-    before the rANS row loops were rewritten and survived the move to
-    one entropy payload per packet; the stream digests are those of
-    that layout.  Frame digests hash float64 output, so they pin this
+    before the rANS row loops were rewritten and survived the moves to
+    one entropy payload per packet and to band-count packets; the
+    stream digests are those of the band-count layout.  Frame digests hash float64 output, so they pin this
     NumPy/OpenBLAS build; the stream digests do not depend on it.
     CTVC-Net runs the float64 ``reference`` substrate these digests
     were recorded with."""

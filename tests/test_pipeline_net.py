@@ -157,6 +157,20 @@ class TestHttpProtocol:
         # the single-job wire form stays intact
         assert http_queue.attempts("burned") == 1
 
+    def test_attempts_map_keeps_an_id_holding_a_comma(self, http_queue):
+        """Ids travel comma-joined; one holding a comma is sent as its
+        cleaned form, so the answer is the in-memory queue's."""
+        from repro.pipeline.dist import MemoryJobQueue
+
+        memory = MemoryJobQueue()
+        for queue in (http_queue, memory):
+            queue.submit({}, job_id="a,b")
+        assert http_queue.attempts_map(["a,b"]) == {"a-b": 0}
+        assert memory.attempts_map(["a,b"]) == {"a-b": 0}
+        assert http_queue.attempts_map(["a,b", "c d", "z"]) == memory.attempts_map(
+            ["a,b", "c d", "z"]
+        )
+
     def test_lease_expiry_reaps_over_the_wire(self, http_queue):
         http_queue.submit({"x": 1}, job_id="leased")
         assert http_queue.claim("w1", lease_seconds=0.05) is not None
@@ -708,6 +722,40 @@ class TestWorkerFleet:
             assert len(queue.results()) == len(specs)
             # heartbeats from the fleet's workers reached /stats
             assert queue.fleet()
+
+    def test_spawned_worker_ships_only_its_own_metrics_and_spans(self):
+        """A forked worker starts from an empty registry and span ring:
+        the requests and spans its parent made before the fork never
+        reach the daemon as the worker's."""
+        from repro.obs import tracing
+        from repro.pipeline.dist import spawn_worker
+        from repro.pipeline.tasks import normalize_spec
+
+        spec = normalize_spec(dse_grid("geometry", values=((6, 6),))[0])
+        was_enabled = tracing.enabled()
+        tracing.enable()
+        try:
+            with QueueServer(MemoryJobQueue()) as server:
+                queue = HttpJobQueue(server.url)
+                queue.submit(spec, job_id=job_id_for_spec(0, spec))
+                for _ in range(3):
+                    queue.results()
+                with tracing.span("parent.before-fork"):
+                    pass
+                worker = spawn_worker(queue, lease_seconds=30.0)
+                worker.join(60)
+                assert worker.exitcode == 0
+                assert queue.stats().done == 1
+                metrics = server.metrics_text()
+                spans = server.trace_text()
+        finally:
+            tracing.enable(was_enabled)
+        # the worker's own requests arrive; the parent's do not
+        assert 'repro_http_requests_total{path="/claim",status="200"}' in metrics
+        assert 'path="/submit"' not in metrics
+        assert 'path="/results"' not in metrics
+        assert "parent.before-fork" not in spans
+        assert "worker.execute" in spans
 
 
 def _storage(name, tmp_path):

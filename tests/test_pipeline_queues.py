@@ -54,7 +54,7 @@ MAX_ATTEMPTS = 2
 #: raw job ids: two spellings of one id ("b c" cleans to "b-c"), an id
 #: that is a prefix of another ("a" / "a-b": job-id order differs from
 #: file-name order), and one that looks like a temp-file suffix.
-RAW_IDS = ["a", "a-b", "b c", "b-c", "c.tmp.d", "z"]
+RAW_IDS = ["a", "a-b", "a,b", "b c", "b-c", "c.tmp.d", "z"]
 WORKERS = ["w1", "w 2"]
 #: pinned so the run is identical every time and bounded in CI time.
 MODEL_SETTINGS = settings(
