@@ -403,10 +403,56 @@ def bench_container(frames, repeats: int) -> dict:
     return report
 
 
+def _paired_cpu_overhead(base, variant, repeats: int) -> tuple:
+    """``(median base s, median variant s, overhead)`` of two calls
+    whose true cost difference sits below machine noise.
+
+    A naive back-to-back wall-clock A/B would report whatever the
+    scheduler was doing.  Three defenses: CPU time instead of wall
+    time (preemption doesn't bill the victim), ABBA ordering within
+    pairs (cancels warm-cache position bias), and comparing low
+    percentiles over many samples (load spikes inflate the tail, not
+    the clean runs; the exact minimum is a single-sample statistic and
+    still too jumpy).  ``overhead`` is ``p10(variant) / p10(base) -
+    1``.  Co-tenant load can only inflate a batch's estimate, so the
+    best of up to three batches is kept (stopping early once clearly
+    in bounds).
+    """
+
+    def cpu_seconds(fn):
+        start = time.process_time()
+        fn()
+        return time.process_time() - start
+
+    def p10(samples):
+        return sorted(samples)[len(samples) // 10]
+
+    base()
+    variant()
+    best = None
+    for _ in range(3):
+        base_times, variant_times = [], []
+        for index in range(max(20 * repeats, 60)):
+            if index % 2 == 0:
+                base_s, variant_s = cpu_seconds(base), cpu_seconds(variant)
+            else:
+                variant_s, base_s = cpu_seconds(variant), cpu_seconds(base)
+            base_times.append(base_s)
+            variant_times.append(variant_s)
+        estimate = (
+            statistics.median(base_times),
+            statistics.median(variant_times),
+            p10(variant_times) / p10(base_times) - 1.0,
+        )
+        if best is None or estimate[2] < best[2]:
+            best = estimate
+        if best[2] < 0.01:
+            break
+    return best
+
+
 def bench_rate_control(repeats: int) -> dict:
     """The rate-control tax: cqp vs none, calibration, controller cost."""
-    import time as _time_mod
-
     from repro.codec import calibrate_tables, create_rate_controller
     from repro.pipeline import create_codec
     from repro.video import SceneConfig, generate_sequence
@@ -419,52 +465,13 @@ def bench_rate_control(repeats: int) -> dict:
         codec = create_codec("classical", config)
         return list(codec.open_encoder().encode_iter(probe))
 
-    def cpu_seconds(config):
-        start = _time_mod.process_time()
-        encode(config)
-        return _time_mod.process_time() - start
-
-    # The true cqp tax (the session's per-frame adaptive check) is far
-    # below machine noise, so a naive back-to-back wall-clock A/B would
-    # report whatever the scheduler was doing.  Three defenses: CPU
-    # time instead of wall time (preemption doesn't bill the victim),
-    # ABBA ordering within pairs (cancels warm-cache position bias),
-    # and comparing low percentiles over many samples (load spikes
-    # inflate the tail, not the clean runs; the exact minimum is a
-    # single-sample statistic and still too jumpy).
-    base_cfg = {"qp": 8.0}
-    cqp_cfg = {"qp": 8.0, "rate_control": "cqp"}
-    encode(base_cfg)
-    encode(cqp_cfg)
-
-    def p10(samples):
-        return sorted(samples)[len(samples) // 10]
-
-    def one_batch():
-        base_times, cqp_times = [], []
-        for index in range(max(20 * repeats, 60)):
-            if index % 2 == 0:
-                base_s, cqp_s = cpu_seconds(base_cfg), cpu_seconds(cqp_cfg)
-            else:
-                cqp_s, base_s = cpu_seconds(cqp_cfg), cpu_seconds(base_cfg)
-            base_times.append(base_s)
-            cqp_times.append(cqp_s)
-        return base_times, cqp_times
-
-    # co-tenant load can only inflate a batch's estimate, so keep the
-    # best of up to three batches (stop early once clearly in bounds)
-    best = None
-    for _ in range(3):
-        base_times, cqp_times = one_batch()
-        estimate = (
-            statistics.median(base_times),
-            statistics.median(cqp_times),
-            p10(cqp_times) / p10(base_times) - 1.0,
-        )
-        if best is None or estimate[2] < best[2]:
-            best = estimate
-        if best[2] < 0.01:
-            break
+    # the true cqp tax (the session's per-frame adaptive check) is far
+    # below machine noise
+    best = _paired_cpu_overhead(
+        lambda: encode({"qp": 8.0}),
+        lambda: encode({"qp": 8.0, "rate_control": "cqp"}),
+        repeats,
+    )
     report: dict = {
         "baseline_encode_ms": best[0] * 1e3,
         "cqp_encode_ms": best[1] * 1e3,
@@ -498,8 +505,6 @@ def bench_observability(repeats: int) -> dict:
     """The observability tax: encode with tracing (spans + per-stage
     timers) on vs off, byte-identity of the instrumented stream, and
     the raw cost of one metric update."""
-    import time as _time_mod
-
     from repro.obs import (
         MetricsRegistry,
         enable,
@@ -526,47 +531,16 @@ def bench_observability(repeats: int) -> dict:
     get_recorder().clear()
     assert traced == plain, "tracing changed encoded bytes"
 
-    def cpu_seconds(traced_run: bool):
-        enable(traced_run)
+    def traced_encode():
+        enable(True)
         try:
-            start = _time_mod.process_time()
             encode()
-            return _time_mod.process_time() - start
         finally:
             enable(False)
 
-    # Same defenses as the cqp A/B (the effect is below machine
-    # noise): CPU time, ABBA pair ordering, low percentiles over many
-    # samples, best of up to three batches.
-    cpu_seconds(False)
-    cpu_seconds(True)
-
-    def p10(samples):
-        return sorted(samples)[len(samples) // 10]
-
-    def one_batch():
-        off_times, on_times = [], []
-        for index in range(max(20 * repeats, 60)):
-            if index % 2 == 0:
-                off_s, on_s = cpu_seconds(False), cpu_seconds(True)
-            else:
-                on_s, off_s = cpu_seconds(True), cpu_seconds(False)
-            off_times.append(off_s)
-            on_times.append(on_s)
-        return off_times, on_times
-
-    best = None
-    for _ in range(3):
-        off_times, on_times = one_batch()
-        estimate = (
-            statistics.median(off_times),
-            statistics.median(on_times),
-            p10(on_times) / p10(off_times) - 1.0,
-        )
-        if best is None or estimate[2] < best[2]:
-            best = estimate
-        if best[2] < 0.01:
-            break
+    # the same paired CPU A/B as the cqp tax: the effect is below
+    # machine noise too
+    best = _paired_cpu_overhead(encode, traced_encode, repeats)
     get_recorder().clear()
     report: dict = {
         "baseline_encode_ms": best[0] * 1e3,
@@ -580,25 +554,25 @@ def bench_observability(repeats: int) -> dict:
     updates = 200_000
     registry = MetricsRegistry()
     counter = registry.counter("bench_counter")
-    start = _time_mod.process_time()
+    start = time.process_time()
     for _ in range(updates):
         counter.inc(kind="encode")
     report["counter_inc_us"] = (
-        (_time_mod.process_time() - start) / updates * 1e6
+        (time.process_time() - start) / updates * 1e6
     )
     histogram = registry.histogram("bench_histogram")
-    start = _time_mod.process_time()
+    start = time.process_time()
     for _ in range(updates):
         histogram.observe(0.01, kind="encode")
     report["histogram_observe_us"] = (
-        (_time_mod.process_time() - start) / updates * 1e6
+        (time.process_time() - start) / updates * 1e6
     )
-    start = _time_mod.process_time()
+    start = time.process_time()
     for _ in range(updates):
         with span("bench"):
             pass
     report["disabled_span_us"] = (
-        (_time_mod.process_time() - start) / updates * 1e6
+        (time.process_time() - start) / updates * 1e6
     )
     return report
 

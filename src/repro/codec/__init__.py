@@ -50,9 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "LITERATURE_BDBR", "RDModelCodec", "all_method_curves",
         "anchor_curve", "model_curve",
     ),
-    ".sessions": (
-        "DecoderSession", "EncoderSession", "GopDecoderSession",
-        "GopEncoderSession", "SessionError",
-    ),
+    ".sessions": ("DecoderSession", "EncoderSession", "SessionError"),
     ".swin_am": ("SwinAM",),
 })

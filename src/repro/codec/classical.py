@@ -32,7 +32,6 @@ from repro.video.yuv import rgb_to_ycbcr, subsample_420, upsample_420, ycbcr_to_
 
 from .bitstream import (
     FramePacket,
-    SequenceBitstream,
     StreamCorruptionError,
     f16_bits,
     f16_from_bits,
@@ -49,13 +48,7 @@ from .entropy import (
 )
 from .configs import ClassicalCodecConfig
 from .modules import block_match, block_sums, dense_motion_field
-from .rate_control import create_rate_controller
-from .sessions import (
-    DecoderSession,
-    EncoderSession,
-    GopDecoderSession,
-    GopEncoderSession,
-)
+from .sessions import GopCodec
 
 __all__ = [
     "BAND_COUNT_PAYLOADS",
@@ -432,8 +425,11 @@ class _PlaneCoder:
         return _unblockify(blocks, *shape)
 
 
-class ClassicalCodec:
+class ClassicalCodec(GopCodec):
     """Hybrid block codec: I/P GOP structure, 4:2:0, closed loop."""
+
+    STREAM_CODEC = "classical-dct"
+    QP_FIELD = "qp"
 
     def __init__(self, config: ClassicalCodecConfig | None = None):
         self.config = config or ClassicalCodecConfig()
@@ -811,76 +807,3 @@ class ClassicalCodec:
             residual = coder.decode(counts, plane_bands, meta["sd"], h, w)
             planes.append(np.clip(prediction + residual, 0.0, 255.0))
         return self._frame_from_planes(*planes)
-
-    # -- streaming sessions ----------------------------------------------
-    def open_encoder(self) -> EncoderSession:
-        """Streaming encoder: ``push(frame)`` yields packets as frames
-        arrive (see :mod:`repro.codec.sessions`)."""
-
-        cfg = self.config
-
-        def make_header(frame: np.ndarray) -> dict:
-            _, h, w = frame.shape
-            header = {
-                "codec": "classical-dct",
-                "height": h,
-                "width": w,
-                "qp": cfg.qp,
-                "gop": cfg.gop,
-                "entropy": self.entropy.name,
-                "rate_control": cfg.rate_control or "cqp",
-            }
-            if cfg.target_kbps is not None:
-                header["target_kbps"] = cfg.target_kbps
-                header["fps"] = cfg.fps
-            return header
-
-        self.set_frame_qp(None)  # a fresh session starts at the config QP
-        controller = None
-        if cfg.rate_control is not None:
-            controller = create_rate_controller(
-                cfg.rate_control,
-                base_qp=cfg.qp,
-                target_kbps=cfg.target_kbps,
-                fps=cfg.fps,
-            )
-        return GopEncoderSession(
-            intra=self.encode_intra,
-            inter=self.encode_inter,
-            gop=cfg.gop,
-            make_header=make_header,
-            rate_control=controller,
-            apply_qp=self.set_frame_qp,
-        )
-
-    def open_decoder(
-        self, header: dict | None = None, version: int = 4
-    ) -> DecoderSession:
-        """Streaming decoder honouring the backend the stream header
-        names; version-1 streams use the legacy CACM layout.  Without a
-        header the session trusts this codec's configured backend."""
-        entropy = stream_entropy(header, version, self.entropy)
-        geometry = header_geometry(header)
-        return GopDecoderSession(
-            intra=lambda packet: self.decode_intra(
-                packet, entropy=entropy, geometry=geometry
-            ),
-            inter=lambda packet, reference: self.decode_inter(
-                packet, reference, entropy=entropy
-            ),
-        )
-
-    # -- sequence (thin wrappers over the sessions) ----------------------
-    def encode_sequence(self, frames: list[np.ndarray]) -> SequenceBitstream:
-        session = self.open_encoder()
-        packets = list(session.encode_iter(frames))
-        if not packets:
-            raise ValueError("no frames to encode")
-        stream = SequenceBitstream(header=session.header)
-        for packet in packets:
-            stream.add_packet(packet)
-        return stream
-
-    def decode_sequence(self, stream: SequenceBitstream) -> list[np.ndarray]:
-        session = self.open_decoder(stream.header, version=stream.version)
-        return list(session.decode_iter(stream.packets))

@@ -39,7 +39,6 @@ from repro.video.yuv import rgb_to_ycbcr
 
 from .bitstream import (
     FramePacket,
-    SequenceBitstream,
     StreamCorruptionError,
     f16_bits,
     f16_from_bits,
@@ -49,8 +48,6 @@ from .classical import (
     ClassicalCodec,
     decode_packet_segments,
     encode_packet_segments,
-    header_geometry,
-    stream_entropy,
 )
 from .entropy import (
     EntropyBackend,
@@ -59,13 +56,7 @@ from .entropy import (
     get_entropy_backend,
 )
 from .configs import ClassicalCodecConfig, CTVCConfig
-from .rate_control import create_rate_controller
-from .sessions import (
-    DecoderSession,
-    EncoderSession,
-    GopDecoderSession,
-    GopEncoderSession,
-)
+from .sessions import GopCodec
 from .modules import (
     CompressionAE,
     DeformableCompensation,
@@ -91,8 +82,11 @@ class _LatentCode:
     reconstruction: np.ndarray  # dequantized latent (decoder-identical)
 
 
-class CTVCNet:
+class CTVCNet(GopCodec):
     """The full CTVC-Net codec (encoder + decoder + model variants)."""
+
+    STREAM_CODEC = "ctvc-net"
+    QP_FIELD = "qstep"
 
     #: attributes holding the net modules (what :meth:`with_config` shares).
     NETS = (
@@ -452,99 +446,25 @@ class CTVCNet:
         frame = np.clip(self.frame_reconstruction(f_rec), 0.0, 255.0)
         return frame.astype(np.float64, copy=False)
 
-    # -- streaming sessions -------------------------------------------------
-    def open_encoder(self) -> EncoderSession:
-        """Streaming encoder: ``push(frame)`` yields packets as frames
-        arrive; intra/inter reference handling lives in session state,
-        so any number of concurrent sessions share this network."""
+    # -- stream surface hooks (repro.codec.sessions.GopCodec) -------------
+    def _header_fields(self) -> dict:
+        fields = {"variant": self.variant, "channels": self.config.channels}
+        if self.config.substrate != "reference":
+            # absent means reference, so reference streams keep the
+            # bytes they had before the tier existed
+            fields["substrate"] = self.config.substrate
+        return fields
 
-        cfg = self.config
+    def _intra_coder(self) -> ClassicalCodec:
+        return self.intra_codec
 
-        def make_header(frame: np.ndarray) -> dict:
-            _, h, w = frame.shape
-            header = {
-                "codec": "ctvc-net",
-                "variant": self.variant,
-                "height": h,
-                "width": w,
-                "channels": cfg.channels,
-                "qstep": cfg.qstep,
-                "gop": cfg.gop,
-                "entropy": self.entropy.name,
-                "rate_control": cfg.rate_control or "cqp",
-            }
-            if cfg.substrate != "reference":
-                # absent means reference, so reference streams keep the
-                # bytes they had before the tier existed
-                header["substrate"] = cfg.substrate
-            if cfg.target_kbps is not None:
-                header["target_kbps"] = cfg.target_kbps
-                header["fps"] = cfg.fps
-            return header
-
-        self.set_frame_qp(None)  # a fresh session starts at the config qstep
-        controller = None
-        if cfg.rate_control is not None:
-            controller = create_rate_controller(
-                cfg.rate_control,
-                base_qp=cfg.qstep,
-                target_kbps=cfg.target_kbps,
-                fps=cfg.fps,
-            )
-        return GopEncoderSession(
-            intra=self.intra_codec.encode_intra,
-            inter=self.encode_inter,
-            gop=cfg.gop,
-            make_header=make_header,
-            rate_control=controller,
-            apply_qp=self.set_frame_qp,
-        )
-
-    def open_decoder(
-        self, header: dict | None = None, version: int = 4
-    ) -> DecoderSession:
-        """Streaming decoder for a stream with the given header.
-
-        The header names the entropy backend that wrote the chunks
-        (absent on version-1 streams, which are always CACM with the
-        legacy block-interleaved intra layout) and the nets' substrate
-        (absent means ``reference``); without a header the session
-        trusts this codec's configured backend and substrate.
-        """
-        entropy = stream_entropy(header, version, self.entropy)
-        substrate = self._stream_substrate(header)
-        geometry = header_geometry(header)
-        return GopDecoderSession(
-            intra=lambda packet: self.intra_codec.decode_intra(
-                packet, entropy=entropy, geometry=geometry
-            ),
-            inter=lambda packet, reference: self.decode_inter(
-                packet, reference, entropy=entropy, substrate=substrate
-            ),
-        )
-
-    def _stream_substrate(self, header: dict | None) -> str:
-        """The substrate a stream's P-frames decode in: the configured
-        one without a header, else the one the header names (absent
-        means ``"reference"``, every stream written before the tier)."""
+    def _inter_options(self, header: dict | None) -> dict:
+        """P-frames decode in the substrate the header names (absent
+        means ``"reference"``, every stream written before the tier);
+        without a header, in the configured one."""
         if header is None:
-            return self.config.substrate
+            return {"substrate": self.config.substrate}
         substrate = header.get("substrate", "reference")
         if not isinstance(substrate, str) or substrate not in SUBSTRATES:
             raise StreamCorruptionError(f"unknown substrate {substrate!r} in header")
-        return substrate
-
-    # -- sequence (thin wrappers over the sessions) -------------------------
-    def encode_sequence(self, frames: list[np.ndarray]) -> SequenceBitstream:
-        session = self.open_encoder()
-        packets = list(session.encode_iter(frames))
-        if not packets:
-            raise ValueError("no frames to encode")
-        stream = SequenceBitstream(header=session.header)
-        for packet in packets:
-            stream.add_packet(packet)
-        return stream
-
-    def decode_sequence(self, stream: SequenceBitstream) -> list[np.ndarray]:
-        session = self.open_decoder(stream.header, version=stream.version)
-        return list(session.decode_iter(stream.packets))
+        return {"substrate": substrate}

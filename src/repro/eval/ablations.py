@@ -27,9 +27,9 @@ from repro.codec.layergraph import decoder_graph, encoder_graph
 from repro.core.ops import multiplications
 from repro.core.transforms import PAPER_F23, PAPER_T3_64
 from repro.hw.arch import NVCAConfig
-from repro.hw.area import area_report
 from repro.hw.dataflow import compare_traffic
-from repro.hw.energy import EnergyUnits, energy_report
+from repro.hw.dse import roll_up
+from repro.hw.energy import EnergyUnits
 from repro.hw.perf import analyze_graph
 from repro.video import SceneConfig, generate_sequence
 
@@ -102,10 +102,7 @@ def sparsity_sweep(
 
         config = dataclasses.replace(NVCAConfig(), rho=rho)
         graph = decoder_graph(1080, 1920, config.channels)
-        performance = analyze_graph(graph, config)
-        traffic = compare_traffic(graph, config)
-        energy = energy_report(performance.schedule, traffic, config=config)
-        area = area_report(config)
+        performance, _, energy, area = roll_up(graph, config)
         points.append(
             SparsityPoint(
                 rho=rho,

@@ -17,7 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".dcc": ("DCCLayerCost", "dcc_layer_cost"),
     ".dse": (
-        "DesignPoint", "evaluate_point", "pareto_front",
+        "DesignPoint", "evaluate_point", "pareto_front", "roll_up",
         "sweep_array_geometry", "sweep_frequency", "sweep_sparsity",
     ),
     ".energy": ("EnergyReport", "EnergyUnits", "energy_report"),

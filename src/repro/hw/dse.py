@@ -7,8 +7,11 @@ that choice: SCU array geometry (Pif x Pof), sparsity, and clock
 frequency, each evaluated through the same performance / energy / area
 models that reproduce Table II.
 
-:func:`evaluate_point` is the unit of work: one ``(graph, config)``
-roll-up to a :class:`DesignPoint`.  :func:`axis_configs` expands one
+:func:`roll_up` runs one ``(graph, config)`` through those models —
+the one chain behind a DSE point, the NVCA platform's hardware report
+and Table II column, and the sparsity ablation.
+:func:`evaluate_point` is the unit of work: one roll-up projected to a
+:class:`DesignPoint`.  :func:`axis_configs` expands one
 axis into labelled configs, and the ``sweep_*`` helpers evaluate them
 inline; at scale the same points travel as ``"dse-point"``
 job specs through the task-typed work queue instead
@@ -25,10 +28,10 @@ from dataclasses import dataclass
 from repro.core.layerspec import LayerGraph
 
 from .arch import NVCAConfig
-from .area import area_report
-from .dataflow import compare_traffic
-from .energy import energy_report
-from .perf import analyze_graph
+from .area import AreaReport, area_report
+from .dataflow import TrafficReport, compare_traffic
+from .energy import EnergyReport, energy_report
+from .perf import PerformanceReport, analyze_graph
 
 __all__ = [
     "DEFAULT_FREQUENCIES",
@@ -39,6 +42,7 @@ __all__ = [
     "axis_configs",
     "evaluate_point",
     "pareto_front",
+    "roll_up",
     "sweep_array_geometry",
     "sweep_frequency",
     "sweep_sparsity",
@@ -116,14 +120,23 @@ class DesignPoint:
         )
 
 
+def roll_up(
+    graph: LayerGraph, config: NVCAConfig
+) -> tuple[PerformanceReport, TrafficReport, EnergyReport, AreaReport]:
+    """The four model reports for one decoder graph at one config:
+    ``graph`` scheduled on ``config``, and that schedule rolled through
+    the traffic, energy and area models."""
+    performance = analyze_graph(graph, config)
+    traffic = compare_traffic(graph, config)
+    energy = energy_report(performance.schedule, traffic, config=config)
+    return performance, traffic, energy, area_report(config)
+
+
 def evaluate_point(
     graph: LayerGraph, config: NVCAConfig, label: str
 ) -> DesignPoint:
     """Roll one configuration through the perf/energy/area models."""
-    performance = analyze_graph(graph, config)
-    traffic = compare_traffic(graph, config)
-    energy = energy_report(performance.schedule, traffic, config=config)
-    area = area_report(config)
+    performance, _, energy, area = roll_up(graph, config)
     return DesignPoint(
         label=label,
         pif=config.pif,

@@ -37,12 +37,9 @@ from repro.codec import decoder_graph
 from repro.hw import (
     NVCAConfig,
     PlatformSpec,
-    analyze_graph,
-    area_report,
-    compare_traffic,
-    energy_report,
     evaluate_point,
     nvca_spec,
+    roll_up,
     scale_platform,
 )
 from repro.hw.dse import DesignPoint
@@ -171,14 +168,11 @@ class NVCAModel:
         self.config = config or NVCAConfig()
 
     def roll_up(self, height: int, width: int):
-        """The four model reports (performance, traffic, energy, area)
-        for the decoder graph at one resolution."""
+        """The decoder graph at one resolution, then its four model
+        reports (:func:`repro.hw.roll_up`: performance, traffic,
+        energy, area)."""
         graph = decoder_graph(height, width, self.config.channels)
-        performance = analyze_graph(graph, self.config)
-        traffic = compare_traffic(graph, self.config)
-        energy = energy_report(performance.schedule, traffic, config=self.config)
-        area = area_report(self.config)
-        return graph, performance, traffic, energy, area
+        return (graph, *roll_up(graph, self.config))
 
     def hardware_report(self, height: int, width: int) -> HardwareReport:
         """Full NVCA roll-up (perf + traffic + energy + area) — the

@@ -78,7 +78,7 @@ class VideoCodec(Protocol):
         ...
 
     def open_decoder(
-        self, header: dict | None = None, version: int = 2
+        self, header: dict | None = None, version: int = 4
     ) -> DecoderSession:
         ...
 
